@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .toric import BundleParams, DivisorClass, WeightMatrix, canonical_class_F
+from .toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix, canonical_class_F
 
 __all__ = [
     "FibrationData",
@@ -198,5 +198,6 @@ def relative_canonical_class(params: BundleParams) -> DivisorClass:
     d, d0 = params.d, params.d0
     dual = relative_dualising_degree((1, 1, 2, 5), (d0 - d, 2 * d - d0, 0, 0))
     cls = DivisorClass(dual.taut_twist, -dual.taut_twist * d + dual.base_twist)
-    assert cls == canonical_class_F(params) - DivisorClass(0, -2), params
+    if cls != canonical_class_F(params) - DivisorClass(0, -2):
+        raise CrossCheckError(f"{params.label()}: K_X/P1 = {cls} is not K_X + 2F")
     return cls

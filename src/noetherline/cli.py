@@ -6,8 +6,16 @@ JSON (one object per row for classify, one object otherwise) and CSV.
 Rationals are printed as "p/q" in lowest terms, never as decimals; JSON
 encodes them as {"num": p, "den": q}.  Output is byte-identical across runs.
 
-Exit codes: 0 success, 2 usage or domain error, 3 mathematically empty
-result (the requested family has no member with canonical singularities).
+Exit codes: 0 success, 2 usage or domain error (an --output file that
+cannot be written included), 3 mathematically empty result (the requested
+family has no member with canonical singularities).  Arguments are checked
+before the output file is opened, so a usage error leaves no file behind.
+When the reader of standard output goes away (``classify ... | head``),
+writing stops without a traceback and the exit code is the command's own
+(0 for classify).
+
+`classify` streams: csv and json rows are written as they are computed.
+The text table buffers its rows, as strings, to size the columns.
 """
 
 from __future__ import annotations
@@ -16,14 +24,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
 from .invariants import (
     canonical_ring_rank,
     flip_analysis,
     invariants,
+    kobayashi_params,
     kobayashi_translate,
     moduli_components,
 )
@@ -103,15 +114,27 @@ def _csv_flat(record: dict) -> str:
     return _csv_text(["field", "value"], [list(r) for r in rows])
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
+def _csv_lines(header: list[str], rows):
+    """The csv module's text of the header and of each row, line by line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    yield buf.getvalue()
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        yield buf.getvalue()
+
+
+def _table_lines(header: list[str], rows: list[list[str]]):
+    """An aligned text table, line by line; every row sizes the columns."""
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(header)
     ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    for row in (header, *rows):
+        yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
 
 
 def _json_record(record: dict) -> str:
@@ -142,7 +165,7 @@ def classify_record(params: BundleParams) -> dict:
         "count": cls.count,
     }
     if cls.exists:
-        inv = invariants(params)
+        inv = invariants(params, cls)
         record.update(
             pg=inv.pg,
             K3=_frac(inv.K3),
@@ -227,7 +250,7 @@ def inspect_record(params: BundleParams) -> dict:
     }
     if not cls.exists:
         return record
-    inv = invariants(params)
+    inv = invariants(params, cls)
     degenerate = min(params.d, params.d0) <= 1
     record["invariants"] = {
         "pg": inv.pg,
@@ -249,7 +272,7 @@ def inspect_record(params: BundleParams) -> dict:
         "canonical": locus.canonical_base.name.lower() if locus.canonical_base else None,
     }
     record["family_dimension"] = family_dimension(params)
-    a, e = 2 * params.d - params.d0, params.e
+    a, e = kobayashi_params(params)
     record["blowup_parameters"] = {"a": a, "e": e, "in_range": e <= params.d}
     record["support"] = [
         {"a0": m.a0, "a1": m.a1, "a2": m.a2, "a5": m.a5, "label": m.label()}
@@ -338,22 +361,26 @@ def _flip_text(record: dict) -> str:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def cmd_classify(args) -> tuple[int, str]:
+def _classify_params(d_min: int, d_max: int, d0: int | None):
+    for d in range(d_min, d_max + 1):
+        if d0 is None:
+            yield from (BundleParams(d, k) for k in range(0, 3 * d // 2 + 1))
+        elif 0 <= d0 <= 3 * d // 2:
+            yield BundleParams(d, d0)
+
+
+def cmd_classify(args) -> tuple[int, Iterable[str]]:
+    """The sweep's lines; csv and json rows are computed as they are read."""
     if not 0 <= args.d_min <= args.d_max <= 10000:
         raise ValueError("need 0 <= d_min <= d_max <= 10000")
-    records = []
-    for d in range(args.d_min, args.d_max + 1):
-        for d0 in range(0, 3 * d // 2 + 1):
-            if args.d0 is not None and d0 != args.d0:
-                continue
-            records.append(classify_record(BundleParams(d, d0)))
+    records = map(classify_record, _classify_params(args.d_min, args.d_max, args.d0))
     if args.format == "json":
-        return 0, "".join(json.dumps(r) + "\n" for r in records)
+        return 0, (json.dumps(r) + "\n" for r in records)
     if args.format == "csv":
-        return 0, _csv_text(CSV_CLASSIFY_HEADER, [_classify_csv_row(r) for r in records])
+        return 0, _csv_lines(CSV_CLASSIFY_HEADER, map(_classify_csv_row, records))
     header = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
               "K_ample", "K_nef", "noether", "mds"]
-    return 0, _table(header, [_classify_text_row(r) for r in records])
+    return 0, _table_lines(header, [_classify_text_row(r) for r in records])
 
 
 def cmd_inspect(args) -> tuple[int, str]:
@@ -574,6 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point standard output at the null device after its reader went away,
+    so that no later flush, the interpreter's last one included, fails."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -581,20 +616,33 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, text = args.handler(args)
+        code, body = args.handler(args)
     except EmptyFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
+    lines = (body,) if isinstance(body, str) else body
+    if not args.output:
+        try:
+            sys.stdout.writelines(lines)
+        except BrokenPipeError:
+            _discard_stdout()
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            handle.writelines(lines)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+    sys.exit(code)

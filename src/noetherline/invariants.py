@@ -24,9 +24,14 @@ from math import gcd
 from typing import Iterable
 
 from .linear_system import coefficient_degree, enumerate_monomials
-from .singularities import EmptyFamilyError, classify_general_member
+from .singularities import (
+    EmptyFamilyError,
+    SingularityClassification,
+    classify_general_member,
+)
 from .toric import (
     BundleParams,
+    CrossCheckError,
     DivisorClass,
     SpecialCurve,
     curve_intersection,
@@ -130,15 +135,21 @@ def _canonical_image(params: BundleParams) -> CanonicalImage:
     return CanonicalImage(ImageKind.HIRZEBRUCH, e=params.e, embedding=(d0 - 2, 1))
 
 
-def invariants(params: BundleParams) -> InvariantSet:
+def invariants(
+    params: BundleParams, classification: SingularityClassification | None = None
+) -> InvariantSet:
     """The invariant set of the general member of a nonempty family.
 
     p_g is computed as the section count of H - 2F and K^3 as the quartic
     product X.(H - 2F)^3, not from their closed forms.  For min(d, d0) <= 1
     the numbers are the formal family values and the canonical image is
-    flagged degenerate.
+    flagged degenerate.  A caller that has already classified the member
+    passes ``classification`` (of the same ``params``), which is then not
+    recomputed.
     """
-    if not classify_general_member(params).exists:
+    if classification is None:
+        classification = classify_general_member(params)
+    if not classification.exists:
         raise EmptyFamilyError(
             f"{params.label()}: 4*d0 < d, the family has no member with "
             "canonical singularities"
@@ -284,13 +295,14 @@ def flip_analysis(d: int) -> FlipRecord:
     raw_basket, k3_plus = _FLIP_DATA[d]
     basket = tuple(QuotientSingularity(r, b) for r, b in raw_basket)
     k_dot_s0 = curve_intersection(_K, SpecialCurve.S0, params)
-    assert k_dot_s0 == -1
+    if k_dot_s0 != -1:
+        raise CrossCheckError(f"{params.label()}: K.S0 = {k_dot_s0}, not d0 - 2 = -1")
     pg = h0_class(_K, params)
     p2 = plurigenus(params, 2)
     chi_o = 1 - pg
     rr = orbifold_rr_K3(p2, chi_o, basket)
     if rr != k3_plus:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"flip table inconsistent for d={d}: Riemann-Roch gives {rr}, "
             f"stored {k3_plus}"
         )
@@ -365,7 +377,8 @@ def deformation_feasible(params: BundleParams) -> bool:
         for mono in enumerate_monomials(10)
         if mono.a5 == 0
     )
-    assert degree_check == (e <= params.d), params
+    if degree_check != (e <= params.d):
+        raise CrossCheckError(f"{params.label()}: the degree check disagrees with e <= d")
     return degree_check
 
 

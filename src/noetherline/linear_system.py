@@ -11,6 +11,12 @@ For the degree-ten family the equation is normalized: the coefficients of
 z^2 and y^5 are nonzero constants scaled to one, and completing the square in
 z removes every monomial divisible by z.  `normal_form_support` returns the
 surviving monomials.
+
+The surviving z-free monomials x0^a0 x1^a1 y^a2 are decided by integer
+linear forms: the coefficient degree of such a monomial is
+(3*a1 + 2*a2 - 10)*d + (a0 - a1)*d0.  `DEGREE_TEN_FORMS` holds these 35
+pairs, computed once at import, so the support of a row is a filter on the
+signs of integer forms (`support_pattern`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .toric import BundleParams, DivisorClass, SpecialCurve, h0_class
+from .toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
 
 __all__ = [
     "FibreMonomial",
@@ -26,6 +32,8 @@ __all__ = [
     "BaseLocus",
     "Z_SQUARED",
     "Y_FIFTH",
+    "DEGREE_TEN_FORMS",
+    "support_pattern",
     "enumerate_monomials",
     "coefficient_degree",
     "coefficient_profile",
@@ -110,22 +118,26 @@ def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
 def coefficient_profile(
     params: BundleParams, m: int = 10
 ) -> tuple[CoefficientEntry, ...]:
-    """Every degree-m monomial paired with its coefficient degree.
+    """Every degree-m monomial paired with its coefficient degree."""
+    return tuple(
+        CoefficientEntry(mono, coefficient_degree(mono, params))
+        for mono in enumerate_monomials(m)
+    )
 
-    For z-free monomials the degree has two closed forms,
-    -a0(d - d0) - a1(d0 - 2d) and ((a0 + a1)d + (a1 - a0)e)/2; both are
-    evaluated and must agree.
-    """
-    d, d0, e = params.d, params.d0, params.e
-    entries = []
-    for mono in enumerate_monomials(m):
-        deg = coefficient_degree(mono, params)
-        if mono.a5 == 0:
-            dd0_form = -mono.a0 * (d - d0) - mono.a1 * (d0 - 2 * d)
-            half, rem = divmod((mono.a0 + mono.a1) * d + (mono.a1 - mono.a0) * e, 2)
-            assert rem == 0 and deg == dd0_form == half, (mono, params)
-        entries.append(CoefficientEntry(mono, deg))
-    return tuple(entries)
+
+#: The z-free degree-ten monomials other than y^5, in enumeration order, each
+#: with the pair (A, B) of its coefficient degree A*d + B*d0.
+DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
+    (mono, 3 * mono.a1 + 2 * mono.a2 - 10, mono.a0 - mono.a1)
+    for mono in enumerate_monomials(10)
+    if mono.a5 == 0 and mono != Y_FIFTH
+)
+
+
+def support_pattern(params: BundleParams) -> tuple[bool, ...]:
+    """For each form of `DEGREE_TEN_FORMS`, whether it is nonnegative at params."""
+    d, d0 = params.d, params.d0
+    return tuple(a * d + b * d0 >= 0 for _, a, b in DEGREE_TEN_FORMS)
 
 
 def normal_form_support(params: BundleParams) -> tuple[FibreMonomial, ...]:
@@ -134,15 +146,13 @@ def normal_form_support(params: BundleParams) -> tuple[FibreMonomial, ...]:
     z^2 and y^5 always appear (their coefficients are nonzero constants,
     scaled to one); every other monomial divisible by z is removed by
     completing the square; the remaining z-free monomials appear iff their
-    coefficient degree is nonnegative.  Returned in enumeration order.
+    coefficient degree, a form of `DEGREE_TEN_FORMS`, is nonnegative.
+    Returned in enumeration order, where y^5 closes the z-free monomials and
+    z^2 comes last.
     """
-    support = []
-    for mono in enumerate_monomials(10):
-        if mono in (Z_SQUARED, Y_FIFTH):
-            support.append(mono)
-        elif mono.a5 == 0 and mono.a2 != 5 and coefficient_degree(mono, params) >= 0:
-            support.append(mono)
-    return tuple(support)
+    pattern = support_pattern(params)
+    kept = (mono for (mono, _, _), sign in zip(DEGREE_TEN_FORMS, pattern) if sign)
+    return (*kept, Y_FIFTH, Z_SQUARED)
 
 
 @dataclass(frozen=True)
@@ -173,5 +183,6 @@ def family_dimension(params: BundleParams) -> int:
     """
     total = sum(max(0, entry.degree + 1) for entry in coefficient_profile(params))
     sections = h0_class(DivisorClass(10, -10 * params.d), params)
-    assert total == sections, (params, total, sections)
+    if total != sections:
+        raise CrossCheckError(f"{params.label()}: {total} coefficients, {sections} sections")
     return total - 1

@@ -25,6 +25,14 @@ blowup t -> t, x -> t^3 x', y -> t^2 y', z -> t^5 z' divides it exactly by
 t^10 and the chart z'^2 + y'^5 + x'^3 is a compound Du Val point, so the
 dissident points are canonical.  `crepant_chart_check` verifies that weight
 bookkeeping.
+
+The classification is one derivation per row.  The local support is a filter
+on the signs of the integer forms of `linear_system.DEGREE_TEN_FORMS`, and
+the support depends on the sign pattern alone, so `local_support_at_s0`
+returns one shared frozenset per pattern.  Existence is the weighted order
+test on that support, cross-checked against 4*d0 >= d; the remaining cases
+read the values of the forms 8*d0 - 7*d (of x0^9 x1) and 4*d0 - d (of
+x0^7 x1^3).
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 
-from .linear_system import Y_FIFTH, Z_SQUARED, normal_form_support
-from .toric import BundleParams
+from .linear_system import DEGREE_TEN_FORMS, support_pattern
+from .toric import BundleParams, CrossCheckError
 
 __all__ = [
     "EmptyFamilyError",
@@ -50,7 +58,6 @@ __all__ = [
     "weight_below_one_exists",
     "duval_test",
     "classify_general_member",
-    "classify_by_e",
     "crepant_chart_check",
 ]
 
@@ -92,17 +99,31 @@ class LocalMonomial:
             raise ValueError("exponents must be nonnegative")
 
 
+#: The local image x^a1 y^a2 of the monomial of each form of
+#: `DEGREE_TEN_FORMS`, and the monomials z^2 and y^5 of every normalized
+#: equation.
+_LOCAL_IMAGES = tuple(LocalMonomial(mono.a1, mono.a2, 0) for mono, _, _ in DEGREE_TEN_FORMS)
+_ALWAYS_PRESENT = (LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0))
+
+# The local support of each sign pattern met so far.  The forms vanish on
+# eight slopes d0/d in [0, 3/2], so the plane 0 <= d0 <= 3d/2 has at most 17
+# patterns: one per slope, one per gap between slopes, and d = d0 = 0.
+_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], frozenset[LocalMonomial]] = {}
+
+
 def local_support_at_s0(params: BundleParams) -> frozenset[LocalMonomial]:
-    """Local monomial support of a general member near the section S0."""
-    out = set()
-    for mono in normal_form_support(params):
-        if mono == Z_SQUARED:
-            out.add(LocalMonomial(0, 0, 2))
-        elif mono == Y_FIFTH:
-            out.add(LocalMonomial(0, 5, 0))
-        else:
-            out.add(LocalMonomial(mono.a1, mono.a2, 0))
-    return frozenset(out)
+    """Local monomial support of a general member near the section S0.
+
+    A global x0^a0 x1^a1 y^a2 of the normal-form support contributes x^a1 y^a2,
+    z^2 and y^5 contribute themselves.  Rows with the same sign pattern share
+    one frozenset.
+    """
+    pattern = support_pattern(params)
+    support = _SUPPORT_BY_PATTERN.get(pattern)
+    if support is None:
+        kept = (m for m, sign in zip(_LOCAL_IMAGES, pattern) if sign)
+        support = _SUPPORT_BY_PATTERN[pattern] = frozenset((*kept, *_ALWAYS_PRESENT))
+    return support
 
 
 def weight_below_one_exists(
@@ -184,47 +205,29 @@ class SingularityClassification:
 def classify_general_member(params: BundleParams) -> SingularityClassification:
     """Classify the general member by the support analysis along S0.
 
-    The existence boundary is derived twice: from the weighted order test
-    (the (2,1,1)/4 system with the weight 2 on z asks for a support monomial
-    with x-plus-y order below four) and from the closed form 4*d0 >= d; the
-    two must agree.
+    Existence is the weighted order test on the local support: the (2,1,1)/4
+    system with the weight 2 on z asks for a support monomial with x-plus-y
+    order below four.  It is cross-checked against the closed form
+    4*d0 >= d, and a disagreement raises `CrossCheckError`.  The member is
+    smooth iff d0 >= d or 8*d0 - 7*d = 0; otherwise 8*d0 - 7*d > 0 counts its
+    terminal points and 4*d0 - d its dissident points.
     """
     d, d0 = params.d, params.d0
     existent = weight_below_one_exists(
         local_support_at_s0(params), DU_VAL_SYSTEMS[2], _Z_GETS_TWO
     )
-    assert existent == (4 * d0 >= d), params
+    if existent != (4 * d0 >= d):
+        raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")
     if not existent:
         return SingularityClassification(SingularityKind.NOT_EXISTENT)
     if d == 0:
         return SingularityClassification(SingularityKind.SMOOTH, product=True)
-    if d0 >= d or 8 * d0 == 7 * d:
+    terminal = 8 * d0 - 7 * d
+    if d0 >= d or terminal == 0:
         return SingularityClassification(SingularityKind.SMOOTH)
-    if 8 * d0 > 7 * d:
-        return SingularityClassification(
-            SingularityKind.TERMINAL_POINTS, count=8 * d0 - 7 * d
-        )
-    return SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=4 * d0 - d
-    )
-
-
-def classify_by_e(params: BundleParams) -> SingularityClassification:
-    """The same trichotomy phrased in (d, e); agrees with the (d, d0) form."""
-    d, e = params.d, params.e
-    if 2 * e > 5 * d:
-        return SingularityClassification(SingularityKind.NOT_EXISTENT)
-    if d == 0:
-        return SingularityClassification(SingularityKind.SMOOTH, product=True)
-    if e <= d or 4 * e == 5 * d:
-        return SingularityClassification(SingularityKind.SMOOTH)
-    if 4 * e < 5 * d:
-        return SingularityClassification(
-            SingularityKind.TERMINAL_POINTS, count=5 * d - 4 * e
-        )
-    return SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=5 * d - 2 * e
-    )
+    if terminal > 0:
+        return SingularityClassification(SingularityKind.TERMINAL_POINTS, count=terminal)
+    return SingularityClassification(SingularityKind.CANONICAL_CURVE, count=4 * d0 - d)
 
 
 @dataclass(frozen=True, slots=True)

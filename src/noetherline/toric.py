@@ -39,6 +39,7 @@ __all__ = [
     "H",
     "F",
     "NormalizationError",
+    "CrossCheckError",
     "BundleParams",
     "DivisorClass",
     "WeightMatrix",
@@ -64,6 +65,10 @@ FIBRE_ROW = (0, 0, 1, 1, 2, 5)
 
 class NormalizationError(ValueError):
     """Weight data outside the normalized range e = 3d - 2*d0 >= 0."""
+
+
+class CrossCheckError(RuntimeError):
+    """Two independent derivations of the same quantity disagree."""
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,42 @@
+"""Closed-form oracles that the library derives another way, and the
+parameter strategy of the property tests."""
+
+from hypothesis import strategies as st
+
+from noetherline.singularities import SingularityClassification, SingularityKind
+from noetherline.toric import BundleParams
+
+
+@st.composite
+def bundle_params(draw, d_max: int = 5000) -> BundleParams:
+    """(d, d0) with 0 <= d <= d_max and e = 3d - 2*d0 >= 0, often within one
+    step of a boundary of the classification (d0 = d/4, 7d/8 or d)."""
+    d = draw(st.integers(0, d_max))
+    top = 3 * d // 2
+    near_edge = st.sampled_from((d // 4, 7 * d // 8, d)).flatmap(
+        lambda k: st.integers(max(0, k - 1), min(top, k + 1))
+    )
+    return BundleParams(d, draw(st.integers(0, top) | near_edge))
+
+
+def classify_by_e(params: BundleParams) -> SingularityClassification:
+    """The trichotomy phrased in (d, e), e = 3d - 2*d0.
+
+    Nonempty iff 2e <= 5d; smooth iff e <= d or 4e = 5d; 5d - 4e terminal
+    points iff d < e < 5d/4; otherwise a canonical curve with 5d - 2e
+    dissident points.
+    """
+    d, e = params.d, params.e
+    if 2 * e > 5 * d:
+        return SingularityClassification(SingularityKind.NOT_EXISTENT)
+    if d == 0:
+        return SingularityClassification(SingularityKind.SMOOTH, product=True)
+    if e <= d or 4 * e == 5 * d:
+        return SingularityClassification(SingularityKind.SMOOTH)
+    if 4 * e < 5 * d:
+        return SingularityClassification(
+            SingularityKind.TERMINAL_POINTS, count=5 * d - 4 * e
+        )
+    return SingularityClassification(
+        SingularityKind.CANONICAL_CURVE, count=5 * d - 2 * e
+    )

@@ -26,7 +26,6 @@ from noetherline.singularities import (
     DU_VAL_SYSTEMS,
     LocalMonomial,
     SingularityKind,
-    classify_by_e,
     classify_general_member,
     duval_test,
     local_support_at_s0,
@@ -40,6 +39,8 @@ from noetherline.toric import (
     is_nef,
     quartic_intersection,
 )
+
+from oracles import classify_by_e
 
 
 def _report(n, text):

@@ -1,8 +1,21 @@
 import csv
+import hashlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import noetherline
+from noetherline import cli
 from noetherline.cli import CSV_CLASSIFY_HEADER, main
+
+# The package attribute `invariants` is the function of that name.
+invariants_module = importlib.import_module("noetherline.invariants")
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +246,96 @@ def test_classify_json_round_trips(capsys):
         classify_record(BundleParams(4, d0)) for d0 in range(0, 7)
     ]
     assert rows == rebuilt
+
+
+# --- streamed classify --------------------------------------------------------
+
+# SHA-256 of `classify` output recorded before rows were streamed: a small
+# band, a band at large d and a band restricted to one d0.
+CLASSIFY_DIGESTS = {
+    ("csv", "0 60"): "9873b2988708e91b1b62706a4eb03d965659c612901068431e7242d242ab64e5",
+    ("csv", "2000 2003"): "6b4bfd8acab90fc5da504e58ce66246fedc4b97b8202b2a6a1d2c687c5662bc1",
+    ("csv", "0 400 --d0 37"): "7126764138bdd66bcb18d66b8262c6d18dd4b7c34d7e3401e1442b52ca4ab71c",
+    ("json", "0 60"): "0d001bafafac95146359621d892e022292a9809c2c06436bd15a31fe9a8b9912",
+    ("json", "2000 2003"): "fd054d35d51d4de6da460a4f43182d43172101556abd805fbb3257ba3adb7b40",
+    ("json", "0 400 --d0 37"): "f13ced0c50988527eb12824a2957f9bcdb5aa94eea095597e4e67aaa9192cea0",
+    ("text", "0 60"): "b811d03d6ec94841065b16add55d638bf7eed7781677d24562c540fcf4df59bb",
+    ("text", "2000 2003"): "8bbdd46611f76f8ee2cc9f519ccaeeabe4191f229d64b413aa97b4082678f124",
+    ("text", "0 400 --d0 37"): "4bb051678eeb3ece8b73c228b01e5dccd43b36ee499d5b1b190eb6877db55a32",
+}
+
+
+@pytest.mark.parametrize("fmt, band", sorted(CLASSIFY_DIGESTS))
+def test_classify_output_matches_recorded_digests(capsys, fmt, band):
+    code, out, _ = run_cli(capsys, "--format", fmt, "classify", *band.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CLASSIFY_DIGESTS[fmt, band]
+
+
+def test_classify_output_file_matches_recorded_digest(tmp_path, capsys):
+    target = tmp_path / "rows.json"
+    code = main(["--format", "json", "--output", str(target), "classify", "0", "60"])
+    capsys.readouterr()
+    assert code == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == CLASSIFY_DIGESTS["json", "0 60"]
+
+
+def test_classify_classifies_each_row_once(monkeypatch, capsys):
+    calls = []
+    original = cli.classify_general_member
+
+    def counting(params):
+        calls.append(params)
+        return original(params)
+
+    # Every module that looks the function up by name.
+    monkeypatch.setattr(cli, "classify_general_member", counting)
+    monkeypatch.setattr(invariants_module, "classify_general_member", counting)
+    code, out, _ = run_cli(capsys, "--format", "csv", "classify", "0", "30")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(calls) == len(rows) == len(set(calls))
+
+
+# --- errors and closed pipes, in a fresh interpreter -----------------------------
+
+
+def _cli_process(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherline.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-c", "from noetherline.cli import run; run()", *argv],
+        env=env, stderr=subprocess.PIPE, **kwargs,
+    )
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    proc = _cli_process("--output", str(target), "classify", "0", "3")
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode().startswith("error: ") and b"Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_usage_error_leaves_the_output_file_alone(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    assert main(["--output", str(target), "classify", "5", "3"]) == 2
+    assert not target.exists()
+    target.write_text("kept\n", encoding="utf-8")
+    assert main(["--output", str(target), "flip", "5"]) == 2
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("band", [("0", "3"), ("0", "100")])
+def test_closed_pipe_stops_quietly(band):
+    # The reader goes away before anything is written: a small output meets
+    # the closed pipe at the last flush, a large one while rows are written.
+    proc = _cli_process("classify", *band, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

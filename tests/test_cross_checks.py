@@ -1,0 +1,53 @@
+"""Every cross-check between two derivations raises `CrossCheckError`, also
+under `python -O`, which strips `assert` statements."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import noetherline
+
+# One derivation of each cross-check replaced by a wrong one: (module,
+# attribute, replacement, call that must raise), the last two evaluated in the
+# module's namespace.
+BROKEN = [
+    ("singularities", "local_support_at_s0", "lambda params: frozenset()",
+     "classify_general_member(BundleParams(8, 7))"),
+    ("linear_system", "h0_class", "lambda c, params: 0",
+     "family_dimension(BundleParams(8, 7))"),
+    ("invariants", "curve_intersection", "lambda c, curve, params: 0",
+     "flip_analysis(2)"),
+    ("invariants", "_FLIP_DATA", "{2: (((2, 1),), Fraction(9, 4))}",
+     "flip_analysis(2)"),
+    ("invariants", "coefficient_degree", "lambda mono, params: -1",
+     "deformation_feasible(BundleParams(4, 4))"),
+    ("bundles", "canonical_class_F", "lambda params: DivisorClass(0, 0)",
+     "relative_canonical_class(BundleParams(3, 2))"),
+]
+
+SCRIPT = """
+import importlib, sys
+from noetherline.toric import CrossCheckError
+module = importlib.import_module("noetherline." + sys.argv[1])
+setattr(module, sys.argv[2], eval(sys.argv[3], vars(module)))
+try:
+    eval(sys.argv[4], vars(module))
+except CrossCheckError as exc:
+    print("CrossCheckError:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "module, attribute, replacement, call", BROKEN, ids=[f"{m}.{a}" for m, a, *_ in BROKEN]
+)
+def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherline.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT, module, attribute, replacement, call],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("CrossCheckError: "), done.stdout + done.stderr

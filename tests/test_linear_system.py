@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
 
 from noetherline.invariants import canonical_ring_rank
 from noetherline.linear_system import (
@@ -15,6 +16,8 @@ from noetherline.linear_system import (
     normal_form_support,
 )
 from noetherline.toric import BundleParams, DivisorClass, SpecialCurve, h0_class
+
+from oracles import bundle_params
 
 
 def brute_monomials(m):
@@ -80,13 +83,22 @@ def test_coefficient_degree_examples():
 
 
 def test_profile_closed_forms_agree():
-    # coefficient_profile itself compares the (d, d0)- and (d, e)-forms for
-    # every z-free monomial; run it over a parameter sweep and several degrees.
+    # For z-free monomials the coefficient degree has two closed forms,
+    # -a0(d - d0) - a1(d0 - 2d) and ((a0 + a1)d + (a1 - a0)e)/2.
     for d in range(0, 12):
         for d0 in range(0, 3 * d // 2 + 1):
+            params = BundleParams(d, d0)
+            e = params.e
             for m in (5, 10, 13):
-                profile = coefficient_profile(BundleParams(d, d0), m)
-                assert len(profile) == len(enumerate_monomials(m))
+                profile = coefficient_profile(params, m)
+                assert [entry.monomial for entry in profile] == list(enumerate_monomials(m))
+                for entry in profile:
+                    mono, deg = entry.monomial, entry.degree
+                    assert deg == coefficient_degree(mono, params)
+                    if mono.a5:
+                        continue
+                    assert deg == -mono.a0 * (d - d0) - mono.a1 * (d0 - 2 * d)
+                    assert 2 * deg == (mono.a0 + mono.a1) * d + (mono.a1 - mono.a0) * e
 
 
 def test_degree_weakly_decreasing_in_a0():
@@ -124,6 +136,17 @@ def test_support_at_8_7():
 def test_support_at_2_1_excludes_x0_9_x1():
     support = normal_form_support(BundleParams(2, 1))
     assert FibreMonomial(9, 1, 0, 0) not in support
+
+
+@given(bundle_params())
+def test_support_is_the_per_monomial_definition(params):
+    expected = tuple(
+        mono
+        for mono in enumerate_monomials(10)
+        if mono in (Z_SQUARED, Y_FIFTH)
+        or (mono.a5 == 0 and coefficient_degree(mono, params) >= 0)
+    )
+    assert normal_form_support(params) == expected
 
 
 def test_support_always_contains_z2_and_y5():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
 
 from noetherline.singularities import (
     DISSIDENT_CHART,
@@ -10,7 +11,6 @@ from noetherline.singularities import (
     LocalMonomial,
     SingularityClassification,
     SingularityKind,
-    classify_by_e,
     classify_general_member,
     crepant_chart_check,
     duval_test,
@@ -18,6 +18,8 @@ from noetherline.singularities import (
     weight_below_one_exists,
 )
 from noetherline.toric import BundleParams
+
+from oracles import bundle_params, classify_by_e
 
 Z2 = LocalMonomial(0, 0, 2)
 Y5 = LocalMonomial(0, 5, 0)
@@ -142,6 +144,13 @@ def test_trichotomy_equivalence_small_sweep():
         for d0 in range(0, 3 * d // 2 + 1):
             params = BundleParams(d, d0)
             assert classify_general_member(params) == classify_by_e(params), params
+
+
+@given(bundle_params())
+def test_kernel_agrees_with_duval_test_and_the_e_oracle(params):
+    cls = classify_general_member(params)
+    assert cls == classify_by_e(params)
+    assert cls.exists == duval_test(local_support_at_s0(params))
 
 
 def test_returned_counts_are_in_range():
