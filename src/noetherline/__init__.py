@@ -10,160 +10,18 @@ degree-level bundle arithmetic over bases of any genus.  All computations
 are exact: integers and rationals only.
 """
 
-from .bundles import (
-    ChiInvariants,
-    DualisingDegrees,
-    FibrationData,
-    NoetherCheck,
-    chi_invariants,
-    gorenstein_data,
-    n_invariant,
-    noether_check,
-    relative_canonical_class,
-    relative_dualising_degree,
-    split_bundle_weight_matrix,
-    twist_degrees,
-)
-from .invariants import (
-    CanonicalImage,
-    FlipRecord,
-    ImageKind,
-    InvariantSet,
-    ModuliComponents,
-    QuotientSingularity,
-    WpsHypersurface,
-    basket_normalize,
-    canonical_ring_rank,
-    deformation_feasible,
-    flip_analysis,
-    invariants,
-    kobayashi_params,
-    kobayashi_translate,
-    moduli_components,
-    orbifold_rr_K3,
-    plurigenus,
-    weighted_monomial_count,
-    wps_hypersurface_basics,
-)
-from .linear_system import (
-    BaseLocus,
-    CoefficientEntry,
-    FibreMonomial,
-    base_locus,
-    coefficient_degree,
-    coefficient_profile,
-    enumerate_monomials,
-    family_dimension,
-    normal_form_support,
-)
-from .singularities import (
-    DISSIDENT_CHART,
-    DU_VAL_SYSTEMS,
-    ChartMonomial,
-    CrepantChartResult,
-    EmptyFamilyError,
-    LocalMonomial,
-    SingularityClassification,
-    SingularityKind,
-    WeightSystem,
-    classify_general_member,
-    crepant_chart_check,
-    duval_test,
-    local_support_at_s0,
-    weight_below_one_exists,
-)
-from .toric import (
-    BundleParams,
-    DivisorClass,
-    F,
-    H,
-    CrossCheckError,
-    NormalizationError,
-    SpecialCurve,
-    WeightMatrix,
-    canonical_class_F,
-    coordinate_divisor_class,
-    curve_intersection,
-    h0_class,
-    is_ample,
-    is_nef,
-    member_class,
-    quartic_intersection,
-    tautological_class,
-    weight_matrix,
-)
+# Each module's public names, re-exported.  The package attribute
+# `invariants` ends up as the function of that name, not the module.
+from . import bundles, linear_system, singularities, toric
+from . import invariants as _invariants_module
+from .bundles import *
+from .invariants import *
+from .linear_system import *
+from .singularities import *
+from .toric import *
 
 __all__ = [
-    "BundleParams",
-    "DivisorClass",
-    "H",
-    "F",
-    "NormalizationError",
-    "CrossCheckError",
-    "SpecialCurve",
-    "WeightMatrix",
-    "weight_matrix",
-    "coordinate_divisor_class",
-    "canonical_class_F",
-    "member_class",
-    "tautological_class",
-    "quartic_intersection",
-    "is_nef",
-    "is_ample",
-    "curve_intersection",
-    "h0_class",
-    "FibreMonomial",
-    "CoefficientEntry",
-    "BaseLocus",
-    "enumerate_monomials",
-    "coefficient_degree",
-    "coefficient_profile",
-    "normal_form_support",
-    "base_locus",
-    "family_dimension",
-    "EmptyFamilyError",
-    "WeightSystem",
-    "DU_VAL_SYSTEMS",
-    "LocalMonomial",
-    "SingularityKind",
-    "SingularityClassification",
-    "ChartMonomial",
-    "CrepantChartResult",
-    "DISSIDENT_CHART",
-    "local_support_at_s0",
-    "weight_below_one_exists",
-    "duval_test",
-    "classify_general_member",
-    "crepant_chart_check",
-    "ImageKind",
-    "CanonicalImage",
-    "InvariantSet",
-    "QuotientSingularity",
-    "FlipRecord",
-    "ModuliComponents",
-    "WpsHypersurface",
-    "invariants",
-    "plurigenus",
-    "basket_normalize",
-    "orbifold_rr_K3",
-    "flip_analysis",
-    "kobayashi_translate",
-    "kobayashi_params",
-    "moduli_components",
-    "deformation_feasible",
-    "canonical_ring_rank",
-    "weighted_monomial_count",
-    "wps_hypersurface_basics",
-    "FibrationData",
-    "ChiInvariants",
-    "NoetherCheck",
-    "DualisingDegrees",
-    "gorenstein_data",
-    "n_invariant",
-    "chi_invariants",
-    "noether_check",
-    "split_bundle_weight_matrix",
-    "twist_degrees",
-    "relative_dualising_degree",
-    "relative_canonical_class",
+    name
+    for module in (toric, linear_system, singularities, _invariants_module, bundles)
+    for name in module.__all__
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "NoetherCheck",
     "DualisingDegrees",
     "gorenstein_data",
-    "n_invariant",
     "chi_invariants",
     "noether_check",
     "split_bundle_weight_matrix",
@@ -73,6 +72,7 @@ class FibrationData:
 
     @property
     def N(self) -> int:
+        """N = 3*deg E2 - 2*deg E1; a negative value flags a non-fibration."""
         return 3 * self.deg_E2 - 2 * self.deg_E1
 
     @property
@@ -84,11 +84,6 @@ class FibrationData:
 def gorenstein_data(params: BundleParams) -> FibrationData:
     """The degrees of the toric model: genus 0, deg E1 = 3d, deg E2 = 2d."""
     return FibrationData(0, 3 * params.d, 2 * params.d, split_E1=(params.d0, 3 * params.d - params.d0))
-
-
-def n_invariant(data: FibrationData) -> int:
-    """N = 3*deg E2 - 2*deg E1; a negative value flags a non-fibration."""
-    return data.N
 
 
 @dataclass(frozen=True)

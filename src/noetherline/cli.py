@@ -16,16 +16,21 @@ writing stops without a traceback and the exit code is the command's own
 
 `classify` streams: csv and json rows are written as they are computed.
 The text table buffers its rows, as strings, to size the columns.
+
+`main(argv)` can be called repeatedly in one process: the parser is built
+once, and every call gets a fresh namespace and its own diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,15 +94,19 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
-def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            _flatten(f"{prefix}.{key}" if prefix else key, sub, rows)
-    elif isinstance(value, list):
-        for i, sub in enumerate(value):
-            _flatten(f"{prefix}[{i}]", sub, rows)
-    else:
-        rows.append((prefix, _scalar(value)))
+def _flatten(prefix: str, value, rows: list[list[str]]) -> None:
+    """Append a [field, value] row per scalar leaf of a dict or list;
+    only nested dicts and lists recurse."""
+    is_dict = isinstance(value, dict)
+    for key, sub in value.items() if is_dict else enumerate(value):
+        if is_dict:
+            field = f"{prefix}.{key}" if prefix else key
+        else:
+            field = f"{prefix}[{key}]"
+        if isinstance(sub, (dict, list)):
+            _flatten(field, sub, rows)
+        else:
+            rows.append([field, _scalar(sub)])
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -109,9 +118,9 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv_flat(record: dict) -> str:
-    rows: list[tuple[str, str]] = []
+    rows: list[list[str]] = []
     _flatten("", record, rows)
-    return _csv_text(["field", "value"], [list(r) for r in rows])
+    return _csv_text(["field", "value"], rows)
 
 
 def _csv_lines(header: list[str], rows):
@@ -271,7 +280,8 @@ def inspect_record(params: BundleParams) -> dict:
         "family": locus.family_base.name.lower() if locus.family_base else None,
         "canonical": locus.canonical_base.name.lower() if locus.canonical_base else None,
     }
-    record["family_dimension"] = family_dimension(params)
+    profile = coefficient_profile(params)
+    record["family_dimension"] = family_dimension(params, profile)
     a, e = kobayashi_params(params)
     record["blowup_parameters"] = {"a": a, "e": e, "in_range": e <= params.d}
     record["support"] = [
@@ -280,7 +290,7 @@ def inspect_record(params: BundleParams) -> dict:
     ]
     record["coefficient_profile"] = [
         {"label": entry.monomial.label(), "degree": entry.degree}
-        for entry in coefficient_profile(params)
+        for entry in profile
     ]
     record["flip"] = flip_record(params.d) if params.d0 == 1 and params.d in (2, 3, 4) else None
     return record
@@ -448,7 +458,12 @@ def cmd_kobayashi(args) -> tuple[int, str]:
 
 
 def cmd_bundle(args) -> tuple[int, str]:
-    data = FibrationData(args.b, args.e1, args.e2)
+    # A library warning, as a diagnostic that every call prints.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = FibrationData(args.b, args.e1, args.e2)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     record = {
         "b": data.genus_b,
         "deg_E1": data.deg_E1,
@@ -476,7 +491,6 @@ def cmd_bundle(args) -> tuple[int, str]:
         f"N = {record['N']}" + ("" if record["exists"] else "  (N < 0: no such fibration)"),
     ]
     if data.exists:
-        chi = chi_invariants(data)
         lines.append(
             f"chi(O_B) = {chi.chi_OB}, chi(E1) = {chi.chi_E1}, "
             f"chi(omega_X) = {chi.chi_omega_X}"
@@ -545,7 +559,9 @@ def cmd_nef(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="noetherline",
         description="Exact invariants of canonical threefolds on the Noether line.",

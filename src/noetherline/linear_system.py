@@ -175,13 +175,18 @@ def base_locus(params: BundleParams) -> BaseLocus:
     return BaseLocus(family, canonical)
 
 
-def family_dimension(params: BundleParams) -> int:
+def family_dimension(
+    params: BundleParams, profile: tuple[CoefficientEntry, ...] | None = None
+) -> int:
     """Projective dimension of the degree-ten family.
 
     Sums the coefficient spaces over the profile and cross-checks against the
-    independent section count of the class 10(H - d*F).
+    independent section count of the class 10(H - d*F).  ``profile``, if
+    given, is ``coefficient_profile(params)`` computed by the caller.
     """
-    total = sum(max(0, entry.degree + 1) for entry in coefficient_profile(params))
+    if profile is None:
+        profile = coefficient_profile(params)
+    total = sum(max(0, entry.degree + 1) for entry in profile)
     sections = h0_class(DivisorClass(10, -10 * params.d), params)
     if total != sections:
         raise CrossCheckError(f"{params.label()}: {total} coefficients, {sections} sections")

@@ -6,7 +6,6 @@ from noetherline.bundles import (
     FibrationData,
     chi_invariants,
     gorenstein_data,
-    n_invariant,
     noether_check,
     relative_canonical_class,
     relative_dualising_degree,
@@ -19,11 +18,11 @@ from noetherline.toric import BundleParams, DivisorClass, canonical_class_F, wei
 
 def test_n_invariant():
     for d in range(0, 20):
-        assert n_invariant(FibrationData(0, 3 * d, 2 * d)) == 0
+        assert FibrationData(0, 3 * d, 2 * d).N == 0
     data = FibrationData(0, 3, 3)
-    assert n_invariant(data) == 3 and data.exists
+    assert data.N == 3 and data.exists
     bad = FibrationData(0, 2, 1)
-    assert n_invariant(bad) == -1 and not bad.exists
+    assert bad.N == -1 and not bad.exists
 
 
 def test_deg_e5_is_derived():

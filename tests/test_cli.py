@@ -299,6 +299,101 @@ def test_classify_classifies_each_row_once(monkeypatch, capsys):
     assert len(calls) == len(rows) == len(set(calls))
 
 
+# --- every command in every format ----------------------------------------------
+
+# (exit code, SHA-256 of standard output) of each command in each format,
+# recorded before the parser was shared between calls.
+COMMAND_DIGESTS = {
+    ("text", "classify 7 9"): (0, "fa5de77f90f31e48b0d36c704fe9e32bcde969d5ee7ec1b1f22e8740412bd7b0"),
+    ("json", "classify 7 9"): (0, "bde3da5a67c83ba0895e00e7bd6ce44d77338b4d0c60cebab29e437eca6a6e7c"),
+    ("csv", "classify 7 9"): (0, "1b145d544cbd53cf5ae5a6246954b7b9ebf20821fece5f306b68a2ec36dfd8a2"),
+    ("text", "classify 0 3 --d0 1"): (0, "4e67b7085f6d3a9a85690a19a9cf13992183bce75fd24f617cbac0706d7bf049"),
+    ("json", "classify 0 3 --d0 1"): (0, "f907bd3c091e919eae28aef51229a9ca89374a732c81ba54751eb2e218ef6988"),
+    ("csv", "classify 0 3 --d0 1"): (0, "7512aa8f6f70107ac05626a0817cdb25198bbaa2278135db74766d3ee2da25af"),
+    ("text", "inspect 8 7"): (0, "fd0db44e19849ecc2ddeb1fc6b231cbfea3aa71aab1e25884515cce6ed5aa66b"),
+    ("json", "inspect 8 7"): (0, "d8ae8018786852805d7205d4cc24baa3932bc47b7aebf0fe083ec85952105e67"),
+    ("csv", "inspect 8 7"): (0, "af76536b3ba2a11892cdd51fd69149b9714c3b6863e8e1225d705a595a27c41d"),
+    ("text", "inspect 40 33"): (0, "a22060573c7fdf5a20862a347fc685fddcda25394d5dc4497ac2d545bb0370fb"),
+    ("json", "inspect 40 33"): (0, "a2f1e853e4861487fb5071ad6a970f147b809132095deae6e058a4fc7f292a94"),
+    ("csv", "inspect 40 33"): (0, "4430924e926dfbeee7aeb7cb495ace19c7c9d45fc99c254e98df5ea70653e9ea"),
+    ("text", "inspect 2 1"): (0, "4908e0be6e11304d1d36267e74148143dfd0e7ad55e54f831b7a9be7b3ccf94d"),
+    ("json", "inspect 2 1"): (0, "e13714d257951cb78a0f7715830d69b56c84305c583f7f272c001b0105885671"),
+    ("csv", "inspect 2 1"): (0, "f99c6f459592fc1a459c0e2b96744e15c398e4af1dc59800adb09f4f74d5c3c2"),
+    ("text", "inspect 1 1"): (0, "5d981c230237e7075143ee148313501a8b7cf57080a7f61a34c149e915113250"),
+    ("json", "inspect 1 1"): (0, "5cc590dd06264af7668c0b8a286489944d85418346873965e9a685095610d646"),
+    ("csv", "inspect 1 1"): (0, "b906393566c50e790434d2706e01923592b60d49b0b1ad18798baa361a51ad41"),
+    ("text", "inspect 3 1"): (0, "5c38c4c5bb6baddcd8b2d0e361d64d0730f5e741815ec25ce0ca4b2b3d9f81cf"),
+    ("json", "inspect 3 1"): (0, "ab3708379dd39bf6ce5b95bae195fa60bc6784c8c55579895e04f068a458994f"),
+    ("csv", "inspect 3 1"): (0, "b11b48e2ca6e4cae2ad28d2a04402a582b6a093c2a5425c05815b69cdcb2706e"),
+    ("text", "inspect 0 0"): (0, "7cbfa9050d985caafce5a5fce8cc54cbe5f3c270a14aa39e86543d7e60c465e3"),
+    ("json", "inspect 0 0"): (0, "fcf662355c08209358d781180f5f7bf5fc041f59e546fb6572ecf8e241046b83"),
+    ("csv", "inspect 0 0"): (0, "2fca4265016659d603f90579c9ee4a34b394dbc642d74f5b7f28a1744b62d0f0"),
+    ("text", "inspect 5 1"): (3, "42216eeb8e707918aef1b656d0e95834f8e529dd8bdc3a7c62c4590d6bd292f7"),
+    ("json", "inspect 5 1"): (3, "0e87ef5461e825ef67b6222f67358eccde65573a86a11db383a87b20a2442c85"),
+    ("csv", "inspect 5 1"): (3, "cef0826e90cdc715eba0205c85ea1911e06e9b4cccf561532c96c45756c69a54"),
+    ("text", "flip 2"): (0, "a48025f5ce9d495ce91c08a012fc5636a1549c417cd1531d45c7539931cfbbe4"),
+    ("json", "flip 2"): (0, "8758cc3af5a5c667c6633e8c3f6db951da2f1a6b309d850831cd6d778dda27a1"),
+    ("csv", "flip 2"): (0, "fa395e77f550061209542f823c9815f929dc5924d8a43461d868ae4fbba71612"),
+    ("text", "flip 3"): (0, "9ba9ead23fababfdc9c4d6aa46c1b76b1c55614ad0e291e488b31ae3c693f38e"),
+    ("json", "flip 3"): (0, "d9d9c01f524d33cefbafc8ea5d22a06bbcee4b99bf8457fc127c01dae6becbc2"),
+    ("csv", "flip 3"): (0, "5d5a0595ec2e43deb84536bdcf4d6c5955a588090ed1247fe776435e5c830c06"),
+    ("text", "flip 4"): (0, "aaab3d444e5ac9d6d634677bfcd504a7264f0579d3b1eafd2d70b2aa001ab24f"),
+    ("json", "flip 4"): (0, "a8702d18813a991d592e1f4b6aa366354d2f6904f86bf1a43440d559521d003b"),
+    ("csv", "flip 4"): (0, "acb109e58f5d6ac6a3b8f0553e5aed854e70f0653b13f3c504a2ffc6fc7e1fa4"),
+    ("text", "moduli 22"): (0, "c32bdf75247788a455c49c7509f9210e6c5320857e0cfbbd2e9af6a979e08e4a"),
+    ("json", "moduli 22"): (0, "10c6c0a5c87fb9e7c7c58f11319c06d5c9dc42f266d7ee5fab0e6757950f4d17"),
+    ("csv", "moduli 22"): (0, "f8d62433592e910f83dc5d879ac4479c376248e17dc09084506bfcbb209189a9"),
+    ("text", "moduli 7"): (0, "41366a6f456c518d17d3c615b54fa6ce68feeb9a04ebd1284af9e0a78c1c4200"),
+    ("json", "moduli 7"): (0, "a118ef7aaf6216f4b2e9c87043fac254fdf1a7c48fdcc3bf5a6828bb1169f22d"),
+    ("csv", "moduli 7"): (0, "d74b52375e2fab63632c8b18f858d2fffb7c4d8f51f451e54a987ee1a331e92d"),
+    ("text", "kobayashi 9 8"): (0, "987083d24c19f8ed9a6cc7dd7348358d15765a3513c9e18ede77aca997604c17"),
+    ("json", "kobayashi 9 8"): (0, "8f0df02aad43a72791664bbc68268ef0a02f9a322c807bc2811bb3cfced69a63"),
+    ("csv", "kobayashi 9 8"): (0, "69b7895887410ca3da78b3e72f06096932f971a9d3e4270a7446dbf9ccaaa456"),
+    ("text", "bundle 1 10 10"): (0, "2d41dfac64b94b89d7c9e29fe1e733ac2eeee77a150c8564a0662bbad76292eb"),
+    ("json", "bundle 1 10 10"): (0, "f52bd0209232faebb19435f492fccf1ae771fdc45a3cf5a9e506bfb1e48350bf"),
+    ("csv", "bundle 1 10 10"): (0, "42eacffc1d86fb77a0494369e04895b9c86ddf7045dd488d5053d6ec17d25370"),
+    ("text", "bundle 0 2 1"): (0, "174d8fb5871943ce2483c1b99e4b13aa6fef81fc16e83d22a54a046707ec0fd0"),
+    ("json", "bundle 0 2 1"): (0, "a42a70ed11dc70941b586432da73dbedca376c1f8d4714c4691589359a819b30"),
+    ("csv", "bundle 0 2 1"): (0, "f24d2259b81c95fcae8675c7eba03d3a56565d32aa79757b8bdbf207d6a0a1cf"),
+    ("text", "bundle 1 3 2"): (0, "ba038210090d3a18ed0134a70c372ee1f240b98d8b6f28499de8e84cef690cb1"),
+    ("json", "bundle 1 3 2"): (0, "de52e8b4d7471e916648fe2e2458b9e17aae56d7975634ce9feccce3d24585a7"),
+    ("csv", "bundle 1 3 2"): (0, "acb8d2a5587cc76c46286a308560ec0c98921ac18b1c6b4fb553d8dffdf5f329"),
+    ("text", "bundle 0 -1 0"): (0, "81ab64067d0fc71abfb119b63ac16ae856b89afdd4b390ebf6971d3a4fa224cc"),
+    ("json", "bundle 0 -1 0"): (0, "bee904c6d0ced22acd25548579a42f9dfa838314b4ff0bfdfec3100651a79473"),
+    ("csv", "bundle 0 -1 0"): (0, "f4d9ede6c5f6a3f071c905bce327b0957db14d4106d6b8ad20929fc6614c9941"),
+    ("text", "monomials 10"): (0, "2fc04fd68b6ef348943a3f7070914b4d5a97a567029fc2fa5db135cedce57c12"),
+    ("json", "monomials 10"): (0, "4440a86e632db1f6ca535b561898082e228841bd2763e3866bf1e4478fae9352"),
+    ("csv", "monomials 10"): (0, "d0294533614f36a65387d814e260a6a9dda76ceb07d6122b0c1909247ab28f9d"),
+    ("text", "monomials 5"): (0, "cd59c43bf6908a94ffff318991e898d08bd0cb63a5e135aab7c524a95342fbab"),
+    ("json", "monomials 5"): (0, "37aca22bef211ca6b650ab61bdd4d4d1c6fcd25f31bc87a920e8e707e06a3e47"),
+    ("csv", "monomials 5"): (0, "36b71cc61b9fd4e0376d981d820c0b621d4ecb07cc7220beb62d4336a093a07f"),
+    ("text", "nef 5 4 1 -2"): (0, "5e28be0d97f61cde7a50bc66e8fafd9d62e1f1b1fef87f29c0f8baf20e9f3e84"),
+    ("json", "nef 5 4 1 -2"): (0, "26d3487fa4b627f70f7f2f93784adce8f03db03a7e0d749ec39d9cf91afee9df"),
+    ("csv", "nef 5 4 1 -2"): (0, "d114d9e7c445b8c727eb2631b8e57fdff0b6437046c0b019faf55dd3d2f83fe4"),
+    ("text", "nef 8 7 1 -9"): (0, "acd39913efc38a265e732c2c1cde83da8c83dcd11e0e5fe3a0879bafbf87d8ea"),
+    ("json", "nef 8 7 1 -9"): (0, "e3ee87087cc2bc0761986f0c51fe49a8abd36245d3aaab81ed49c0490a14da20"),
+    ("csv", "nef 8 7 1 -9"): (0, "9781fc775dec881d15b4263365a03f3ae860b1cb75d5ef08fd65942f180a139d"),
+}
+
+
+@pytest.mark.parametrize("fmt, command", sorted(COMMAND_DIGESTS))
+def test_command_output_matches_recorded_digest(capsys, fmt, command):
+    code, out, _ = run_cli(capsys, "--format", fmt, *command.split())
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest) == COMMAND_DIGESTS[fmt, command]
+
+
+def test_negative_degree_warns_on_every_call(capsys):
+    line = "warning: negative characteristic-sheaf degree violates semipositivity\n"
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "bundle", "0", "-1", "0")
+        assert code == 0
+        assert err == line
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            COMMAND_DIGESTS["text", "bundle 0 -1 0"][1]
+        )
+
+
 # --- errors and closed pipes, in a fresh interpreter -----------------------------
 
 
@@ -339,3 +434,29 @@ def test_closed_pipe_stops_quietly(band):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # One process calls main again and again; every call must print what a
+    # fresh interpreter prints for the same arguments.  A fixed width keeps
+    # argparse's usage text independent of the terminal.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["-f", "json", "inspect", "40", "33"],
+        ["inspect", "40", "33"],              # the default format again
+        ["classify", "0", "3", "--d0", "1"],
+        ["classify", "0", "3"],               # --d0 does not carry over
+        ["classify", "5"],                    # usage error
+        ["-o", "{out}", "bundle", "1", "3", "2"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for i, argv in enumerate(calls):
+        mine, fresh = tmp_path / f"mine{i}", tmp_path / f"fresh{i}"
+        code, out, err = run_cli(capsys, *(a.format(out=mine) for a in argv))
+        proc = _cli_process(*(a.format(out=fresh) for a in argv), stdout=subprocess.PIPE)
+        fresh_out, fresh_err = proc.communicate(timeout=60)
+        assert (code, out.encode(), err.encode()) == (proc.returncode, fresh_out, fresh_err), argv
+        if argv == ["classify", "5"]:
+            assert code == 2 and err.startswith("usage: noetherline classify")
+        if "-o" in argv:
+            assert mine.read_bytes() == fresh.read_bytes() != b""

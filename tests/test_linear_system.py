@@ -15,7 +15,7 @@ from noetherline.linear_system import (
     family_dimension,
     normal_form_support,
 )
-from noetherline.toric import BundleParams, DivisorClass, SpecialCurve, h0_class
+from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
 
 from oracles import bundle_params
 
@@ -179,3 +179,10 @@ def test_family_dimension_matches_section_count():
             params = BundleParams(d, d0)
             sections = h0_class(DivisorClass(10, -10 * d), params)
             assert family_dimension(params) == sections - 1
+            assert family_dimension(params, coefficient_profile(params)) == sections - 1
+
+
+def test_family_dimension_checks_a_given_profile():
+    # A profile of other parameters disagrees with the section count.
+    with pytest.raises(CrossCheckError):
+        family_dimension(BundleParams(8, 7), coefficient_profile(BundleParams(8, 4)))
