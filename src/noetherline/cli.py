@@ -6,16 +6,23 @@ JSON (one object per row for classify, one object otherwise) and CSV.
 Rationals are printed as "p/q" in lowest terms, never as decimals; JSON
 encodes them as {"num": p, "den": q}.  Output is byte-identical across runs.
 
+Every command is one row of `COMMANDS`: a record builder, which computes
+the command's record (a dict of JSON values) from the parsed arguments, and
+a text renderer, which reads only that record.  One emitter, `emit`, writes
+a record as indented JSON, as CSV (a flat `field,value` listing, or the rows
+that classify and monomials supply) or as the renderer's text.  classify
+streams its rows, one compact JSON object or CSV row as each is computed;
+its text table buffers the rows, as strings, to size the columns.
+
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
-family has no member with canonical singularities).  Arguments are checked
-before the output file is opened, so a usage error leaves no file behind.
+family has no member with canonical singularities).  `classify` takes
+0 <= d_min <= d_max <= 10000 and `monomials` 0 <= m <= 300 (a listing costs
+time and memory like m^3).  Arguments are checked before the output file is
+opened, so a usage error leaves no file behind.
 When the reader of standard output goes away (``classify ... | head``),
 writing stops without a traceback and the exit code is the command's own
 (0 for classify).
-
-`classify` streams: csv and json rows are written as they are computed.
-The text table buffers its rows, as strings, to size the columns.
 
 `main(argv)` can be called repeatedly in one process: the parser is built
 once, and every call gets a fresh namespace and its own diagnostics.
@@ -26,12 +33,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
+import itertools
 import json
 import os
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
@@ -78,6 +86,10 @@ def _frac(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+def _unfrac(q: dict) -> Fraction:
+    return Fraction(q["num"], q["den"])
+
+
 def _scalar(value) -> str:
     if value is None:
         return ""
@@ -94,7 +106,7 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
-def _flatten(prefix: str, value, rows: list[list[str]]) -> None:
+def _flatten(prefix: str, value, rows: list[list[str]]) -> list[list[str]]:
     """Append a [field, value] row per scalar leaf of a dict or list;
     only nested dicts and lists recurse."""
     is_dict = isinstance(value, dict)
@@ -107,62 +119,31 @@ def _flatten(prefix: str, value, rows: list[list[str]]) -> None:
             _flatten(field, sub, rows)
         else:
             rows.append([field, _scalar(sub)])
+    return rows
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _csv_flat(record: dict) -> str:
-    rows: list[list[str]] = []
-    _flatten("", record, rows)
-    return _csv_text(["field", "value"], rows)
-
-
-def _csv_lines(header: list[str], rows):
+def _csv_lines(header: list[str], rows) -> Iterable[str]:
     """The csv module's text of the header and of each row, line by line."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    yield buf.getvalue()
-    for row in rows:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow(row)
-        yield buf.getvalue()
+    # `writerow` returns what the sink's `write` returns: here, the line.
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return map(writer.writerow, itertools.chain((header,), rows))
 
 
-def _table_lines(header: list[str], rows: list[list[str]]):
-    """An aligned text table, line by line; every row sizes the columns."""
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(header)
-    ]
-    for row in (header, *rows):
-        yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-
-
-def _json_record(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
+def emit(fmt: str, record, render, table=None) -> Iterable[str]:
+    """The lines of a record: indented json, csv (a flat `field,value`
+    listing, or the header and rows that `table` makes of the record) or the
+    text that `render` makes of it.  classify's rows are one record here."""
+    if fmt == "json":
+        return (json.dumps(record, indent=2) + "\n",)
+    if fmt == "csv":
+        if table:
+            return _csv_lines(*table(record))
+        return _csv_lines(["field", "value"], _flatten("", record, []))
+    return render(record)
 
 
 # ---------------------------------------------------------------------------
 # record builders
-
-def _image_dict(inv) -> dict:
-    img = inv.canonical_image
-    return {
-        "kind": img.kind.value,
-        "e": img.e,
-        "embedding": list(img.embedding) if img.embedding else None,
-        "label": img.label(),
-        "note": img.note,
-    }
-
 
 def classify_record(params: BundleParams) -> dict:
     cls = classify_general_member(params)
@@ -192,41 +173,12 @@ def classify_record(params: BundleParams) -> dict:
     return record
 
 
-def _classify_csv_row(record: dict) -> list[str]:
-    k3 = record["K3"]
-    return [
-        _scalar(record["d"]),
-        _scalar(record["d0"]),
-        _scalar(record["e"]),
-        _scalar(record["pg"]),
-        _scalar(k3["num"] if k3 else None),
-        _scalar(k3["den"] if k3 else None),
-        record["class"],
-        _scalar(record["count"]),
-        _scalar(record["image"]),
-        _scalar(record["K_ample"]),
-        _scalar(record["K_nef"]),
-        _scalar(record["noether"]),
-        _scalar(record["mds"]),
-    ]
-
-
-def _classify_text_row(record: dict) -> list[str]:
-    k3 = record["K3"]
-    return [
-        str(record["d"]),
-        str(record["d0"]),
-        str(record["e"]),
-        record["class"],
-        _scalar(record["count"]) or "-",
-        _scalar(record["pg"]) or "-",
-        str(Fraction(k3["num"], k3["den"])) if k3 else "-",
-        record["image"] or "-",
-        _yesno(record["K_ample"]),
-        _yesno(record["K_nef"]),
-        _yesno(record["noether"]),
-        _yesno(record["mds"]),
-    ]
+def _classify_params(d_min: int, d_max: int, d0: int | None):
+    for d in range(d_min, d_max + 1):
+        if d0 is None:
+            yield from (BundleParams(d, k) for k in range(0, 3 * d // 2 + 1))
+        elif 0 <= d0 <= 3 * d // 2:
+            yield BundleParams(d, d0)
 
 
 def flip_record(d: int) -> dict:
@@ -260,6 +212,7 @@ def inspect_record(params: BundleParams) -> dict:
     if not cls.exists:
         return record
     inv = invariants(params, cls)
+    img = inv.canonical_image
     degenerate = min(params.d, params.d0) <= 1
     record["invariants"] = {
         "pg": inv.pg,
@@ -268,12 +221,18 @@ def inspect_record(params: BundleParams) -> dict:
         "chi_O": inv.chi_O,
         "K3": _frac(inv.K3),
         "e": inv.e,
-        "image": _image_dict(inv),
+        "image": {
+            "kind": img.kind.value,
+            "e": img.e,
+            "embedding": list(img.embedding) if img.embedding else None,
+            "label": img.label(),
+            "note": img.note,
+        },
         "on_noether_line": inv.on_noether_line,
         "K_ample": inv.K_ample,
         "K_nef": inv.K_nef,
         "mds": inv.mori_dream_general,
-        "degenerate_note": inv.canonical_image.note if degenerate else None,
+        "degenerate_note": img.note if degenerate else None,
     }
     locus = base_locus(params)
     record["base_locus"] = {
@@ -296,172 +255,27 @@ def inspect_record(params: BundleParams) -> dict:
     return record
 
 
-def _inspect_text(record: dict) -> str:
-    p = record["params"]
-    lines = [f"X({p['d']};{p['d0']})  e = {p['e']}"]
-    lines.append(f"classification: {record['classification']['description']}")
-    matrix = record["weight_matrix"]
-    lines.append("weight matrix (t0 t1 x0 x1 y z):")
-    for name, row in zip(("base ", "fibre"), matrix):
-        lines.append("  " + name + "  " + " ".join(f"{v:>4d}" for v in row))
-    inv = record.get("invariants")
-    if inv is None:
-        return "\n".join(lines) + "\n"
-    if inv["degenerate_note"]:
-        lines.append(f"degenerate: {inv['degenerate_note']}")
-    else:
-        k3 = Fraction(inv["K3"]["num"], inv["K3"]["den"])
-        lines.append(
-            f"invariants: pg = {inv['pg']}, q1 = {inv['q1']}, q2 = {inv['q2']}, "
-            f"chi_O = {inv['chi_O']}, K3 = {k3}"
-        )
-        lines.append(
-            "flags: K ample = {}, K nef = {}, on Noether line = {}, "
-            "Mori dream (general member) = {}".format(
-                _yesno(inv["K_ample"]), _yesno(inv["K_nef"]),
-                _yesno(inv["on_noether_line"]), _yesno(inv["mds"]),
-            )
-        )
-        img = inv["image"]
-        if img["kind"] == "hirzebruch" and img["embedding"]:
-            m, n = img["embedding"]
-            delta = "delta" if n == 1 else f"{n} delta"
-            lines.append(
-                f"canonical image: {img['label']}, embedded by |{m} l + {delta}|"
-            )
-        else:
-            lines.append(f"canonical image: {img['label']} ({img['note']})")
-    locus = record["base_locus"]
-    lines.append(
-        "base locus: family {}, canonical system {}".format(
-            locus["family"] or "empty", locus["canonical"] or "none"
-        )
-    )
-    lines.append(f"family dimension: {record['family_dimension']}")
-    blow = record["blowup_parameters"]
-    status = "within" if blow["in_range"] else "outside"
-    lines.append(
-        f"blowup parameters: a = {blow['a']}, e = {blow['e']} "
-        f"({status} the a >= e range)"
-    )
-    support = record["support"]
-    lines.append(f"support ({len(support)} monomials):")
-    degrees = {entry["label"]: entry["degree"] for entry in record["coefficient_profile"]}
-    for mono in support:
-        lines.append(f"  {mono['label']}  (coefficient degree {degrees[mono['label']]})")
-    if record["flip"]:
-        lines.append("flip: see `flip {}`".format(p["d"]))
-    return "\n".join(lines) + "\n"
-
-
-def _flip_text(record: dict) -> str:
-    k3 = Fraction(record["K3_plus"]["num"], record["K3_plus"]["den"])
-    cone = ", ".join(
-        str(DivisorClass(c["a"], c["b"])) for c in record["nef_cone_Fplus"]
-    )
-    return (
-        f"X({record['d']};{record['d0']}): K.S0 = {record['K_dot_s0']}, "
-        f"pg = {record['pg']}, P2 = {record['P2']}, chi_O = {record['chi_O']}\n"
-        f"basket: {', '.join(q['label'] for q in record['basket'])}\n"
-        f"K3+ = {k3}\n"
-        f"nef cone of the flipped bundle: {cone}\n"
-    )
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-
-def _classify_params(d_min: int, d_max: int, d0: int | None):
-    for d in range(d_min, d_max + 1):
-        if d0 is None:
-            yield from (BundleParams(d, k) for k in range(0, 3 * d // 2 + 1))
-        elif 0 <= d0 <= 3 * d // 2:
-            yield BundleParams(d, d0)
-
-
-def cmd_classify(args) -> tuple[int, Iterable[str]]:
-    """The sweep's lines; csv and json rows are computed as they are read."""
-    if not 0 <= args.d_min <= args.d_max <= 10000:
-        raise ValueError("need 0 <= d_min <= d_max <= 10000")
-    records = map(classify_record, _classify_params(args.d_min, args.d_max, args.d0))
-    if args.format == "json":
-        return 0, (json.dumps(r) + "\n" for r in records)
-    if args.format == "csv":
-        return 0, _csv_lines(CSV_CLASSIFY_HEADER, map(_classify_csv_row, records))
-    header = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
-              "K_ample", "K_nef", "noether", "mds"]
-    return 0, _table_lines(header, [_classify_text_row(r) for r in records])
-
-
-def cmd_inspect(args) -> tuple[int, str]:
-    params = BundleParams(args.d, args.d0)
-    record = inspect_record(params)
-    empty = record["classification"]["kind"] == "not_existent"
-    if args.format == "json":
-        out = _json_record(record)
-    elif args.format == "csv":
-        out = _csv_flat(record)
-    else:
-        out = _inspect_text(record)
-    return (3 if empty else 0), out
-
-
-def cmd_flip(args) -> tuple[int, str]:
-    record = flip_record(args.d)
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        return 0, _csv_flat(record)
-    return 0, _flip_text(record)
-
-
-def cmd_moduli(args) -> tuple[int, str]:
-    info = moduli_components(args.pg)
-    second = (
-        {"d": info.second_component.d, "d0": info.second_component.d0}
-        if info.second_component
-        else None
-    )
-    record = {"pg": info.pg, "d": info.d, "components": info.components,
-              "second": second}
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        return 0, _csv_flat(record)
-    if second:
-        text = (
-            f"pg = {info.pg}: d = {info.d}, {info.components} components; "
-            f"second: X({second['d']};{second['d0']})\n"
-        )
-    else:
-        text = f"pg = {info.pg}: d = {info.d}, 1 component\n"
-    return 0, text
-
-
-def cmd_kobayashi(args) -> tuple[int, str]:
-    params = kobayashi_translate(args.a, args.e)
-    record = {
-        "a": args.a,
-        "e": args.e,
-        "d": params.d,
-        "d0": params.d0,
-        "pg": 3 * params.d - 2,
+def moduli_record(pg: int) -> dict:
+    info = moduli_components(pg)
+    second = info.second_component
+    return {
+        "pg": info.pg,
+        "d": info.d,
+        "components": info.components,
+        "second": {"d": second.d, "d0": second.d0} if second else None,
     }
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        return 0, _csv_flat(record)
-    return 0, (
-        f"(a, e) = ({args.a}, {args.e}) -> X({params.d};{params.d0}), "
-        f"pg = {record['pg']}\n"
-    )
 
 
-def cmd_bundle(args) -> tuple[int, str]:
+def kobayashi_record(a: int, e: int) -> dict:
+    params = kobayashi_translate(a, e)
+    return {"a": a, "e": e, "d": params.d, "d0": params.d0, "pg": 3 * params.d - 2}
+
+
+def bundle_record(b: int, e1: int, e2: int) -> dict:
     # A library warning, as a diagnostic that every call prints.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        data = FibrationData(args.b, args.e1, args.e2)
+        data = FibrationData(b, e1, e2)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     record = {
@@ -481,83 +295,241 @@ def cmd_bundle(args) -> tuple[int, str]:
             K3=_frac(chi.K3),
             noether_gap=_frac(Fraction(data.N, 6)),
         )
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        return 0, _csv_flat(record)
-    lines = [
-        f"genus {record['b']}, deg E1 = {record['deg_E1']}, "
-        f"deg E2 = {record['deg_E2']}, deg E5 = {record['deg_E5']}",
-        f"N = {record['N']}" + ("" if record["exists"] else "  (N < 0: no such fibration)"),
-    ]
-    if data.exists:
-        lines.append(
-            f"chi(O_B) = {chi.chi_OB}, chi(E1) = {chi.chi_E1}, "
-            f"chi(omega_X) = {chi.chi_omega_X}"
-        )
-        lines.append(f"K3 = {chi.K3}, gap above the Noether bound = {Fraction(data.N, 6)}")
-    return 0, "\n".join(lines) + "\n"
+    return record
 
 
-def cmd_monomials(args) -> tuple[int, str]:
-    monos = enumerate_monomials(args.m)
-    record = {
-        "degree": args.m,
+def monomials_record(m: int) -> dict:
+    if not 0 <= m <= 300:
+        raise ValueError("need 0 <= m <= 300")
+    monos = enumerate_monomials(m)
+    return {
+        "degree": m,
         "count": len(monos),
-        "ring_rank": canonical_ring_rank(args.m),
+        "ring_rank": canonical_ring_rank(m),
         "monomials": [
-            {"a0": m.a0, "a1": m.a1, "a2": m.a2, "a5": m.a5, "label": m.label()}
-            for m in monos
+            {"a0": x.a0, "a1": x.a1, "a2": x.a2, "a5": x.a5, "label": x.label()}
+            for x in monos
         ],
     }
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        rows = [[str(m.a0), str(m.a1), str(m.a2), str(m.a5), m.label()] for m in monos]
-        return 0, _csv_text(["a0", "a1", "a2", "a5", "label"], rows)
-    lines = [
-        f"degree {args.m}: {record['count']} monomials, "
-        f"ring rank {record['ring_rank']}"
-    ]
-    lines.extend(f"  {m.label()}" for m in monos)
-    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_nef(args) -> tuple[int, str]:
-    params = BundleParams(args.d, args.d0)
-    cls = DivisorClass(args.a, args.b)
-    fibre_line = quartic_intersection(
-        cls,
-        coordinate_divisor_class("t0", params),
-        coordinate_divisor_class("y", params),
-        coordinate_divisor_class("z", params),
-        params,
-    )
-    curves = {"fibre_line": fibre_line}
+def nef_record(d: int, d0: int, a: int, b: int) -> dict:
+    params = BundleParams(d, d0)
+    cls = DivisorClass(a, b)
+    # The fibre line is cut out by t0, y and z.
+    t0, y, z = (coordinate_divisor_class(name, params) for name in ("t0", "y", "z"))
+    curves = {"fibre_line": _frac(quartic_intersection(cls, t0, y, z, params))}
     for curve in SpecialCurve:
-        curves[curve.name.lower()] = curve_intersection(cls, curve, params)
-    record = {
+        curves[curve.name.lower()] = _frac(curve_intersection(cls, curve, params))
+    return {
         "d": params.d,
         "d0": params.d0,
         "class": {"a": cls.a, "b": cls.b},
         "nef": is_nef(cls, params),
         "ample": is_ample(cls, params),
-        "curves": {name: _frac(v) for name, v in curves.items()},
+        "curves": curves,
     }
-    if args.format == "json":
-        return 0, _json_record(record)
-    if args.format == "csv":
-        return 0, _csv_flat(record)
-    lines = [
-        f"{cls} on the bundle of X({params.d};{params.d0}): "
-        f"nef = {_yesno(record['nef'])}, ample = {_yesno(record['ample'])}"
-    ]
-    lines.extend(f"  degree on {name}: {value}" for name, value in curves.items())
-    return 0, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# text renderers, which yield lines, and csv tables; each reads only its
+# command's record
+
+def _classify_text(records: Iterable[dict]) -> Iterable[str]:
+    """The csv rows as an aligned table for people, line by line: K3 as p/q,
+    flags as yes/no, "-" where empty.  Every row sizes the columns."""
+    header = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
+              "K_ample", "K_nef", "noether", "mds"]
+    yesno = {"true": "yes", "false": "no", "": "-"}
+    rows = [header]
+    for d, d0, e, pg, num, den, kind, count, image, *flags in map(_classify_csv_row, records):
+        k3 = num if den == "1" else f"{num}/{den}" if den else "-"
+        rows.append([d, d0, e, kind, count or "-", pg or "-", k3, image or "-",
+                     *[yesno[f] for f in flags]])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return ("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
+
+
+def _classify_csv_row(record: dict) -> list[str]:
+    k3 = record["K3"]
+    return [
+        _scalar(record["d"]),
+        _scalar(record["d0"]),
+        _scalar(record["e"]),
+        _scalar(record["pg"]),
+        _scalar(k3["num"] if k3 else None),
+        _scalar(k3["den"] if k3 else None),
+        record["class"],
+        _scalar(record["count"]),
+        _scalar(record["image"]),
+        _scalar(record["K_ample"]),
+        _scalar(record["K_nef"]),
+        _scalar(record["noether"]),
+        _scalar(record["mds"]),
+    ]
+
+
+def _classify_table(records: Iterable[dict]):
+    return CSV_CLASSIFY_HEADER, map(_classify_csv_row, records)
+
+
+def _inspect_text(record: dict):
+    p = record["params"]
+    yield f"X({p['d']};{p['d0']})  e = {p['e']}\n"
+    yield f"classification: {record['classification']['description']}\n"
+    yield "weight matrix (t0 t1 x0 x1 y z):\n"
+    for name, row in zip(("base ", "fibre"), record["weight_matrix"]):
+        yield "  " + name + "  " + " ".join(f"{v:>4d}" for v in row) + "\n"
+    inv = record.get("invariants")
+    if inv is None:
+        return
+    if inv["degenerate_note"]:
+        yield f"degenerate: {inv['degenerate_note']}\n"
+    else:
+        yield (
+            f"invariants: pg = {inv['pg']}, q1 = {inv['q1']}, q2 = {inv['q2']}, "
+            f"chi_O = {inv['chi_O']}, K3 = {_unfrac(inv['K3'])}\n"
+        )
+        flags = (inv["K_ample"], inv["K_nef"], inv["on_noether_line"], inv["mds"])
+        yield (
+            "flags: K ample = {}, K nef = {}, on Noether line = {}, "
+            "Mori dream (general member) = {}\n".format(*map(_yesno, flags))
+        )
+        img = inv["image"]
+        if img["kind"] == "hirzebruch" and img["embedding"]:
+            m, n = img["embedding"]
+            delta = "delta" if n == 1 else f"{n} delta"
+            yield f"canonical image: {img['label']}, embedded by |{m} l + {delta}|\n"
+        else:
+            yield f"canonical image: {img['label']} ({img['note']})\n"
+    locus = record["base_locus"]
+    yield (
+        f"base locus: family {locus['family'] or 'empty'}, "
+        f"canonical system {locus['canonical'] or 'none'}\n"
+    )
+    yield f"family dimension: {record['family_dimension']}\n"
+    blow = record["blowup_parameters"]
+    status = "within" if blow["in_range"] else "outside"
+    yield f"blowup parameters: a = {blow['a']}, e = {blow['e']} ({status} the a >= e range)\n"
+    support = record["support"]
+    yield f"support ({len(support)} monomials):\n"
+    degrees = {entry["label"]: entry["degree"] for entry in record["coefficient_profile"]}
+    for mono in support:
+        yield f"  {mono['label']}  (coefficient degree {degrees[mono['label']]})\n"
+    if record["flip"]:
+        yield f"flip: see `flip {p['d']}`\n"
+
+
+def _flip_text(record: dict):
+    yield (
+        f"X({record['d']};{record['d0']}): K.S0 = {record['K_dot_s0']}, "
+        f"pg = {record['pg']}, P2 = {record['P2']}, chi_O = {record['chi_O']}\n"
+    )
+    yield f"basket: {', '.join(q['label'] for q in record['basket'])}\n"
+    yield f"K3+ = {_unfrac(record['K3_plus'])}\n"
+    cone = (DivisorClass(c["a"], c["b"]) for c in record["nef_cone_Fplus"])
+    yield f"nef cone of the flipped bundle: {', '.join(map(str, cone))}\n"
+
+
+def _moduli_text(record: dict):
+    second = record["second"]
+    yield f"pg = {record['pg']}: d = {record['d']}, " + (
+        f"{record['components']} components; second: X({second['d']};{second['d0']})\n"
+        if second else "1 component\n"
+    )
+
+
+def _kobayashi_text(record: dict):
+    yield (
+        f"(a, e) = ({record['a']}, {record['e']}) -> "
+        f"X({record['d']};{record['d0']}), pg = {record['pg']}\n"
+    )
+
+
+def _bundle_text(record: dict):
+    yield (
+        f"genus {record['b']}, deg E1 = {record['deg_E1']}, "
+        f"deg E2 = {record['deg_E2']}, deg E5 = {record['deg_E5']}\n"
+    )
+    yield f"N = {record['N']}" + ("\n" if record["exists"] else "  (N < 0: no such fibration)\n")
+    if record["exists"]:
+        yield (
+            f"chi(O_B) = {record['chi_OB']}, chi(E1) = {record['chi_E1']}, "
+            f"chi(omega_X) = {record['chi_omega_X']}\n"
+        )
+        yield (
+            f"K3 = {_unfrac(record['K3'])}, "
+            f"gap above the Noether bound = {_unfrac(record['noether_gap'])}\n"
+        )
+
+
+def _monomials_text(record: dict):
+    yield (
+        f"degree {record['degree']}: {record['count']} monomials, "
+        f"ring rank {record['ring_rank']}\n"
+    )
+    for m in record["monomials"]:
+        yield f"  {m['label']}\n"
+
+
+def _monomials_table(record: dict):
+    header = ["a0", "a1", "a2", "a5", "label"]
+    return header, [[str(m[k]) for k in header] for m in record["monomials"]]
+
+
+def _nef_text(record: dict):
+    cls = DivisorClass(record["class"]["a"], record["class"]["b"])
+    yield (
+        f"{cls} on the bundle of X({record['d']};{record['d0']}): "
+        f"nef = {_yesno(record['nef'])}, ample = {_yesno(record['ample'])}\n"
+    )
+    for name, value in record["curves"].items():
+        yield f"  degree on {name}: {_unfrac(value)}\n"
+
+
+# ---------------------------------------------------------------------------
+# the command table, its handlers and the parser built from it
+
+# name: (help, integer positionals, record builder from the parsed arguments,
+# text renderer, csv table or None for the flat listing).  A builder looks
+# its `*_record` function up in the module's globals when it is called.
+COMMANDS = {
+    "classify": ("classification sweep over (d, d0)", "d_min d_max",
+                 lambda a: map(classify_record, _classify_params(a.d_min, a.d_max, a.d0)),
+                 _classify_text, _classify_table),
+    "inspect": ("full record of a single model", "d d0",
+                lambda a: inspect_record(BundleParams(a.d, a.d0)), _inspect_text, None),
+    "flip": ("flip data for X(d;1), d in {2,3,4}", "d",
+             lambda a: flip_record(a.d), _flip_text, None),
+    "moduli": ("moduli component count for a genus", "pg",
+               lambda a: moduli_record(a.pg), _moduli_text, None),
+    "kobayashi": ("translate blowup parameters (a, e)", "a e",
+                  lambda a: kobayashi_record(a.a, a.e), _kobayashi_text, None),
+    "bundle": ("degree arithmetic over a genus-b base", "b e1 e2",
+               lambda a: bundle_record(a.b, a.e1, a.e2), _bundle_text, None),
+    "monomials": ("fibre monomials of a weighted degree", "m",
+                  lambda a: monomials_record(a.m), _monomials_text, _monomials_table),
+    "nef": ("nef/ample test and curve degrees of a class", "d d0 a b",
+            lambda a: nef_record(a.d, a.d0, a.a, a.b), _nef_text, None),
+}
+
+
+def cmd_record(args) -> tuple[int, str]:
+    """One record, emitted whole; `inspect` of an empty family exits 3."""
+    record = args.build(args)
+    empty = record.get("classification", {}).get("kind") == "not_existent"
+    return (3 if empty else 0), "".join(emit(args.format, record, args.render, args.table))
+
+
+def cmd_classify(args) -> tuple[int, Iterable[str]]:
+    """The sweep's lines; csv and json rows are computed as they are read."""
+    if not 0 <= args.d_min <= args.d_max <= 10000:
+        raise ValueError("need 0 <= d_min <= d_max <= 10000")
+    records = args.build(args)
+    if args.format == "json":  # one compact object per row
+        return 0, (json.dumps(r) + "\n" for r in records)
+    return 0, emit(args.format, records, args.render, args.table)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -572,48 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", "-o", metavar="FILE", help="write output to FILE")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classification sweep over (d, d0)")
-    p.add_argument("d_min", type=int)
-    p.add_argument("d_max", type=int)
-    p.add_argument("--d0", type=int, default=None, help="restrict to a single d0")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("inspect", help="full record of a single model")
-    p.add_argument("d", type=int)
-    p.add_argument("d0", type=int)
-    p.set_defaults(handler=cmd_inspect)
-
-    p = sub.add_parser("flip", help="flip data for X(d;1), d in {2,3,4}")
-    p.add_argument("d", type=int)
-    p.set_defaults(handler=cmd_flip)
-
-    p = sub.add_parser("moduli", help="moduli component count for a genus")
-    p.add_argument("pg", type=int)
-    p.set_defaults(handler=cmd_moduli)
-
-    p = sub.add_parser("kobayashi", help="translate blowup parameters (a, e)")
-    p.add_argument("a", type=int)
-    p.add_argument("e", type=int)
-    p.set_defaults(handler=cmd_kobayashi)
-
-    p = sub.add_parser("bundle", help="degree arithmetic over a genus-b base")
-    p.add_argument("b", type=int)
-    p.add_argument("e1", type=int)
-    p.add_argument("e2", type=int)
-    p.set_defaults(handler=cmd_bundle)
-
-    p = sub.add_parser("monomials", help="fibre monomials of a weighted degree")
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=cmd_monomials)
-
-    p = sub.add_parser("nef", help="nef/ample test and curve degrees of a class")
-    p.add_argument("d", type=int)
-    p.add_argument("d0", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=cmd_nef)
-
+    for name, (help_, ints, build, render, table) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for dest in ints.split():
+            p.add_argument(dest, type=int)
+        if name == "classify":
+            p.add_argument("--d0", type=int, default=None, help="restrict to a single d0")
+        handler = cmd_classify if name == "classify" else cmd_record
+        p.set_defaults(handler=handler, build=build, render=render, table=table)
     return parser
 
 

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import hashlib
 import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -381,6 +383,88 @@ def test_command_output_matches_recorded_digest(capsys, fmt, command):
     code, out, _ = run_cli(capsys, "--format", fmt, *command.split())
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert (code, digest) == COMMAND_DIGESTS[fmt, command]
+
+
+def test_every_command_has_digests_in_every_format():
+    # A command added to the parser cannot skip the golden outputs above.
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    covered = {(fmt, command.split()[0]) for fmt, command in COMMAND_DIGESTS}
+    wanted = {(fmt, name) for name in sub.choices for fmt in ("text", "json", "csv")}
+    assert wanted - covered == set()
+
+
+# Standard error of failing commands, recorded in every format before the
+# commands shared one record/format layer.  Each exits 2 and writes nothing
+# to standard output.  `monomials -1` printed the library's "degree must be
+# nonnegative" until `monomials` took the same kind of bound as `classify`.
+ERROR_LINES = {
+    "flip 5": "error: flip analysis applies to d in (2, 3, 4), got 5",
+    "kobayashi 1 9": (
+        "error: a < e: (a, e) = (1, 9) is outside the Kobayashi-Chen-Hu range a >= e >= 0"
+    ),
+    "inspect 3 5": (
+        "error: e = 3*d - 2*d0 = -1 is negative for (d, d0) = (3, 5); "
+        "swap x0 and x1, i.e. replace d0 by 3*d - d0 = 4"
+    ),
+    "inspect -1 0": "error: d and d0 must be nonnegative, got (-1, 0)",
+    "moduli 5": "error: pg = 5 is not of the form 3d - 2 with d >= 3",
+    "bundle -1 0 0": "error: genus must be nonnegative",
+    "classify 5 3": "error: need 0 <= d_min <= d_max <= 10000",
+    "monomials -1": "error: need 0 <= m <= 300",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(ERROR_LINES))
+def test_failing_command_prints_one_error_line(capsys, fmt, command):
+    code, out, err = run_cli(capsys, "--format", fmt, *command.split())
+    assert (code, out, err) == (2, "", ERROR_LINES[command] + "\n")
+
+
+def test_monomials_degree_is_capped_before_enumerating(tmp_path, monkeypatch, capsys):
+    def enumerate_monomials(m):
+        calls.append(m)
+        return ()
+
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_monomials", enumerate_monomials)
+    target = tmp_path / "rows.csv"
+    for argv in (["monomials", "301"], ["--output", str(target), "monomials", "301"]):
+        assert run_cli(capsys, *argv) == (2, "", "error: need 0 <= m <= 300\n")
+    assert not target.exists() and calls == []
+    code, out, _ = run_cli(capsys, "monomials", "300")
+    assert code == 0 and calls == [300]
+    assert out == "degree 300: 0 monomials, ring rank 44853\n"
+
+
+def test_record_builders_are_looked_up_when_called(monkeypatch, capsys):
+    # A wrapper bound to the module after the parser is built, the way a
+    # tracer binds one, is the function that runs.
+    cli.build_parser()
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("classify_record", "inspect_record", "flip_record"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for argv in (["classify", "2", "2", "--d0", "1"], ["inspect", "2", "1"], ["flip", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == ["classify_record", "inspect_record", "flip_record", "flip_record"]
+
+
+def test_readme_command_line_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv for argv in examples if argv[:1] == ["noetherline"]]
+    assert len(examples) >= 10
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_negative_degree_warns_on_every_call(capsys):
