@@ -10,7 +10,10 @@ Every command is one row of `COMMANDS`: a record builder, which computes
 the command's record (a dict of JSON values) from the parsed arguments, and
 a text renderer, which reads only that record.  One emitter, `emit`, writes
 a record as indented JSON, as CSV (a flat `field,value` listing, or the rows
-that classify and monomials supply) or as the renderer's text.  classify
+that classify and monomials supply) or as the renderer's text.  Indented
+JSON comes from this module's own writer, `_json_text`, which writes the
+same bytes as the standard library's `json.dumps` with an indent of 2
+without falling back to that encoder's pure-Python path.  classify
 streams its rows, one compact JSON object or CSV row as each is computed;
 its text table buffers the rows, as strings, to size the columns.
 
@@ -35,10 +38,12 @@ import csv
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -122,6 +127,39 @@ def _flatten(prefix: str, value, rows: list[list[str]]) -> list[list[str]]:
     return rows
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as indented JSON, byte for byte what the standard library's
+    encoder writes with an indent of 2, for the types the record builders
+    make: dict with str keys, list, str, int, bool and None; any other type
+    raises TypeError.  Strings go through the library's C quoting and each
+    container is one join.  `indent` is the newline and indentation of the
+    line `value` starts on."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_str(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        ) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]
+        ) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"{kind.__name__} is not a JSON value of a record")
+
+
 def _csv_lines(header: list[str], rows) -> Iterable[str]:
     """The csv module's text of the header and of each row, line by line."""
     # `writerow` returns what the sink's `write` returns: here, the line.
@@ -134,7 +172,7 @@ def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     listing, or the header and rows that `table` makes of the record) or the
     text that `render` makes of it.  classify's rows are one record here."""
     if fmt == "json":
-        return (json.dumps(record, indent=2) + "\n",)
+        return (_json_text(record) + "\n",)
     if fmt == "csv":
         if table:
             return _csv_lines(*table(record))
@@ -474,7 +512,7 @@ def _monomials_text(record: dict):
 
 def _monomials_table(record: dict):
     header = ["a0", "a1", "a2", "a5", "label"]
-    return header, [[str(m[k]) for k in header] for m in record["monomials"]]
+    return header, map(operator.itemgetter(*header), record["monomials"])
 
 
 def _nef_text(record: dict):

@@ -326,12 +326,15 @@ def kobayashi_translate(a: int, e: int) -> BundleParams:
     """
     d, d0 = 2 * a - e, 3 * a - 2 * e
     if e < 0 or a < e:
+        failed = " and ".join(
+            name for name, fails in (("e < 0", e < 0), ("a < e", a < e)) if fails
+        )
         detail = ""
         if e >= 0 and d >= 0 and d0 >= 0:
             detail = f"; these are the coordinates of X({d};{d0}), which has e > d"
         raise ValueError(
-            f"a < e: (a, e) = ({a}, {e}) is outside the Kobayashi-Chen-Hu "
-            f"range a >= e >= 0{detail}"
+            f"{failed}: (a, e) = ({a}, {e}) is outside the "
+            f"Kobayashi-Chen-Hu range a >= e >= 0{detail}"
         )
     return BundleParams(d, d0)
 

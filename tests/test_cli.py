@@ -8,13 +8,19 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import noetherline
 from noetherline import cli
 from noetherline.cli import CSV_CLASSIFY_HEADER, main
+from noetherline.invariants import ImageKind, kobayashi_params
+from noetherline.singularities import SingularityKind
+from oracles import bundle_params
 
 # The package attribute `invariants` is the function of that name.
 invariants_module = importlib.import_module("noetherline.invariants")
@@ -304,7 +310,8 @@ def test_classify_classifies_each_row_once(monkeypatch, capsys):
 # --- every command in every format ----------------------------------------------
 
 # (exit code, SHA-256 of standard output) of each command in each format,
-# recorded before the parser was shared between calls.
+# recorded before the parser was shared between calls; `monomials 0`, `1`
+# and `84` before indented JSON had its own writer.
 COMMAND_DIGESTS = {
     ("text", "classify 7 9"): (0, "fa5de77f90f31e48b0d36c704fe9e32bcde969d5ee7ec1b1f22e8740412bd7b0"),
     ("json", "classify 7 9"): (0, "bde3da5a67c83ba0895e00e7bd6ce44d77338b4d0c60cebab29e437eca6a6e7c"),
@@ -369,6 +376,15 @@ COMMAND_DIGESTS = {
     ("text", "monomials 5"): (0, "cd59c43bf6908a94ffff318991e898d08bd0cb63a5e135aab7c524a95342fbab"),
     ("json", "monomials 5"): (0, "37aca22bef211ca6b650ab61bdd4d4d1c6fcd25f31bc87a920e8e707e06a3e47"),
     ("csv", "monomials 5"): (0, "36b71cc61b9fd4e0376d981d820c0b621d4ecb07cc7220beb62d4336a093a07f"),
+    ("text", "monomials 0"): (0, "c9c1fe01e60c2826c5344764ff579820562e0e9e2a567b064943cd1194ae5c19"),
+    ("json", "monomials 0"): (0, "a0b9221a6ac9211a45b4f45e5f87e95b31af67c7356e031d2a01bd0d95a85d4d"),
+    ("csv", "monomials 0"): (0, "c81caf366c07129a84f496034ddebd7be615de579da26843b37fd275618b6614"),
+    ("text", "monomials 1"): (0, "e81bb69a22ac3d585eee666fa162a913217861e55f9616500da483ef502fa0ca"),
+    ("json", "monomials 1"): (0, "0e1d4b0b57bd55ca1fc854d23350bbc8278667e1af31a199b8c801eac868ff82"),
+    ("csv", "monomials 1"): (0, "d4dabc16ed2816e2f9657a10aed58f2c4415940cc4fd974fee33fc65bd3d9acd"),
+    ("text", "monomials 84"): (0, "4d67502e19d36906c0c712f889f18585d8ded172f48ade592e24a856419da59f"),
+    ("json", "monomials 84"): (0, "9c65d54a57fe1b8f8b093fac4f9b0bf48fee51cdf9dd2897cad6881679c7a91f"),
+    ("csv", "monomials 84"): (0, "e297785f9b2fb79a4d20b9c7c721d27e59147cd7cc5c3b5b9bc9ea8b21d54a17"),
     ("text", "nef 5 4 1 -2"): (0, "5e28be0d97f61cde7a50bc66e8fafd9d62e1f1b1fef87f29c0f8baf20e9f3e84"),
     ("json", "nef 5 4 1 -2"): (0, "26d3487fa4b627f70f7f2f93784adce8f03db03a7e0d749ec39d9cf91afee9df"),
     ("csv", "nef 5 4 1 -2"): (0, "d114d9e7c445b8c727eb2631b8e57fdff0b6437046c0b019faf55dd3d2f83fe4"),
@@ -398,11 +414,18 @@ def test_every_command_has_digests_in_every_format():
 # Standard error of failing commands, recorded in every format before the
 # commands shared one record/format layer.  Each exits 2 and writes nothing
 # to standard output.  `monomials -1` printed the library's "degree must be
-# nonnegative" until `monomials` took the same kind of bound as `classify`.
+# nonnegative" until `monomials` took the same kind of bound as `classify`,
+# and `kobayashi` named `a < e` even when `e < 0` failed.
 ERROR_LINES = {
     "flip 5": "error: flip analysis applies to d in (2, 3, 4), got 5",
     "kobayashi 1 9": (
         "error: a < e: (a, e) = (1, 9) is outside the Kobayashi-Chen-Hu range a >= e >= 0"
+    ),
+    "kobayashi 5 -1": (
+        "error: e < 0: (a, e) = (5, -1) is outside the Kobayashi-Chen-Hu range a >= e >= 0"
+    ),
+    "kobayashi -1 -3": (
+        "error: e < 0: (a, e) = (-1, -3) is outside the Kobayashi-Chen-Hu range a >= e >= 0"
     ),
     "inspect 3 5": (
         "error: e = 3*d - 2*d0 = -1 is negative for (d, d0) = (3, 5); "
@@ -421,6 +444,70 @@ ERROR_LINES = {
 def test_failing_command_prints_one_error_line(capsys, fmt, command):
     code, out, err = run_cli(capsys, "--format", fmt, *command.split())
     assert (code, out, err) == (2, "", ERROR_LINES[command] + "\n")
+
+
+# --- indented json: cli's writer against the standard library's encoder -------
+
+# Characters that JSON escapes or that ASCII output spells as \uXXXX: quote,
+# backslash, control characters, non-ASCII and a lone surrogate.
+_AWKWARD = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f ab\xe9\u2028\ud800\U0001f600'))
+_TEXT = st.text() | _AWKWARD
+_INTS = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 10**40, -(10**40)])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _emitted_json(record) -> str:
+    return "".join(cli.emit("json", record, None))
+
+
+@given(_JSON_VALUES)
+@example([True, 1, False, 0, None, {"1": True, "true": 1}])
+@example([[], {}, [[]], [{}], {"": {}, "a": [[], [{}]]}])
+@example({"\u00e9\"\\\x01": "\ud800\U0001f600\x7f", "": -(10**40)})
+def test_json_writer_matches_the_standard_library(value):
+    assert _emitted_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_params(d_max=200), st.integers(-20, 20), st.integers(-20, 20))
+def test_json_of_every_record_builder_matches_the_standard_library(params, a, b):
+    d, d0 = params.d, params.d0
+    records = [
+        cli.classify_record(params),
+        cli.inspect_record(params),
+        cli.nef_record(d, d0, a, b),
+    ]
+    if d >= 3:
+        records.append(cli.moduli_record(3 * d - 2))
+    blowup = kobayashi_params(params)
+    if blowup[0] >= blowup[1] >= 0:
+        records.append(cli.kobayashi_record(*blowup))
+    for record in records:
+        assert _emitted_json(record) == json.dumps(record, indent=2) + "\n"
+
+
+def test_json_of_fixed_records_matches_the_standard_library(capsys):
+    records = [cli.monomials_record(m) for m in range(41)]
+    records += [cli.flip_record(d) for d in (2, 3, 4)]
+    records += [cli.bundle_record(*args) for args in ((1, 10, 10), (0, 2, 1), (0, -1, 0))]
+    records += [cli.nef_record(8, 7, 1, -9), cli.inspect_record(noetherline.BundleParams(5, 1))]
+    capsys.readouterr()
+    for record in records:
+        assert _emitted_json(record) == json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), 1.5, Fraction(1, 2), SingularityKind.SMOOTH, ImageKind.CONE,
+    {"a": [1, (2,)]}, [{"b": 0.0}], {"c": Fraction(3, 4)}, [SingularityKind.SMOOTH],
+    {1: "one"}, {None: 0},
+])
+def test_json_writer_rejects_types_no_record_holds(value):
+    with pytest.raises(TypeError):
+        _emitted_json(value)
 
 
 def test_monomials_degree_is_capped_before_enumerating(tmp_path, monkeypatch, capsys):
