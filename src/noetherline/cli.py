@@ -13,9 +13,15 @@ a record as indented JSON, as CSV (a flat `field,value` listing, or the rows
 that classify and monomials supply) or as the renderer's text.  Indented
 JSON comes from this module's own writer, `_json_text`, which writes the
 same bytes as the standard library's `json.dumps` with an indent of 2
-without falling back to that encoder's pure-Python path.  classify
-streams its rows, one compact JSON object or CSV row as each is computed;
-its text table buffers the rows, as strings, to size the columns.
+without falling back to that encoder's pure-Python path.
+
+classify walks each line of its sweep (one d over d0, or the --d0 band over
+d) piece by piece (`singularities.row_pieces`): `classify_record` derives
+the first two rows and the last row of a piece, and the rows between are
+advanced from the first two; the advanced last row must equal the derived
+one.  classify streams its rows, one compact JSON object or CSV row as each
+is computed; its text table buffers the rows, as strings, to size the
+columns.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
@@ -38,6 +44,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -49,6 +56,7 @@ from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
 from .invariants import (
+    canonical_image,
     canonical_ring_rank,
     flip_analysis,
     invariants,
@@ -63,9 +71,10 @@ from .linear_system import (
     family_dimension,
     normal_form_support,
 )
-from .singularities import EmptyFamilyError, classify_general_member
+from .singularities import EmptyFamilyError, classify_general_member, row_pieces
 from .toric import (
     BundleParams,
+    CrossCheckError,
     DivisorClass,
     SpecialCurve,
     curve_intersection,
@@ -172,7 +181,7 @@ def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     listing, or the header and rows that `table` makes of the record) or the
     text that `render` makes of it.  classify's rows are one record here."""
     if fmt == "json":
-        return (_json_text(record) + "\n",)
+        return (_json_text(record), "\n")
     if fmt == "csv":
         if table:
             return _csv_lines(*table(record))
@@ -184,6 +193,8 @@ def emit(fmt: str, record, render, table=None) -> Iterable[str]:
 # record builders
 
 def classify_record(params: BundleParams) -> dict:
+    """The classify row of one model, derived: its classification, then the
+    invariants of an existent member."""
     cls = classify_general_member(params)
     record = {
         "d": params.d,
@@ -211,12 +222,84 @@ def classify_record(params: BundleParams) -> dict:
     return record
 
 
-def _classify_params(d_min: int, d_max: int, d0: int | None):
-    for d in range(d_min, d_max + 1):
-        if d0 is None:
-            yield from (BundleParams(d, k) for k in range(0, 3 * d // 2 + 1))
-        elif 0 <= d0 <= 3 * d // 2:
-            yield BundleParams(d, d0)
+def _advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
+    """Row i of a piece from its rows 0 and 1, the records of p0 and p1.  A
+    field the two rows share is constant; of the others, an int is affine,
+    K3 is affine over a common denominator and the image label is affine in
+    the image degree.  Any other field that changes raises CrossCheckError."""
+    ints, k3, image = [], None, None
+    for key, v0 in first.items():
+        v1 = second[key]
+        if v0 == v1:
+            continue
+        if type(v0) is int and type(v1) is int:
+            ints.append((key, v0, v1 - v0))
+        elif key == "K3" and v0 and v1:
+            den = math.lcm(v0["den"], v1["den"])
+            num = v0["num"] * (den // v0["den"])
+            k3 = (num, v1["num"] * (den // v1["den"]) - num, den)
+        elif key == "image" and v0 and v1:
+            img0, img1 = canonical_image(p0), canonical_image(p1)
+            if img0.kind is not img1.kind:
+                raise CrossCheckError(f"{p0.label()}, {p1.label()}: two image kinds in one piece")
+            image = (img0.kind.label, img0.e, img1.e - img0.e)
+        else:
+            raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
+
+    def row(i: int) -> dict:
+        record = first.copy()
+        for key, v0, step in ints:
+            record[key] = v0 + i * step
+        if k3:
+            num, step, den = k3
+            n = num + i * step
+            g = math.gcd(n, den)
+            record["K3"] = {"num": n // g, "den": den // g}
+        if image:
+            label, e, step = image
+            record["image"] = label(e + i * step)
+        return record
+
+    return row
+
+
+def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int):
+    """The records of the rows start + i*step, 0 <= i < count, piece by piece
+    (`row_pieces`).  `classify_record` derives the first two rows and the
+    last row of a piece; the rows between are advanced from the first two
+    and written only after the advanced last row equals the derived one."""
+    (d, d0), (sd, sd0) = start, step
+    for lo, hi in row_pieces(start, step, count):
+        p0 = BundleParams(d + lo * sd, d0 + lo * sd0)
+        first = classify_record(p0)
+        yield first
+        if hi - lo == 1:
+            continue
+        p1 = BundleParams(p0.d + sd, p0.d0 + sd0)
+        second = classify_record(p1)
+        yield second
+        n = hi - lo - 1  # the index of the last row
+        if n > 1:
+            row = _advance(first, second, p0, p1)
+            last = classify_record(BundleParams(p0.d + n * sd, p0.d0 + n * sd0))
+            if row(n) != last:
+                raise CrossCheckError(
+                    f"{p0.label()} to X({last['d']};{last['d0']}): the advanced "
+                    "last row differs from the derived one"
+                )
+            yield from map(row, range(2, n))
+            yield last
+
+
+def _classify_records(d_min: int, d_max: int, d0: int | None):
+    """The sweep's records in order: the band of each d over d0 or, with
+    --d0, the band of that d0 over d."""
+    if d0 is None:
+        for d in range(d_min, d_max + 1):
+            yield from _segment_records((d, 0), (0, 1), 3 * d // 2 + 1)
+    elif d0 >= 0:
+        d = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
+        yield from _segment_records((d, d0), (1, 0), max(0, d_max + 1 - d))
 
 
 def flip_record(d: int) -> dict:
@@ -533,7 +616,7 @@ def _nef_text(record: dict):
 # its `*_record` function up in the module's globals when it is called.
 COMMANDS = {
     "classify": ("classification sweep over (d, d0)", "d_min d_max",
-                 lambda a: map(classify_record, _classify_params(a.d_min, a.d_max, a.d0)),
+                 lambda a: _classify_records(a.d_min, a.d_max, a.d0),
                  _classify_text, _classify_table),
     "inspect": ("full record of a single model", "d d0",
                 lambda a: inspect_record(BundleParams(a.d, a.d0)), _inspect_text, None),
@@ -552,11 +635,11 @@ COMMANDS = {
 }
 
 
-def cmd_record(args) -> tuple[int, str]:
-    """One record, emitted whole; `inspect` of an empty family exits 3."""
+def cmd_record(args) -> tuple[int, Iterable[str]]:
+    """The lines of one record; `inspect` of an empty family exits 3."""
     record = args.build(args)
     empty = record.get("classification", {}).get("kind") == "not_existent"
-    return (3 if empty else 0), "".join(emit(args.format, record, args.render, args.table))
+    return (3 if empty else 0), emit(args.format, record, args.render, args.table)
 
 
 def cmd_classify(args) -> tuple[int, Iterable[str]]:
@@ -615,16 +698,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines = (body,) if isinstance(body, str) else body
     if not args.output:
         try:
-            sys.stdout.writelines(lines)
+            sys.stdout.writelines(body)
         except BrokenPipeError:
             _discard_stdout()
         return code
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+            handle.writelines(body)
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
         return 2

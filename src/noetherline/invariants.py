@@ -44,6 +44,7 @@ __all__ = [
     "ImageKind",
     "CanonicalImage",
     "InvariantSet",
+    "canonical_image",
     "QuotientSingularity",
     "FlipRecord",
     "ModuliComponents",
@@ -70,6 +71,14 @@ class ImageKind(str, Enum):
     CONE = "cone"
     DEGENERATE = "degenerate"
 
+    def label(self, e: int | None) -> str:
+        """The label of an image of this kind and degree e."""
+        if self is ImageKind.HIRZEBRUCH:
+            return f"F{e}"
+        if self is ImageKind.CONE:
+            return f"cone{e}"
+        return "degenerate"
+
 
 @dataclass(frozen=True)
 class CanonicalImage:
@@ -85,11 +94,7 @@ class CanonicalImage:
     note: str = ""
 
     def label(self) -> str:
-        if self.kind is ImageKind.HIRZEBRUCH:
-            return f"F{self.e}"
-        if self.kind is ImageKind.CONE:
-            return f"cone{self.e}"
-        return "degenerate"
+        return self.kind.label(self.e)
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,8 @@ class InvariantSet:
     mori_dream_general: bool
 
 
-def _canonical_image(params: BundleParams) -> CanonicalImage:
+def canonical_image(params: BundleParams) -> CanonicalImage:
+    """The image of the canonical map of X(d;d0), read off min(d, d0), d0 and e."""
     d, d0 = params.d, params.d0
     if min(d, d0) <= 1:
         if (d, d0) == (0, 0):
@@ -164,7 +170,7 @@ def invariants(
         chi_O=1 - pg,
         K3=k3,
         e=params.e,
-        canonical_image=_canonical_image(params),
+        canonical_image=canonical_image(params),
         on_noether_line=3 * k3 == 4 * pg - 10,
         K_ample=m >= 3,
         K_nef=m >= 2,

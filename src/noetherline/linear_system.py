@@ -137,7 +137,7 @@ DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
 def support_pattern(params: BundleParams) -> tuple[bool, ...]:
     """For each form of `DEGREE_TEN_FORMS`, whether it is nonnegative at params."""
     d, d0 = params.d, params.d0
-    return tuple(a * d + b * d0 >= 0 for _, a, b in DEGREE_TEN_FORMS)
+    return tuple([a * d + b * d0 >= 0 for _, a, b in DEGREE_TEN_FORMS])
 
 
 def normal_form_support(params: BundleParams) -> tuple[FibreMonomial, ...]:

@@ -26,13 +26,20 @@ t^10 and the chart z'^2 + y'^5 + x'^3 is a compound Du Val point, so the
 dissident points are canonical.  `crepant_chart_check` verifies that weight
 bookkeeping.
 
-The classification is one derivation per row.  The local support is a filter
-on the signs of the integer forms of `linear_system.DEGREE_TEN_FORMS`, and
-the support depends on the sign pattern alone, so `local_support_at_s0`
+The classification is one derivation per model.  The local support is a
+filter on the signs of the integer forms of `linear_system.DEGREE_TEN_FORMS`,
+and the support depends on the sign pattern alone, so `local_support_at_s0`
 returns one shared frozenset per pattern.  Existence is the weighted order
 test on that support, cross-checked against 4*d0 >= d; the remaining cases
 read the values of the forms 8*d0 - 7*d (of x0^9 x1) and 4*d0 - d (of
 x0^7 x1^3).
+
+Every field of a classify row (the classification above and the invariants
+of `invariants.invariants`) is fixed by the signs of the integer forms
+`ROW_FORMS`, and is constant or affine in (d, d0) where those signs are.
+Along a line of the plane, `row_pieces` cuts a run of rows at the zeros of
+these forms into pieces of one sign pattern, a zero being a piece of one
+row; a caller derives a few rows of each piece and advances the others.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ __all__ = [
     "weight_below_one_exists",
     "duval_test",
     "classify_general_member",
+    "ROW_FORMS",
+    "row_pieces",
     "crepant_chart_check",
 ]
 
@@ -228,6 +237,44 @@ def classify_general_member(params: BundleParams) -> SingularityClassification:
     if terminal > 0:
         return SingularityClassification(SingularityKind.TERMINAL_POINTS, count=terminal)
     return SingularityClassification(SingularityKind.CANONICAL_CURVE, count=4 * d0 - d)
+
+
+#: Each form A*d + B*d0 + C, as (A, B, C), whose sign a classify row reads.
+ROW_FORMS: tuple[tuple[int, int, int], ...] = (
+    # The support along S0, existence, the kind and its count.
+    *((a, b, 0) for _, a, b in DEGREE_TEN_FORMS),
+    # The sections x0 and x1 of K = H - 2F, which p_g counts.
+    (0, 1, -2),
+    (3, -1, -2),
+    # d0 >= d: the member is smooth, and the Mori dream flag.
+    (-1, 1, 0),
+    # min(d, d0) against 1, 2 and 3: the degenerate, cone and X(2;3) images,
+    # K nef and K ample.  d0 - 1 also fixes the Noether flag: 3K^3 - 4p_g + 10
+    # is 4(d0 - 1) where d0 <= 1 (and d > 0) and 0 elsewhere.
+    *((1, 0, -k) for k in (1, 2, 3)),
+    *((0, 1, -k) for k in (1, 2, 3)),
+    # d and d0 themselves: the product row d = 0.
+    (1, 0, 0),
+    (0, 1, 0),
+)
+
+
+def row_pieces(
+    start: tuple[int, int], step: tuple[int, int], count: int
+) -> list[tuple[int, int]]:
+    """The pieces of the rows start + i*step, 0 <= i < count, as index
+    ranges [lo, hi) in order: every form of `ROW_FORMS` has one sign on each
+    piece, and a row where a form is zero is a piece of its own."""
+    (d, d0), (sd, sd0) = start, step
+    cuts = {0, count}
+    for a, b, c in ROW_FORMS:
+        slope = a * sd + b * sd0
+        if slope:
+            # The form is value + i*slope; it is zero at i = -value/slope.
+            value = a * d + b * d0 + c
+            cuts.update(i for i in (-(value // slope), -value // slope + 1) if 0 < i < count)
+    bounds = sorted(cuts)
+    return list(zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -233,16 +233,14 @@ def quartic_intersection(
 
     Expands the product multilinearly over H^4 = d/2, H^3.F = 1/10 and
     F^2 = 0.  These relations determine the whole quartic form on the
-    rank-two lattice; no further relations are imposed.
+    rank-two lattice; no further relations are imposed.  The sum is taken
+    in integers scaled by ten, 10 H^4 = 5d and 10 H^3.F = 1, and divided
+    once at the end.
     """
-    a = (c1.a, c2.a, c3.a, c4.a)
-    b = (c1.b, c2.b, c3.b, c4.b)
-    h4 = a[0] * a[1] * a[2] * a[3]
-    h3f = sum(
-        b[i] * a[j] * a[k] * a[l]
-        for i, j, k, l in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2))
-    )
-    return h4 * Fraction(params.d, 2) + Fraction(h3f, 10)
+    a1, a2, a3, a4 = c1.a, c2.a, c3.a, c4.a
+    h4 = a1 * a2 * a3 * a4
+    h3f = c1.b * a2 * a3 * a4 + c2.b * a1 * a3 * a4 + c3.b * a1 * a2 * a4 + c4.b * a1 * a2 * a3
+    return Fraction(5 * params.d * h4 + h3f, 10)
 
 
 def is_nef(c: DivisorClass, params: BundleParams) -> bool:

@@ -1,8 +1,10 @@
-"""Closed-form oracles that the library derives another way, and the
-parameter strategy of the property tests."""
+"""Closed-form oracles that the library derives another way, the per-row
+walk that `classify` replaced by its piece-by-piece walk, and the parameter
+strategy of the property tests."""
 
 from hypothesis import strategies as st
 
+from noetherline.cli import classify_record
 from noetherline.singularities import SingularityClassification, SingularityKind
 from noetherline.toric import BundleParams
 
@@ -40,3 +42,13 @@ def classify_by_e(params: BundleParams) -> SingularityClassification:
     return SingularityClassification(
         SingularityKind.CANONICAL_CURVE, count=5 * d - 2 * e
     )
+
+
+def classify_rows(d_min: int, d_max: int, d0: int | None):
+    """The records of `classify d_min d_max [--d0 d0]`, every row derived on
+    its own by `classify_record`."""
+    for d in range(d_min, d_max + 1):
+        if d0 is None:
+            yield from (classify_record(BundleParams(d, k)) for k in range(0, 3 * d // 2 + 1))
+        elif 0 <= d0 <= 3 * d // 2:
+            yield classify_record(BundleParams(d, d0))

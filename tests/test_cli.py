@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 import noetherline
 from noetherline import cli
-from noetherline.cli import CSV_CLASSIFY_HEADER, main
+from noetherline.cli import CSV_CLASSIFY_HEADER, classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
-from noetherline.singularities import SingularityKind
-from oracles import bundle_params
+from noetherline.singularities import SingularityKind, row_pieces
+from noetherline.toric import BundleParams
+from oracles import bundle_params, classify_rows
 
 # The package attribute `invariants` is the function of that name.
 invariants_module = importlib.import_module("noetherline.invariants")
@@ -259,7 +260,10 @@ def test_classify_json_round_trips(capsys):
 # --- streamed classify --------------------------------------------------------
 
 # SHA-256 of `classify` output recorded before rows were streamed: a small
-# band, a band at large d and a band restricted to one d0.
+# band, a band at large d and a band restricted to one d0.  The bands from
+# "0 3000 --d0 700" on were recorded before rows were classified piece by piece:
+# one d0 across every slope from 3/2 to 1/4, the degenerate, cone, X(2;3)
+# and product rows of d0 = 1, 2, 3, and the largest d the CLI accepts.
 CLASSIFY_DIGESTS = {
     ("csv", "0 60"): "9873b2988708e91b1b62706a4eb03d965659c612901068431e7242d242ab64e5",
     ("csv", "2000 2003"): "6b4bfd8acab90fc5da504e58ce66246fedc4b97b8202b2a6a1d2c687c5662bc1",
@@ -270,6 +274,21 @@ CLASSIFY_DIGESTS = {
     ("text", "0 60"): "b811d03d6ec94841065b16add55d638bf7eed7781677d24562c540fcf4df59bb",
     ("text", "2000 2003"): "8bbdd46611f76f8ee2cc9f519ccaeeabe4191f229d64b413aa97b4082678f124",
     ("text", "0 400 --d0 37"): "4bb051678eeb3ece8b73c228b01e5dccd43b36ee499d5b1b190eb6877db55a32",
+    ("csv", "0 3000 --d0 700"): "4f9e03c3a6853472f1edef6d327cc9a41b13d7fb58cf4bfcd3537e4236c04ca8",
+    ("json", "0 3000 --d0 700"): "d67fd46dd1c6e1ee91ce1549440953d83e5e3481493f070f8b9672ce43ec6c2e",
+    ("text", "0 3000 --d0 700"): "55ae961839ece849c23cd24e4759fb1f301a7eba00570744c5e2840098e7f599",
+    ("csv", "0 20 --d0 1"): "ee2567730a28082e014b930e01520a0a56d6adc2eeca9468702c462828d3ee7b",
+    ("json", "0 20 --d0 1"): "2e23e95828b1fb40c72f46fcdf8d60480019e4b68d9620014a7df8e83556d7c1",
+    ("text", "0 20 --d0 1"): "0f39fdf8d80ccf82de8674bdbf18bae98e1b5fdd77590011ba1e436d4b74cd88",
+    ("csv", "0 20 --d0 2"): "cb725573f6966cda05b9be9055800d7d4f59adca73dd5e0795a126d8a9c33e0a",
+    ("json", "0 20 --d0 2"): "0615016f3b3923150c3b8c648123a84ca3ef61866d60fcc32f339061b9645065",
+    ("text", "0 20 --d0 2"): "d5b66989273f623be57696800b1fa037067d292898b2d7ee676b4b5986fad8b8",
+    ("csv", "0 20 --d0 3"): "0a4f0181400ce16479e058b47b98bfb19f410f7ebecd95b5be562cb67b6d4251",
+    ("json", "0 20 --d0 3"): "51d6bf1d18fc1c394b058ba61736854f62f99e5317afd28cf2841ef58fe63dee",
+    ("text", "0 20 --d0 3"): "076c45aeaaa724dfb1602a7b780cdf4cad212d96ceff278f2879284b6f8e5d23",
+    ("csv", "10000 10000"): "e5dbeca438d10423ac189ac0805dc3928c28b33db9f8f7c969503562953efedd",
+    ("json", "10000 10000"): "17b571d3642c649412ad57412a3e50a3cc334b14d1fb6bdbd56d8cba8582fb81",
+    ("text", "10000 10000"): "35013a5c50a90c73f79362063f018e02e8c93e60ea99c5e6a83482ec3a26712d",
 }
 
 
@@ -290,7 +309,7 @@ def test_classify_output_file_matches_recorded_digest(tmp_path, capsys):
     assert digest == CLASSIFY_DIGESTS["json", "0 60"]
 
 
-def test_classify_classifies_each_row_once(monkeypatch, capsys):
+def test_classify_derives_each_piece_at_its_anchors_only(monkeypatch, capsys):
     calls = []
     original = cli.classify_general_member
 
@@ -301,10 +320,59 @@ def test_classify_classifies_each_row_once(monkeypatch, capsys):
     # Every module that looks the function up by name.
     monkeypatch.setattr(cli, "classify_general_member", counting)
     monkeypatch.setattr(invariants_module, "classify_general_member", counting)
-    code, out, _ = run_cli(capsys, "--format", "csv", "classify", "0", "30")
+    code, out, _ = run_cli(capsys, "--format", "csv", "classify", "2000", "2003")
     assert code == 0
-    rows = out.splitlines()[1:]
-    assert len(calls) == len(rows) == len(set(calls))
+    rows = len(out.splitlines()) - 1
+    # The anchors of a piece [lo, hi) of a band: its first two rows and its last.
+    anchors = {
+        BundleParams(d, k)
+        for d in range(2000, 2004)
+        for lo, hi in row_pieces((d, 0), (0, 1), 3 * d // 2 + 1)
+        for k in {lo, lo + 1, hi - 1} if k < hi
+    }
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= anchors
+    assert 50 * len(anchors) < rows
+
+
+@st.composite
+def segments(draw):
+    """(start, step, count) of a run of rows along d0 or along d, its ends
+    often within one row of a breakpoint: d0 in {d/4, 7d/8, d, 0..3} or
+    d <= 4."""
+    if draw(st.booleans()):  # along d0, at one d
+        d = draw(st.integers(0, 4) | st.integers(0, 400))
+        top = 3 * d // 2
+        near = st.sampled_from((d // 4, 7 * d // 8, d, 0, 1, 2, 3)).map(lambda k: min(k, top))
+        end = st.integers(0, top) | near.flatmap(
+            lambda k: st.integers(max(0, k - 1), min(top, k + 1))
+        )
+        lo, hi = sorted((draw(end), draw(end)))
+        return (d, lo), (0, 1), hi - lo + 1
+    d0 = draw(st.integers(0, 3) | st.integers(0, 300))  # along d, at one d0
+    least = -(-2 * d0 // 3)  # the least d with d0 <= 3d/2
+    near = st.sampled_from((4 * d0, 8 * d0 // 7, d0, 0, 1, 2, 3, 4)).map(lambda k: max(k, least))
+    end = st.integers(least, 4 * d0 + 40) | near.flatmap(
+        lambda k: st.integers(max(least, k - 1), k + 1)
+    )
+    lo, hi = sorted((draw(end), draw(end)))
+    return (lo, d0), (1, 0), hi - lo + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments())
+@example(((2000, 0), (0, 1), 3001))
+@example(((467, 700), (1, 0), 2534))
+@example(((0, 0), (1, 0), 40))
+def test_band_walk_matches_the_per_row_oracle(segment):
+    (d, d0), (sd, sd0), count = segment
+    expected = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
+    assert list(cli._segment_records(*segment)) == expected
+
+
+@pytest.mark.parametrize("band", [(0, 40, None), (2, 9, 3), (0, 12, 1), (5, 3, None), (0, 9, 14), (0, 4, -1)])
+def test_classify_records_match_the_per_row_walk(band):
+    assert list(cli._classify_records(*band)) == list(classify_rows(*band))
 
 
 # --- every command in every format ----------------------------------------------

@@ -26,6 +26,9 @@ BROKEN = [
      "deformation_feasible(BundleParams(4, 4))"),
     ("bundles", "canonical_class_F", "lambda params: DivisorClass(0, 0)",
      "relative_canonical_class(BundleParams(3, 2))"),
+    # One piece for a whole band: its rows are advanced across breakpoints.
+    ("cli", "row_pieces", "lambda start, step, count: [(0, count)]",
+     "list(_classify_records(8, 8, None))"),
 ]
 
 SCRIPT = """
