@@ -13,7 +13,8 @@ a record as indented JSON, as CSV (a flat `field,value` listing, or the rows
 that classify and monomials supply) or as the renderer's text.  Indented
 JSON comes from this module's own writer, `_json_text`, which writes the
 same bytes as the standard library's `json.dumps` with an indent of 2
-without falling back to that encoder's pure-Python path.
+without falling back to that encoder's pure-Python path; each container
+writes its str and int items in place, with no call per scalar.
 
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece (`singularities.row_pieces`): `classify_record` derives
@@ -141,8 +142,9 @@ def _json_text(value, indent: str = "\n") -> str:
     encoder writes with an indent of 2, for the types the record builders
     make: dict with str keys, list, str, int, bool and None; any other type
     raises TypeError.  Strings go through the library's C quoting and each
-    container is one join.  `indent` is the newline and indentation of the
-    line `value` starts on."""
+    container is one join; a container writes its str and int items in place
+    and recurses only for the others.  `indent` is the newline and
+    indentation of the line `value` starts on."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -152,16 +154,26 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join(
-            [_json_str(key) + ": " + _json_text(item, inner) for key, item in value.items()]
-        ) + indent + "}"
+        parts = []
+        for key, item in value.items():
+            parts += ",", inner, _json_str(key), ": ", (
+                _json_str(item) if (t := type(item)) is str
+                else int.__repr__(item) if t is int
+                else _json_text(item, inner)
+            )
+        parts[0] = "{"  # the first item's comma
+        parts += indent, "}"
+        return "".join(parts)
     if kind is list:
         if not value:
             return "[]"
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join(
-            [_json_text(item, inner) for item in value]
-        ) + indent + "]"
+        return "[" + inner + ("," + inner).join([
+            _json_str(item) if (t := type(item)) is str
+            else int.__repr__(item) if t is int
+            else _json_text(item, inner)
+            for item in value
+        ]) + indent + "]"
     if value is None:
         return "null"
     if kind is bool:
@@ -472,21 +484,26 @@ def _classify_text(records: Iterable[dict]) -> Iterable[str]:
 
 
 def _classify_csv_row(record: dict) -> list[str]:
-    k3 = record["K3"]
+    """A classify record's csv cells, the bytes `_scalar` writes, each
+    formatted by its field's type as `classify_record` sets it: ints (pg and
+    count may be None) as digits, the flags (bool or None) as true/false, and
+    None as "".  No cell is looked up by value, so 1 and True stay apart."""
+    k3, pg, count = record["K3"], record["pg"], record["count"]
+    ample, nef, noether, mds = record["K_ample"], record["K_nef"], record["noether"], record["mds"]
     return [
-        _scalar(record["d"]),
-        _scalar(record["d0"]),
-        _scalar(record["e"]),
-        _scalar(record["pg"]),
-        _scalar(k3["num"] if k3 else None),
-        _scalar(k3["den"] if k3 else None),
+        str(record["d"]),
+        str(record["d0"]),
+        str(record["e"]),
+        "" if pg is None else str(pg),
+        "" if k3 is None else str(k3["num"]),
+        "" if k3 is None else str(k3["den"]),
         record["class"],
-        _scalar(record["count"]),
-        _scalar(record["image"]),
-        _scalar(record["K_ample"]),
-        _scalar(record["K_nef"]),
-        _scalar(record["noether"]),
-        _scalar(record["mds"]),
+        "" if count is None else str(count),
+        record["image"] or "",
+        "" if ample is None else "true" if ample else "false",
+        "" if nef is None else "true" if nef else "false",
+        "" if noether is None else "true" if noether else "false",
+        "" if mds is None else "true" if mds else "false",
     ]
 
 

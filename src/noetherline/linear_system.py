@@ -67,13 +67,33 @@ class FibreMonomial:
         return self.a0 * d0 + self.a1 * (3 * d - d0) + (2 * self.a2 + 5 * self.a5) * d
 
     def label(self) -> str:
-        parts = []
-        for exp, name in ((self.a0, "x0"), (self.a1, "x1"), (self.a2, "y"), (self.a5, "z")):
-            if exp == 1:
-                parts.append(name)
-            elif exp > 1:
-                parts.append(f"{name}^{exp}")
-        return " ".join(parts) if parts else "1"
+        """The monomial as text, e.g. "x0^9 x1" or "1" for the empty one.
+
+        Each variable's part comes from its table of power strings ("" for
+        exponent 0, "x0 " for 1, "x0^2 " for 2, ...), which builds an entry
+        the first time its exponent is asked for and keeps it: one string per
+        distinct exponent, never one per monomial.  The four parts are joined
+        and the trailing space dropped."""
+        text = _X0[self.a0] + _X1[self.a1] + _Y[self.a2] + _Z[self.a5]
+        return text[:-1] or "1"
+
+
+class _Powers(dict):
+    """Power strings of one variable by exponent, each built when first asked for."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, exp: int) -> str:
+        name = self.name
+        text = self[exp] = "" if exp == 0 else f"{name} " if exp == 1 else f"{name}^{exp} "
+        return text
+
+
+_X0, _X1, _Y, _Z = map(_Powers, ("x0", "x1", "y", "z"))
 
 
 Z_SQUARED = FibreMonomial(0, 0, 0, 2)

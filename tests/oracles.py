@@ -1,6 +1,7 @@
 """Closed-form oracles that the library derives another way, the per-row
-walk that `classify` replaced by its piece-by-piece walk, and the parameter
-strategy of the property tests."""
+walk that `classify` replaced by its piece-by-piece walk, the join loop that
+monomial labels replaced by their tables, and the parameter strategy of the
+property tests."""
 
 from hypothesis import strategies as st
 
@@ -52,3 +53,14 @@ def classify_rows(d_min: int, d_max: int, d0: int | None):
             yield from (classify_record(BundleParams(d, k)) for k in range(0, 3 * d // 2 + 1))
         elif 0 <= d0 <= 3 * d // 2:
             yield classify_record(BundleParams(d, d0))
+
+
+def monomial_label(a0: int, a1: int, a2: int, a5: int) -> str:
+    """The label of x0^a0 x1^a1 y^a2 z^a5, built part by part and joined."""
+    parts = []
+    for exp, name in ((a0, "x0"), (a1, "x1"), (a2, "y"), (a5, "z")):
+        if exp == 1:
+            parts.append(name)
+        elif exp > 1:
+            parts.append(f"{name}^{exp}")
+    return " ".join(parts) if parts else "1"

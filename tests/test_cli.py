@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noetherline
-from noetherline import cli
+from noetherline import cli, linear_system
 from noetherline.cli import CSV_CLASSIFY_HEADER, classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
 from noetherline.singularities import SingularityKind, row_pieces
@@ -536,6 +536,11 @@ def _emitted_json(record) -> str:
 @example([True, 1, False, 0, None, {"1": True, "true": 1}])
 @example([[], {}, [[]], [{}], {"": {}, "a": [[], [{}]]}])
 @example({"\u00e9\"\\\x01": "\ud800\U0001f600\x7f", "": -(10**40)})
+# Scalars that a container writes in place beside those it recurses for.
+@example({"a": True, "b": None, "c": 0, "d": "x"})
+@example({"f": False, "n": -1, "big": 10**40, "s": ""})
+@example([True, 1, None, "y", -(10**40)])
+@example([False, 0, "", 2**63, {"k": 1}, ["z"]])
 def test_json_writer_matches_the_standard_library(value):
     assert _emitted_json(value) == json.dumps(value, indent=2) + "\n"
 
@@ -568,10 +573,21 @@ def test_json_of_fixed_records_matches_the_standard_library(capsys):
         assert _emitted_json(record) == json.dumps(record, indent=2) + "\n"
 
 
+class _Count(int):
+    """An int subclass that is not bool: a record never holds one."""
+
+
+class _Text(str):
+    """A str subclass: a record never holds one."""
+
+
 @pytest.mark.parametrize("value", [
     (1, 2), 1.5, Fraction(1, 2), SingularityKind.SMOOTH, ImageKind.CONE,
     {"a": [1, (2,)]}, [{"b": 0.0}], {"c": Fraction(3, 4)}, [SingularityKind.SMOOTH],
     {1: "one"}, {None: 0},
+    # Items a container would write in place if it tested types loosely.
+    {"k": SingularityKind.SMOOTH}, {"k": _Count(3)}, {"k": _Text("x")},
+    [_Count(0)], [_Text("")], [1, "a", ImageKind.CONE],
 ])
 def test_json_writer_rejects_types_no_record_holds(value):
     with pytest.raises(TypeError):
@@ -592,6 +608,25 @@ def test_monomials_degree_is_capped_before_enumerating(tmp_path, monkeypatch, ca
     code, out, _ = run_cli(capsys, "monomials", "300")
     assert code == 0 and calls == [300]
     assert out == "degree 300: 0 monomials, ring rank 44853\n"
+
+
+def test_monomials_record_enumerates_once_through_the_cache(monkeypatch):
+    # The monomials bench counts `enumerate_monomials` calls and reads its
+    # cache size; a listing that bypassed it or dropped the cache would
+    # leave those numbers meaningless.
+    assert callable(linear_system.enumerate_monomials.cache_info)
+    assert cli.enumerate_monomials is linear_system.enumerate_monomials
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return linear_system.enumerate_monomials(m)
+
+    monkeypatch.setattr(cli, "enumerate_monomials", counted)
+    for m in (0, 10, 84, 84):
+        record = cli.monomials_record(m)
+        assert record["count"] == len(linear_system.enumerate_monomials(m))
+    assert calls == [0, 10, 84, 84]
 
 
 def test_record_builders_are_looked_up_when_called(monkeypatch, capsys):

@@ -1,7 +1,9 @@
+from dataclasses import astuple
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from noetherline.invariants import canonical_ring_rank
 from noetherline.linear_system import (
@@ -17,7 +19,7 @@ from noetherline.linear_system import (
 )
 from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
 
-from oracles import bundle_params
+from oracles import bundle_params, monomial_label
 
 
 def brute_monomials(m):
@@ -37,6 +39,27 @@ def test_monomial_validation_and_labels():
     assert FibreMonomial(0, 0, 0, 0).label() == "1"
     assert Z_SQUARED.label() == "z^2"
     assert Y_FIFTH.degree == 10
+
+
+_EXPONENT = st.integers(0, 1000)
+
+
+@given(_EXPONENT, _EXPONENT, _EXPONENT, _EXPONENT)
+@example(0, 0, 0, 0)
+@example(1, 0, 0, 0)
+@example(2, 0, 0, 0)
+@example(0, 1, 0, 0)
+@example(0, 2, 0, 0)
+@example(0, 0, 1, 0)
+@example(0, 0, 2, 0)
+@example(0, 0, 0, 1)
+@example(0, 0, 0, 2)
+@example(*astuple(Z_SQUARED))
+@example(*astuple(Y_FIFTH))
+def test_label_matches_the_join_loop(a0, a1, a2, a5):
+    # Exponents run past the `monomials` cap of 300, which a library caller
+    # may exceed.
+    assert FibreMonomial(a0, a1, a2, a5).label() == monomial_label(a0, a1, a2, a5)
 
 
 def test_enumerate_degree_one_order():
