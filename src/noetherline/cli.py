@@ -27,9 +27,9 @@ columns.
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
 family has no member with canonical singularities).  `classify` takes
-0 <= d_min <= d_max <= 10000 and `monomials` 0 <= m <= 300 (a listing costs
-time and memory like m^3).  Arguments are checked before the output file is
-opened, so a usage error leaves no file behind.
+0 <= d_min <= d_max <= 10000 and --d0 >= 0, and `monomials` 0 <= m <= 300 (a
+listing costs time and memory like m^3).  Arguments are checked before the
+output file is opened, so a usage error leaves no file behind.
 When the reader of standard output goes away (``classify ... | head``),
 writing stops without a traceback and the exit code is the command's own
 (0 for classify).
@@ -663,6 +663,8 @@ def cmd_classify(args) -> tuple[int, Iterable[str]]:
     """The sweep's lines; csv and json rows are computed as they are read."""
     if not 0 <= args.d_min <= args.d_max <= 10000:
         raise ValueError("need 0 <= d_min <= d_max <= 10000")
+    if args.d0 is not None and args.d0 < 0:
+        raise ValueError("need d0 >= 0")
     records = args.build(args)
     if args.format == "json":  # one compact object per row
         return 0, (json.dumps(r) + "\n" for r in records)

@@ -1,10 +1,10 @@
 """Birational invariants, plurigenera, flips, and moduli bookkeeping.
 
-For every nonempty family the general member has p_g = 3d - 2, q1 = q2 = 0
-and K^3 = 4d - 6, so 3*K^3 = 4*p_g - 10 exactly: these threefolds sit on the
-Noether line.  The invariants here are never hard-coded: p_g is a section
-count of the restricted canonical class and K^3 an intersection product; the
-closed forms serve as oracles in the test suite.
+For every nonempty family with d >= 1 the general member has p_g = 3d - 2,
+q1 = q2 = 0 and K^3 = 4d - 6, so 3*K^3 = 4*p_g - 10: it sits on the Noether
+line (X(0;0), a product, has p_g = 0 and K^3 = -6 and does not).  Nothing is
+hard-coded: p_g counts sections of the restricted canonical class, K^3 is an
+intersection product, and the closed forms are oracles in the test suite.
 
 The canonical image is the Hirzebruch surface of degree e = 3d - 2*d0,
 embedded by |(d0 - 2) l + delta| once min(d, d0) >= 3; for d0 = 2 the image

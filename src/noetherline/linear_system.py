@@ -1,30 +1,30 @@
 """Fibre monomials and linear systems of the degree-ten family.
 
-A fibre monomial x0^a0 x1^a1 y^a2 z^a5 has weighted degree
-m = a0 + a1 + 2*a2 + 5*a5.  In a member of |m(H - d*F)| it appears with a
-coefficient that is a binary form in t0, t1 of degree w - m*d, where w is the
-monomial's base weight.  A negative coefficient degree forces the coefficient
-to vanish identically, so what a general member can contain is exactly the
-set of monomials with nonnegative coefficient degree.
+A fibre monomial x0^a0 x1^a1 y^a2 z^a5 of weighted degree m = a0 + a1 +
+2*a2 + 5*a5 appears in a member of |m(H - d*F)| with a coefficient that is a
+binary form in t0, t1 of degree (2*a1 - a0)*d + (a0 - a1)*d0, whatever a2 and
+a5 are (`toric.coefficient_form`).  A negative degree forces the coefficient
+to vanish identically, so a general member contains exactly the monomials of
+nonnegative coefficient degree.
 
 For the degree-ten family the equation is normalized: the coefficients of
 z^2 and y^5 are nonzero constants scaled to one, and completing the square in
 z removes every monomial divisible by z.  `normal_form_support` returns the
 surviving monomials.
 
-The surviving z-free monomials x0^a0 x1^a1 y^a2 are decided by integer
-linear forms: the coefficient degree of such a monomial is
-(3*a1 + 2*a2 - 10)*d + (a0 - a1)*d0.  `DEGREE_TEN_FORMS` holds these 35
-pairs, computed once at import, so the support of a row is a filter on the
-signs of integer forms (`support_pattern`).
+`DEGREE_TEN_FORMS` holds the forms of the 35 z-free monomials other than y^5,
+read once at import, so a row's support is a filter on their signs
+(`support_pattern`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 
-from .toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
+from .toric import BundleParams, CrossCheckError, SpecialCurve
+from .toric import coefficient_form, fibre_exponents, h0_class, member_class
 
 __all__ = [
     "FibreMonomial",
@@ -60,11 +60,6 @@ class FibreMonomial:
     def degree(self) -> int:
         """Weighted degree a0 + a1 + 2*a2 + 5*a5."""
         return self.a0 + self.a1 + 2 * self.a2 + 5 * self.a5
-
-    def base_weight(self, params: BundleParams) -> int:
-        """F-degree of the monomial: a0*d0 + a1*(3d - d0) + (2*a2 + 5*a5)*d."""
-        d, d0 = params.d, params.d0
-        return self.a0 * d0 + self.a1 * (3 * d - d0) + (2 * self.a2 + 5 * self.a5) * d
 
     def label(self) -> str:
         """The monomial as text, e.g. "x0^9 x1" or "1" for the empty one.
@@ -121,34 +116,27 @@ def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    out = []
-    for a5 in range(m // 5 + 1):
-        for a2 in range((m - 5 * a5) // 2 + 1):
-            rest = m - 5 * a5 - 2 * a2
-            for a1 in range(rest + 1):
-                out.append(FibreMonomial(rest - a1, a1, a2, a5))
-    return tuple(out)
+    return tuple(starmap(FibreMonomial, fibre_exponents(m)))
 
 
 def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
     """Degree of the coefficient of ``monomial`` in |m(H - d*F)|, m its degree."""
-    return monomial.base_weight(params) - monomial.degree * params.d
+    return coefficient_form(monomial.a0, monomial.a1, params.d, params.d0)
 
 
-def coefficient_profile(
-    params: BundleParams, m: int = 10
-) -> tuple[CoefficientEntry, ...]:
+def coefficient_profile(params: BundleParams, m: int = 10) -> tuple[CoefficientEntry, ...]:
     """Every degree-m monomial paired with its coefficient degree."""
+    d, d0 = params.d, params.d0
     return tuple(
-        CoefficientEntry(mono, coefficient_degree(mono, params))
+        CoefficientEntry(mono, coefficient_form(mono.a0, mono.a1, d, d0))
         for mono in enumerate_monomials(m)
     )
 
 
 #: The z-free degree-ten monomials other than y^5, in enumeration order, each
-#: with the pair (A, B) of its coefficient degree A*d + B*d0.
+#: with its coefficient degree A*d + B*d0 as (A, B), the form at (1, 0), (0, 1).
 DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
-    (mono, 3 * mono.a1 + 2 * mono.a2 - 10, mono.a0 - mono.a1)
+    (mono, coefficient_form(mono.a0, mono.a1, 1, 0), coefficient_form(mono.a0, mono.a1, 0, 1))
     for mono in enumerate_monomials(10)
     if mono.a5 == 0 and mono != Y_FIFTH
 )
@@ -201,13 +189,13 @@ def family_dimension(
     """Projective dimension of the degree-ten family.
 
     Sums the coefficient spaces over the profile and cross-checks against the
-    independent section count of the class 10(H - d*F).  ``profile``, if
-    given, is ``coefficient_profile(params)`` computed by the caller.
+    section count `h0_class` of 10(H - d*F), the same form summed its own way.
+    ``profile``, if given, is ``coefficient_profile(params)`` of the caller.
     """
     if profile is None:
         profile = coefficient_profile(params)
     total = sum(max(0, entry.degree + 1) for entry in profile)
-    sections = h0_class(DivisorClass(10, -10 * params.d), params)
+    sections = h0_class(member_class(params), params)
     if total != sections:
         raise CrossCheckError(f"{params.label()}: {total} coefficients, {sections} sections")
     return total - 1

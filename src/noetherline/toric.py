@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 __all__ = [
     "COORDINATES",
@@ -53,6 +53,8 @@ __all__ = [
     "is_nef",
     "is_ample",
     "curve_intersection",
+    "fibre_exponents",
+    "coefficient_form",
     "h0_class",
 ]
 
@@ -294,26 +296,33 @@ def curve_intersection(
     return quartic_intersection(c, factors[0], factors[1], factors[2], params)
 
 
+def fibre_exponents(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a0, a1, a2, a5) with a0 + a1 + 2*a2 + 5*a5 = m, ordered by (a5, a2, a1)."""
+    for a5 in range(m // 5 + 1):
+        for a2 in range((m - 5 * a5) // 2 + 1):
+            rest = m - 5 * a5 - 2 * a2
+            for a1 in range(rest + 1):
+                yield rest - a1, a1, a2, a5
+
+
+def coefficient_form(a0: int, a1: int, d: int, d0: int) -> int:
+    """Degree of the binary-form coefficient of x0^a0 x1^a1 y^a2 z^a5 in
+    |m(H - d*F)|, m its weighted degree, whatever a2 and a5 are: minus its
+    weight a0*(d - d0) + a1*(d0 - 2d) in the base row of `weight_matrix`."""
+    return (2 * a1 - a0) * d + (a0 - a1) * d0
+
+
 def h0_class(c: DivisorClass, params: BundleParams) -> int:
     """Number of global sections of O(a*H + b*F), by pushforward to the line.
 
-    Sections are monomials t0^c0 t1^c1 x0^a0 x1^a1 y^a2 z^a5 in the class; a
-    fibre monomial of x-degree a and base weight w contributes the
-    max(0, w + b + 1) choices of binary form in t0, t1.  This counts sections
-    of the pushed-forward split bundle exactly; it is not a general toric
-    cohomology routine.  Classes with a < 0 have no sections.
+    Each fibre monomial of weighted degree a, of `coefficient_form` k, brings
+    the max(0, k + a*d + b + 1) binary forms in t0, t1 of degree k + a*d + b;
+    there are none for a < 0.  Exact for the pushed-forward split bundle only.
     """
-    a, b = c.a, c.b
-    if a < 0:
-        return 0
     d, d0 = params.d, params.d0
+    shift = c.a * d + c.b + 1
     total = 0
-    for a5 in range(a // 5 + 1):
-        for a2 in range((a - 5 * a5) // 2 + 1):
-            rest = a - 5 * a5 - 2 * a2
-            for a1 in range(rest + 1):
-                a0 = rest - a1
-                w = a0 * d0 + a1 * (3 * d - d0) + (2 * a2 + 5 * a5) * d
-                if w + b >= 0:
-                    total += w + b + 1
+    for a0, a1, _, _ in fibre_exponents(c.a):
+        if (n := coefficient_form(a0, a1, d, d0) + shift) > 0:
+            total += n
     return total

@@ -6,6 +6,7 @@ property tests."""
 from hypothesis import strategies as st
 
 from noetherline.cli import classify_record
+from noetherline.linear_system import FibreMonomial
 from noetherline.singularities import SingularityClassification, SingularityKind
 from noetherline.toric import BundleParams
 
@@ -64,3 +65,10 @@ def monomial_label(a0: int, a1: int, a2: int, a5: int) -> str:
         elif exp > 1:
             parts.append(f"{name}^{exp}")
     return " ".join(parts) if parts else "1"
+
+
+def base_weight(mono: FibreMonomial, params: BundleParams) -> int:
+    """F-degree of the monomial, summed over its variables' divisor classes:
+    a0*d0 + a1*(3d - d0) + (2*a2 + 5*a5)*d."""
+    d, d0 = params.d, params.d0
+    return mono.a0 * d0 + mono.a1 * (3 * d - d0) + (2 * mono.a2 + 5 * mono.a5) * d

@@ -503,6 +503,7 @@ ERROR_LINES = {
     "moduli 5": "error: pg = 5 is not of the form 3d - 2 with d >= 3",
     "bundle -1 0 0": "error: genus must be nonnegative",
     "classify 5 3": "error: need 0 <= d_min <= d_max <= 10000",
+    "classify 0 3 --d0 -1": "error: need d0 >= 0",
     "monomials -1": "error: need 0 <= m <= 300",
 }
 

@@ -19,7 +19,7 @@ from noetherline.linear_system import (
 )
 from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
 
-from oracles import bundle_params, monomial_label
+from oracles import base_weight, bundle_params, monomial_label
 
 
 def brute_monomials(m):
@@ -103,6 +103,20 @@ def test_coefficient_degree_examples():
     for d in range(1, 15):
         for d0 in range(0, 3 * d // 2 + 1):
             assert coefficient_degree(x0_7_x1_3, BundleParams(d, d0)) == 4 * d0 - d
+
+
+_SMALL_EXPONENT = st.integers(0, 30)
+
+
+@given(bundle_params(), _SMALL_EXPONENT, _SMALL_EXPONENT, _SMALL_EXPONENT, _SMALL_EXPONENT)
+@example(BundleParams(8, 7), *astuple(Z_SQUARED))
+@example(BundleParams(40, 33), 3, 0, 1, 1)
+@example(BundleParams(0, 0), 0, 0, 0, 30)
+def test_coefficient_degree_is_base_weight_less_degree_times_d(params, a0, a1, a2, a5):
+    # The degree in |m(H - d*F)| is the monomial's F-degree less m*d, for
+    # monomials with z too, which the closed forms below skip.
+    mono = FibreMonomial(a0, a1, a2, a5)
+    assert coefficient_degree(mono, params) == base_weight(mono, params) - mono.degree * params.d
 
 
 def test_profile_closed_forms_agree():

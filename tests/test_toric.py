@@ -268,7 +268,14 @@ def test_h0_against_brute_lattice_count():
     for _ in range(60):
         d = rng.randint(0, 6)
         d0 = rng.randint(0, 3 * d // 2) if d else 0
-        a = rng.randint(-1, 6)
+        a = rng.randint(-1, 10)
         b = rng.randint(-15, 15)
         params = BundleParams(d, d0)
         assert h0_class(DivisorClass(a, b), params) == brute_h0(a, b, d, d0)
+    # The degree-ten section count, which `family_dimension` checks against a
+    # sum of the same coefficient form, including the edges d0 = 0 and 1.
+    for d in range(0, 7):
+        for d0 in (0, 1, d, 3 * d // 2):
+            if 2 * d0 <= 3 * d:
+                params = BundleParams(d, d0)
+                assert h0_class(member_class(params), params) == brute_h0(10, -10 * d, d, d0)
