@@ -17,12 +17,15 @@ without falling back to that encoder's pure-Python path; each container
 writes its str and int items in place, with no call per scalar.
 
 classify walks each line of its sweep (one d over d0, or the --d0 band over
-d) piece by piece (`singularities.row_pieces`): `classify_record` derives
-the first two rows and the last row of a piece, and the rows between are
-advanced from the first two; the advanced last row must equal the derived
-one.  classify streams its rows, one compact JSON object or CSV row as each
-is computed; its text table buffers the rows, as strings, to size the
-columns.
+d) piece by piece (`singularities.row_pieces`), and a `pieces.Piece` is the
+unit of its output: the first record with each int that changes marked, the
+row count and the column of values of each mark.  `classify_record` derives
+the first two rows and the last row of a piece; the last row as the writers
+write it must equal the derived one before any row of the piece is written.
+`pieces` writes each format from one `%` template per piece; csv and compact
+JSON stream a piece at a time, and the text table makes two passes over the
+pieces, the first keeping the pieces, not their rows, to size the columns,
+the second writing.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
@@ -44,8 +47,6 @@ import argparse
 import csv
 import functools
 import itertools
-import json
-import math
 import operator
 import os
 import sys
@@ -57,7 +58,6 @@ from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
 from .invariants import (
-    canonical_image,
     canonical_ring_rank,
     flip_analysis,
     invariants,
@@ -72,6 +72,7 @@ from .linear_system import (
     family_dimension,
     normal_form_support,
 )
+from .pieces import Piece, write_csv, write_json, write_text
 from .singularities import EmptyFamilyError, classify_general_member, row_pieces
 from .toric import (
     BundleParams,
@@ -87,12 +88,6 @@ from .toric import (
 )
 
 __all__ = ["main", "run"]
-
-CSV_CLASSIFY_HEADER = [
-    "d", "d0", "e", "pg", "K3_num", "K3_den", "class", "count",
-    "image", "K_ample", "K_nef", "noether", "mds",
-]
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -191,7 +186,7 @@ def _csv_lines(header: list[str], rows) -> Iterable[str]:
 def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     """The lines of a record: indented json, csv (a flat `field,value`
     listing, or the header and rows that `table` makes of the record) or the
-    text that `render` makes of it.  classify's rows are one record here."""
+    text that `render` makes of it."""
     if fmt == "json":
         return (_json_text(record), "\n")
     if fmt == "csv":
@@ -234,77 +229,33 @@ def classify_record(params: BundleParams) -> dict:
     return record
 
 
-def _advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
-    """Row i of a piece from its rows 0 and 1, the records of p0 and p1.  A
-    field the two rows share is constant; of the others, an int is affine,
-    K3 is affine over a common denominator and the image label is affine in
-    the image degree.  Any other field that changes raises CrossCheckError."""
-    ints, k3, image = [], None, None
-    for key, v0 in first.items():
-        v1 = second[key]
-        if v0 == v1:
-            continue
-        if type(v0) is int and type(v1) is int:
-            ints.append((key, v0, v1 - v0))
-        elif key == "K3" and v0 and v1:
-            den = math.lcm(v0["den"], v1["den"])
-            num = v0["num"] * (den // v0["den"])
-            k3 = (num, v1["num"] * (den // v1["den"]) - num, den)
-        elif key == "image" and v0 and v1:
-            img0, img1 = canonical_image(p0), canonical_image(p1)
-            if img0.kind is not img1.kind:
-                raise CrossCheckError(f"{p0.label()}, {p1.label()}: two image kinds in one piece")
-            image = (img0.kind.label, img0.e, img1.e - img0.e)
-        else:
-            raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
-
-    def row(i: int) -> dict:
-        record = first.copy()
-        for key, v0, step in ints:
-            record[key] = v0 + i * step
-        if k3:
-            num, step, den = k3
-            n = num + i * step
-            g = math.gcd(n, den)
-            record["K3"] = {"num": n // g, "den": den // g}
-        if image:
-            label, e, step = image
-            record["image"] = label(e + i * step)
-        return record
-
-    return row
-
-
 def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int):
-    """The records of the rows start + i*step, 0 <= i < count, piece by piece
-    (`row_pieces`).  `classify_record` derives the first two rows and the
-    last row of a piece; the rows between are advanced from the first two
-    and written only after the advanced last row equals the derived one."""
+    """The pieces of the rows start + i*step, 0 <= i < count (`row_pieces`).
+    `classify_record` derives the first two rows and the last row of a
+    piece; a piece is yielded only after its last row, read from the marks
+    and columns that the writers write, equals the derived one."""
     (d, d0), (sd, sd0) = start, step
     for lo, hi in row_pieces(start, step, count):
         p0 = BundleParams(d + lo * sd, d0 + lo * sd0)
         first = classify_record(p0)
-        yield first
         if hi - lo == 1:
+            yield Piece(first)
             continue
         p1 = BundleParams(p0.d + sd, p0.d0 + sd0)
-        second = classify_record(p1)
-        yield second
+        piece = Piece.from_rows(first, classify_record(p1), p0, p1, hi - lo)
         n = hi - lo - 1  # the index of the last row
         if n > 1:
-            row = _advance(first, second, p0, p1)
             last = classify_record(BundleParams(p0.d + n * sd, p0.d0 + n * sd0))
-            if row(n) != last:
+            if piece.row(n) != last:
                 raise CrossCheckError(
                     f"{p0.label()} to X({last['d']};{last['d0']}): the advanced "
                     "last row differs from the derived one"
                 )
-            yield from map(row, range(2, n))
-            yield last
+        yield piece
 
 
 def _classify_records(d_min: int, d_max: int, d0: int | None):
-    """The sweep's records in order: the band of each d over d0 or, with
+    """The sweep's pieces in order: the band of each d over d0 or, with
     --d0, the band of that d0 over d."""
     if d0 is None:
         for d in range(d_min, d_max + 1):
@@ -468,49 +419,6 @@ def nef_record(d: int, d0: int, a: int, b: int) -> dict:
 # text renderers, which yield lines, and csv tables; each reads only its
 # command's record
 
-def _classify_text(records: Iterable[dict]) -> Iterable[str]:
-    """The csv rows as an aligned table for people, line by line: K3 as p/q,
-    flags as yes/no, "-" where empty.  Every row sizes the columns."""
-    header = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
-              "K_ample", "K_nef", "noether", "mds"]
-    yesno = {"true": "yes", "false": "no", "": "-"}
-    rows = [header]
-    for d, d0, e, pg, num, den, kind, count, image, *flags in map(_classify_csv_row, records):
-        k3 = num if den == "1" else f"{num}/{den}" if den else "-"
-        rows.append([d, d0, e, kind, count or "-", pg or "-", k3, image or "-",
-                     *[yesno[f] for f in flags]])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return ("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
-
-
-def _classify_csv_row(record: dict) -> list[str]:
-    """A classify record's csv cells, the bytes `_scalar` writes, each
-    formatted by its field's type as `classify_record` sets it: ints (pg and
-    count may be None) as digits, the flags (bool or None) as true/false, and
-    None as "".  No cell is looked up by value, so 1 and True stay apart."""
-    k3, pg, count = record["K3"], record["pg"], record["count"]
-    ample, nef, noether, mds = record["K_ample"], record["K_nef"], record["noether"], record["mds"]
-    return [
-        str(record["d"]),
-        str(record["d0"]),
-        str(record["e"]),
-        "" if pg is None else str(pg),
-        "" if k3 is None else str(k3["num"]),
-        "" if k3 is None else str(k3["den"]),
-        record["class"],
-        "" if count is None else str(count),
-        record["image"] or "",
-        "" if ample is None else "true" if ample else "false",
-        "" if nef is None else "true" if nef else "false",
-        "" if noether is None else "true" if noether else "false",
-        "" if mds is None else "true" if mds else "false",
-    ]
-
-
-def _classify_table(records: Iterable[dict]):
-    return CSV_CLASSIFY_HEADER, map(_classify_csv_row, records)
-
-
 def _inspect_text(record: dict):
     p = record["params"]
     yield f"X({p['d']};{p['d0']})  e = {p['e']}\n"
@@ -633,8 +541,7 @@ def _nef_text(record: dict):
 # its `*_record` function up in the module's globals when it is called.
 COMMANDS = {
     "classify": ("classification sweep over (d, d0)", "d_min d_max",
-                 lambda a: _classify_records(a.d_min, a.d_max, a.d0),
-                 _classify_text, _classify_table),
+                 lambda a: _classify_records(a.d_min, a.d_max, a.d0), None, None),
     "inspect": ("full record of a single model", "d d0",
                 lambda a: inspect_record(BundleParams(a.d, a.d0)), _inspect_text, None),
     "flip": ("flip data for X(d;1), d in {2,3,4}", "d",
@@ -660,15 +567,13 @@ def cmd_record(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_classify(args) -> tuple[int, Iterable[str]]:
-    """The sweep's lines; csv and json rows are computed as they are read."""
+    """The sweep's lines, computed a piece at a time as they are read."""
     if not 0 <= args.d_min <= args.d_max <= 10000:
         raise ValueError("need 0 <= d_min <= d_max <= 10000")
     if args.d0 is not None and args.d0 < 0:
         raise ValueError("need d0 >= 0")
-    records = args.build(args)
-    if args.format == "json":  # one compact object per row
-        return 0, (json.dumps(r) + "\n" for r in records)
-    return 0, emit(args.format, records, args.render, args.table)
+    write = {"csv": write_csv, "json": write_json, "text": write_text}[args.format]
+    return 0, write(args.build(args))
 
 
 @functools.cache

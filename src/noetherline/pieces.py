@@ -1,0 +1,252 @@
+"""classify's rows a piece at a time.
+
+Along a line of its sweep, every field of a classify row is constant or
+affine on a piece of the line (`singularities.row_pieces`).  A `Piece` is
+such a run of rows: its first record with every int that changes replaced
+by a mark, its row count and the column of values of each mark.  Ints are
+affine; K3 is affine over a common denominator; an image label that
+changes is its kind's prefix and the row's e, the degree of a cone or
+Hirzebruch image.
+
+Each format writes a piece from one `%` template.  The encoder that writes a
+record (the csv module, `json.dumps`) encodes the piece's marked record
+once, and each mark becomes `%d`; each row is then one `%` over the ints
+that change, and a one-row piece, which has none, is its template.  K3 is
+reduced by a gcd per row only where its denominator can change.  The text
+table makes two passes over the pieces: the first sizes the columns, since
+an affine int is widest at one end of its piece, and keeps the pieces but
+no row text; the second writes the rows.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import json
+import math
+import operator
+from types import SimpleNamespace
+from typing import Iterable
+
+from .toric import BundleParams, CrossCheckError
+
+__all__ = ["CSV_CLASSIFY_HEADER", "Piece", "write_csv", "write_json", "write_text"]
+
+CSV_CLASSIFY_HEADER = [
+    "d", "d0", "e", "pg", "K3_num", "K3_den", "class", "count",
+    "image", "K_ample", "K_nef", "noether", "mds",
+]
+
+# A changing int in a piece's marked record: each writer encodes the marked
+# record once and turns the encoded mark into a `%d`.  No string a record
+# holds (a class, an image label) contains it, and no encoder treats it as
+# special: not NUL, which the csv writer of Python 3.10 takes for its unset
+# escapechar and refuses to write.
+_MARK = "\ue000"
+
+
+class Piece:
+    """`count` classify rows on which every field is constant or affine in
+    the row index i.  `marked` is the record of row 0 with each int that
+    changes from row to row replaced by `_MARK`; `columns` holds the values
+    of those ints, one sequence per mark, in the order of the marks.  A
+    column is named after its csv column: an int field, K3_num and, where
+    the reduced denominator changes too, K3_den, or image, whose values are
+    e's: an image label that changes is its kind's prefix and the row's e."""
+
+    __slots__ = ("marked", "columns", "count")
+
+    def __init__(self, record: dict, count: int = 1, columns: dict | None = None):
+        self.marked, self.count, self.columns = record, count, columns or {}
+
+    @classmethod
+    def from_rows(cls, first: dict, second: dict, p0: BundleParams, p1: BundleParams,
+                  count: int) -> Piece:
+        """The piece of `count` rows whose rows 0 and 1 are `first` and
+        `second`, the records of p0 and p1.  A field the two rows share is
+        constant; of the others, an int is affine, K3 is affine over a common
+        denominator, reduced by a gcd per row only where its denominator can
+        change, and the image label is its kind's prefix and the row's e.
+        Any other field that changes raises CrossCheckError."""
+        marked, columns = first.copy(), {}
+        for key, v0 in first.items():
+            v1 = second[key]
+            if v0 == v1:
+                continue
+            if type(v0) is int and type(v1) is int:
+                marked[key] = _MARK
+                columns[key] = range(v0, v0 + count * (v1 - v0), v1 - v0)
+            elif key == "K3" and v0 and v1:
+                den = math.lcm(v0["den"], v1["den"])
+                num = v0["num"] * (den // v0["den"])
+                step = v1["num"] * (den // v1["den"]) - num
+                if step % den:  # gcd(num + i*step, den) can change with i
+                    nums = range(num, num + count * step, step)
+                    gcds = list(map(math.gcd, nums, itertools.repeat(den)))
+                    columns["K3_num"] = list(map(operator.floordiv, nums, gcds))
+                    columns["K3_den"] = list(map(operator.floordiv, itertools.repeat(den), gcds))
+                    marked[key] = {"num": _MARK, "den": _MARK}
+                else:
+                    g = math.gcd(num, den)
+                    columns["K3_num"] = range(num // g, (num + count * step) // g, step // g)
+                    marked[key] = {"num": _MARK, "den": den // g}
+            elif key == "image" and v0 and v1:
+                e0, e1 = str(first["e"]), str(second["e"])
+                prefix = v0[: len(v0) - len(e0)]
+                if v0 != prefix + e0 or v1 != prefix + e1:
+                    raise CrossCheckError(f"{p0.label()}, {p1.label()}: the image label does not follow e")
+                marked[key] = prefix + _MARK
+                columns[key] = columns["e"]
+            else:
+                raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
+        return cls(marked, count, columns)
+
+    def row(self, i: int) -> dict:
+        """The record of row i as the writers write it: each mark of
+        `marked`, in order, replaced by its column's value at i."""
+        values = iter([column[i] for column in self.columns.values()])
+
+        def fill(value):
+            if type(value) is dict:
+                return {key: fill(v) for key, v in value.items()}
+            if value == _MARK:
+                return next(values)
+            if type(value) is str and _MARK in value:
+                return value.replace(_MARK, str(next(values)))
+            return value
+
+        return fill(self.marked)
+
+
+def _rows(template: str, columns) -> str:
+    """The text of a piece's rows: `template` % each row's values, one from
+    each of `columns`.  Rows of one piece differ in d or d0, so a piece
+    without a column is one row, and its template is that row's text."""
+    return "".join(map(template.__mod__, zip(*columns))) if columns else template % ()
+
+
+def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:
+    return [none if v is None else yes if v else no
+            for v in (record["K_ample"], record["K_nef"], record["noether"], record["mds"])]
+
+
+_JSON_MARK = json.dumps(_MARK)
+
+
+def write_json(pieces: Iterable[Piece]) -> Iterable[str]:
+    """One compact JSON object per row, as `json.dumps` writes the record: a
+    changing int is a bare `%d`, and the image label's degree one inside
+    its string."""
+    for piece in pieces:
+        template = (json.dumps(piece.marked).replace("%", "%%").replace(_JSON_MARK, "%d")
+                    .replace(_JSON_MARK[1:-1], "%d"))
+        yield _rows(template + "\n", piece.columns.values())
+
+
+_NO_K3 = {"num": None, "den": None}
+
+
+def _csv_cells(record: dict) -> list:
+    """A classify record's csv cells in column order: K3 as its numerator
+    and denominator, flags as true/false.  The csv writer writes an int as
+    `str` does and None as ""."""
+    k3 = record["K3"] or _NO_K3
+    return [
+        record["d"], record["d0"], record["e"], record["pg"], k3["num"], k3["den"],
+        record["class"], record["count"], record["image"], *_flags(record, "true", "false", ""),
+    ]
+
+
+def write_csv(pieces: Iterable[Piece]) -> Iterable[str]:
+    """The csv header, then the csv module's text of every row."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(CSV_CLASSIFY_HEADER)
+    for piece in pieces:
+        template = writer.writerow(_csv_cells(piece.marked)).replace("%", "%%").replace(_MARK, "%d")
+        columns = piece.columns
+        yield _rows(template, [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
+
+
+_TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
+                "K_ample", "K_nef", "noether", "mds"]
+
+# The text column of each of a piece's columns but K3_den.
+_TEXT_COLUMNS = {"d": 0, "d0": 1, "e": 2, "count": 4, "pg": 5, "K3_num": 6, "image": 7}
+
+
+def _k3_text(num, den) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _text_cells(record: dict) -> list[str]:
+    """A classify record's cells in the text table: K3 as p/q (p where
+    q = 1), flags as yes/no, "-" for None."""
+    k3, count, pg = record["K3"], record["count"], record["pg"]
+    return [
+        str(record["d"]), str(record["d0"]), str(record["e"]), record["class"],
+        "-" if count is None else str(count),
+        "-" if pg is None else str(pg),
+        "-" if k3 is None else _k3_text(k3["num"], k3["den"]),
+        record["image"] or "-",
+        *_flags(record, "yes", "no", "-"),
+    ]
+
+
+def _text_slots(piece: Piece) -> tuple[list[str], dict]:
+    """The text cells of a piece's marked record, and the values of each
+    changing cell by its column.  A changing cell is an int after a fixed
+    prefix and ends with its one mark, except a K3 fraction, which is
+    written whole: its values are its cells."""
+    marked, columns = piece.marked, piece.columns
+    cells = _text_cells(marked)
+    slots = {_TEXT_COLUMNS[key]: values for key, values in columns.items() if key != "K3_den"}
+    if 6 in slots and not _int_slot(cells[6]):
+        dens = columns.get("K3_den") or itertools.repeat(marked["K3"]["den"])
+        slots[6] = map(_k3_text, slots[6], dens)
+    return cells, slots
+
+
+def _int_slot(cell: str) -> bool:
+    """Whether a marked cell is an int after a fixed prefix."""
+    return cell.find(_MARK) == len(cell) - 1
+
+
+def _text_widths(cells: list[str], slots: dict) -> list[int]:
+    """The width of each cell over the rows of a piece.  An affine int is
+    widest at one end of the piece; a K3 fraction is measured row by row."""
+    widths = list(map(len, cells))
+    for j, values in slots.items():
+        if _int_slot(cells[j]):
+            widths[j] += max(len(str(values[0])), len(str(values[-1]))) - 1
+        else:
+            widths[j] = max(map(len, values))
+    return widths
+
+
+def _text_line(cells: list[str], widths: list[int]) -> str:
+    return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
+
+
+def _text_template(cells: list[str], widths: list[int], slots: dict) -> str:
+    """The `%` template of a piece's rows in the text table: `_text_line`
+    with a `%-Nd` after each int's prefix and a `%-Ns` for a K3 fraction."""
+    parts = [cell.ljust(width).replace("%", "%%") for cell, width in zip(cells, widths)]
+    for j in slots:
+        prefix = cells[j][:-1].replace("%", "%%")
+        parts[j] = f"{prefix}%-{widths[j] - len(cells[j]) + 1}d" if _int_slot(cells[j]) else f"%-{widths[j]}s"
+    # The last column is a flag, constant on a piece, so only its padding is
+    # stripped.
+    return "  ".join(parts).rstrip() + "\n"
+
+
+def write_text(pieces: Iterable[Piece]) -> Iterable[str]:
+    """The rows as an aligned table for people, in two passes over the
+    pieces: the first sizes the columns, the second writes the rows."""
+    pieces = list(pieces)
+    widths = list(map(len, _TEXT_HEADER))
+    for piece in pieces:
+        widths = list(map(max, widths, _text_widths(*_text_slots(piece))))
+    yield _text_line(_TEXT_HEADER, widths)
+    for piece in pieces:
+        cells, slots = _text_slots(piece)
+        yield _rows(_text_template(cells, widths, slots), slots.values())

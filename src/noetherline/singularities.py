@@ -23,7 +23,7 @@ by elementary inequalities in (d, d0), equivalently in (d, e):
 At a dissident point the local equation is z^2 + y^5 + t*x^3; the weighted
 blowup t -> t, x -> t^3 x', y -> t^2 y', z -> t^5 z' divides it exactly by
 t^10 and the chart z'^2 + y'^5 + x'^3 is a compound Du Val point, so the
-dissident points are canonical.  `crepant_chart_check` verifies that weight
+dissident points are canonical.  The test suite checks that weight
 bookkeeping.
 
 The classification is one derivation per model.  The local support is a
@@ -58,16 +58,12 @@ __all__ = [
     "LocalMonomial",
     "SingularityKind",
     "SingularityClassification",
-    "ChartMonomial",
-    "CrepantChartResult",
-    "DISSIDENT_CHART",
     "local_support_at_s0",
     "weight_below_one_exists",
     "duval_test",
     "classify_general_member",
     "ROW_FORMS",
     "row_pieces",
-    "crepant_chart_check",
 ]
 
 
@@ -275,58 +271,3 @@ def row_pieces(
             cuts.update(i for i in (-(value // slope), -value // slope + 1) if 0 < i < count)
     bounds = sorted(cuts)
     return list(zip(bounds, bounds[1:]))
-
-
-@dataclass(frozen=True, slots=True)
-class ChartMonomial:
-    """Exponents of t^a x^p y^q z^s in the blowup chart at a dissident point."""
-
-    t: int
-    x: int
-    y: int
-    z: int
-
-
-#: Weights of (t, x, y, z) under the substitution x -> t^3 x', y -> t^2 y',
-#: z -> t^5 z'.
-CHART_WEIGHTS = (1, 3, 2, 5)
-
-#: Support of the dissident-point equation z^2 + y^5 + t*x^3.
-DISSIDENT_CHART = frozenset(
-    {ChartMonomial(0, 0, 0, 2), ChartMonomial(0, 0, 5, 0), ChartMonomial(1, 3, 0, 0)}
-)
-
-
-@dataclass(frozen=True)
-class CrepantChartResult:
-    """Whether the blowup substitution divides the equation exactly by t^10."""
-
-    exact: bool
-    offenders: tuple[ChartMonomial, ...]
-
-    def __bool__(self) -> bool:
-        return self.exact
-
-
-def crepant_chart_check(
-    support: frozenset[ChartMonomial] | set[ChartMonomial],
-) -> CrepantChartResult:
-    """Check that every support monomial has total weight exactly ten.
-
-    Under (t, x, y, z) -> (1, 3, 2, 5) the monomials z^2, y^5 and t*x^3 all
-    have weight ten, so the substitution strips t^10 from the equation and
-    leaves z'^2 + y'^5 + x'^3.  Any monomial of a different weight is
-    reported as an offender and the check fails.
-    """
-    wt, wx, wy, wz = CHART_WEIGHTS
-    offenders = tuple(
-        sorted(
-            (
-                m
-                for m in support
-                if m.t * wt + m.x * wx + m.y * wy + m.z * wz != 10
-            ),
-            key=lambda m: (m.t, m.x, m.y, m.z),
-        )
-    )
-    return CrepantChartResult(not offenders, offenders)

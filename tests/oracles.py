@@ -1,14 +1,24 @@
 """Closed-form oracles that the library derives another way, the per-row
-walk that `classify` replaced by its piece-by-piece walk, the join loop that
-monomial labels replaced by their tables, and the parameter strategy of the
-property tests."""
+walk and the per-row writers that `classify` replaced by its pieces, the join
+loop that monomial labels replaced by their tables, the weight bookkeeping of
+the dissident-point chart, and the parameter strategy of the property
+tests."""
+
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from noetherline.cli import classify_record
+from noetherline.invariants import canonical_image
 from noetherline.linear_system import FibreMonomial
+from noetherline.pieces import CSV_CLASSIFY_HEADER
 from noetherline.singularities import SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams
+from noetherline.toric import BundleParams, CrossCheckError
 
 
 @st.composite
@@ -56,6 +66,133 @@ def classify_rows(d_min: int, d_max: int, d0: int | None):
             yield classify_record(BundleParams(d, d0))
 
 
+def advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
+    """Row i of a piece from its rows 0 and 1, the records of p0 and p1.  A
+    field the two rows share is constant; of the others, an int is affine,
+    K3 is affine over a common denominator and the image label is affine in
+    the image degree.  Any other field that changes raises CrossCheckError."""
+    ints, k3, image = [], None, None
+    for key, v0 in first.items():
+        v1 = second[key]
+        if v0 == v1:
+            continue
+        if type(v0) is int and type(v1) is int:
+            ints.append((key, v0, v1 - v0))
+        elif key == "K3" and v0 and v1:
+            den = math.lcm(v0["den"], v1["den"])
+            num = v0["num"] * (den // v0["den"])
+            k3 = (num, v1["num"] * (den // v1["den"]) - num, den)
+        elif key == "image" and v0 and v1:
+            img0, img1 = canonical_image(p0), canonical_image(p1)
+            if img0.kind is not img1.kind:
+                raise CrossCheckError(f"{p0.label()}, {p1.label()}: two image kinds in one piece")
+            image = (img0.kind.label, img0.e, img1.e - img0.e)
+        else:
+            raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
+
+    def row(i: int) -> dict:
+        record = first.copy()
+        for key, v0, step in ints:
+            record[key] = v0 + i * step
+        if k3:
+            num, step, den = k3
+            n = num + i * step
+            g = math.gcd(n, den)
+            record["K3"] = {"num": n // g, "den": den // g}
+        if image:
+            label, e, step = image
+            record["image"] = label(e + i * step)
+        return record
+
+    return row
+
+
+def piece_rows(pieces):
+    """The records of the rows of `pieces.Piece`s, each row on its own: the
+    piece's marked record with each changing int set from its column, K3
+    from its numerator's column and its denominator's column or constant
+    denominator, as they stand, and the image label its prefix and the
+    row's e."""
+    for piece in pieces:
+        marked, columns = piece.marked, piece.columns
+        for i in range(piece.count):
+            record = dict(marked)
+            for key in ("d", "d0", "e", "count", "pg"):
+                if key in columns:
+                    record[key] = columns[key][i]
+            if "K3_num" in columns:
+                den = columns["K3_den"][i] if "K3_den" in columns else marked["K3"]["den"]
+                record["K3"] = {"num": columns["K3_num"][i], "den": den}
+            if "image" in columns:
+                record["image"] = f"{marked['image'][:-1]}{record['e']}"
+            yield record
+
+
+def classify_csv_row(record: dict) -> list[str]:
+    """A classify record's csv cells, the bytes `_scalar` writes, each
+    formatted by its field's type as `classify_record` sets it: ints (pg and
+    count may be None) as digits, the flags (bool or None) as true/false, and
+    None as "".  No cell is looked up by value, so 1 and True stay apart."""
+    k3, pg, count = record["K3"], record["pg"], record["count"]
+    ample, nef, noether, mds = record["K_ample"], record["K_nef"], record["noether"], record["mds"]
+    return [
+        str(record["d"]),
+        str(record["d0"]),
+        str(record["e"]),
+        "" if pg is None else str(pg),
+        "" if k3 is None else str(k3["num"]),
+        "" if k3 is None else str(k3["den"]),
+        record["class"],
+        "" if count is None else str(count),
+        record["image"] or "",
+        "" if ample is None else "true" if ample else "false",
+        "" if nef is None else "true" if nef else "false",
+        "" if noether is None else "true" if noether else "false",
+        "" if mds is None else "true" if mds else "false",
+    ]
+
+
+def classify_text(records) -> list[str]:
+    """The csv rows as an aligned table for people, line by line: K3 as p/q,
+    flags as yes/no, "-" where empty.  Every row sizes the columns."""
+    header = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
+              "K_ample", "K_nef", "noether", "mds"]
+    yesno = {"true": "yes", "false": "no", "": "-"}
+    rows = [header]
+    for d, d0, e, pg, num, den, kind, count, image, *flags in map(classify_csv_row, records):
+        k3 = num if den == "1" else f"{num}/{den}" if den else "-"
+        rows.append([d, d0, e, kind, count or "-", pg or "-", k3, image or "-",
+                     *[yesno[f] for f in flags]])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows]
+
+
+def classify_output(fmt: str, records) -> str:
+    """What `classify` writes for these records, row by row: one
+    `json.dumps` per row, the csv module's rows, or the text table."""
+    if fmt == "json":
+        return "".join(json.dumps(record) + "\n" for record in records)
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_CLASSIFY_HEADER)
+        writer.writerows(map(classify_csv_row, records))
+        return out.getvalue()
+    return "".join(classify_text(records))
+
+
+def reid_plurigenus(k3, chi_o: int, m: int, basket=()) -> Fraction:
+    """Reid's plurigenus formula, m >= 2, for a threefold with canonical
+    singularities and nef and big K: m(m-1)(2m-1)/12 K^3 + (1-2m) chi(O),
+    plus, for each basket point 1/r(1,-1,b), the sum over j = 1..m-1 of
+    b_j(r - b_j)/(2r), b_j = jb mod r (M. Reid, "Young person's guide to
+    canonical singularities", 1987)."""
+    total = Fraction(m * (m - 1) * (2 * m - 1), 12) * k3 + (1 - 2 * m) * chi_o
+    for r, b in basket:
+        total += sum(Fraction(j * b % r * (r - j * b % r), 2 * r) for j in range(1, m))
+    return total
+
+
 def monomial_label(a0: int, a1: int, a2: int, a5: int) -> str:
     """The label of x0^a0 x1^a1 y^a2 z^a5, built part by part and joined."""
     parts = []
@@ -72,3 +209,58 @@ def base_weight(mono: FibreMonomial, params: BundleParams) -> int:
     a0*d0 + a1*(3d - d0) + (2*a2 + 5*a5)*d."""
     d, d0 = params.d, params.d0
     return mono.a0 * d0 + mono.a1 * (3 * d - d0) + (2 * mono.a2 + 5 * mono.a5) * d
+
+
+@dataclass(frozen=True, slots=True)
+class ChartMonomial:
+    """Exponents of t^a x^p y^q z^s in the blowup chart at a dissident point."""
+
+    t: int
+    x: int
+    y: int
+    z: int
+
+
+#: Weights of (t, x, y, z) under the substitution x -> t^3 x', y -> t^2 y',
+#: z -> t^5 z'.
+CHART_WEIGHTS = (1, 3, 2, 5)
+
+#: Support of the dissident-point equation z^2 + y^5 + t*x^3.
+DISSIDENT_CHART = frozenset(
+    {ChartMonomial(0, 0, 0, 2), ChartMonomial(0, 0, 5, 0), ChartMonomial(1, 3, 0, 0)}
+)
+
+
+@dataclass(frozen=True)
+class CrepantChartResult:
+    """Whether the blowup substitution divides the equation exactly by t^10."""
+
+    exact: bool
+    offenders: tuple[ChartMonomial, ...]
+
+    def __bool__(self) -> bool:
+        return self.exact
+
+
+def crepant_chart_check(
+    support: frozenset[ChartMonomial] | set[ChartMonomial],
+) -> CrepantChartResult:
+    """Check that every support monomial has total weight exactly ten.
+
+    Under (t, x, y, z) -> (1, 3, 2, 5) the monomials z^2, y^5 and t*x^3 all
+    have weight ten, so the substitution strips t^10 from the equation and
+    leaves z'^2 + y'^5 + x'^3.  Any monomial of a different weight is
+    reported as an offender and the check fails.
+    """
+    wt, wx, wy, wz = CHART_WEIGHTS
+    offenders = tuple(
+        sorted(
+            (
+                m
+                for m in support
+                if m.t * wt + m.x * wx + m.y * wy + m.z * wz != 10
+            ),
+            key=lambda m: (m.t, m.x, m.y, m.z),
+        )
+    )
+    return CrepantChartResult(not offenders, offenders)

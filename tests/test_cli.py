@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 
 import noetherline
 from noetherline import cli, linear_system
-from noetherline.cli import CSV_CLASSIFY_HEADER, classify_record, main
+from noetherline.cli import classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
+from noetherline.pieces import CSV_CLASSIFY_HEADER, Piece, write_csv, write_json, write_text
 from noetherline.singularities import SingularityKind, row_pieces
-from noetherline.toric import BundleParams
-from oracles import bundle_params, classify_rows
+from noetherline.toric import BundleParams, CrossCheckError
+from oracles import advance, bundle_params, classify_output, classify_rows, piece_rows
 
 # The package attribute `invariants` is the function of that name.
 invariants_module = importlib.import_module("noetherline.invariants")
@@ -367,12 +369,139 @@ def segments(draw):
 def test_band_walk_matches_the_per_row_oracle(segment):
     (d, d0), (sd, sd0), count = segment
     expected = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    assert list(cli._segment_records(*segment)) == expected
+    assert list(piece_rows(cli._segment_records(*segment))) == expected
 
 
 @pytest.mark.parametrize("band", [(0, 40, None), (2, 9, 3), (0, 12, 1), (5, 3, None), (0, 9, 14), (0, 4, -1)])
 def test_classify_records_match_the_per_row_walk(band):
-    assert list(cli._classify_records(*band)) == list(classify_rows(*band))
+    assert list(piece_rows(cli._classify_records(*band))) == list(classify_rows(*band))
+
+
+WRITERS = {"csv": write_csv, "json": write_json, "text": write_text}
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments())
+@example(((2000, 0), (0, 1), 3001))
+@example(((467, 700), (1, 0), 2534))
+@example(((0, 0), (1, 0), 40))
+@example(((9, 9), (0, 1), 5))
+def test_piece_writers_match_the_per_row_writers(segment):
+    (d, d0), (sd, sd0), count = segment
+    records = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
+    pieces = list(cli._segment_records(*segment))
+    for fmt, write in WRITERS.items():
+        assert "".join(write(pieces)) == classify_output(fmt, records), fmt
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+@pytest.mark.parametrize("band", ["0 40", "2 9 --d0 3", "0 12 --d0 1", "0 2", "40 40 --d0 35", "0 4 --d0 9"])
+def test_classify_output_matches_the_per_row_writers(capsys, fmt, band):
+    code, out, err = run_cli(capsys, "--format", fmt, "classify", *band.split())
+    d_min, d_max, *rest = map(int, band.replace("--d0", "").split())
+    assert (code, err) == (0, "")
+    assert out == classify_output(fmt, list(classify_rows(d_min, d_max, *rest or [None])))
+
+
+# Rows 0 and 1 of a piece with K3 replaced by (num0, den0) and (num1, den1):
+# one denominator throughout, a constant one above 1, and one that changes
+# with the row, with negative numerators too.
+K3_STEPS = [((2, 1), (6, 1)), ((1, 3), (4, 3)), ((1, 3), (5, 6)), ((-7, 2), (1, 3)), ((5, 4), (-1, 6))]
+
+
+@pytest.mark.parametrize("k3s", K3_STEPS)
+@pytest.mark.parametrize("start, count", [((20, 6), 25), ((20, 29), 1), ((20, 12), 2), ((9, 4), 10)])
+def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
+    """A piece whose K3 is a fraction is written as the per-row writers
+    write the rows that `advance` makes from its first two rows."""
+    p0 = BundleParams(*start)
+    p1 = BundleParams(p0.d, p0.d0 + 1)
+    first, second = classify_record(p0), classify_record(p1)
+    for record, (num, den) in zip((first, second), k3s):
+        record["K3"] = {"num": num, "den": den}
+    row = advance(first, second, p0, p1)
+    rows = [row(i) for i in range(count)]
+    piece = Piece.from_rows(first, second, p0, p1, count)
+    assert list(piece_rows([piece])) == rows
+    for fmt, write in WRITERS.items():
+        assert "".join(write([piece])) == classify_output(fmt, rows), fmt
+
+
+@pytest.mark.parametrize("band, start, step, count, earlier", [
+    ("7 9", (8, 0), (0, 1), 13, 11),  # a flag changes between the two pieces
+    ("0 12 --d0 12", (8, 12), (1, 0), 5, 0),  # only the advanced last row differs
+])
+def test_no_row_of_a_failing_piece_is_written(monkeypatch, tmp_path, band, start, step, count, earlier):
+    """The last two pieces of the segment from `start`, merged, fail their
+    cross-check: the rows before them are written, none of theirs."""
+    original = cli.row_pieces
+
+    def merged(start_, step_, count_):
+        pieces = original(start_, step_, count_)
+        if start_ == start:
+            pieces[-2:] = [(pieces[-2][0], pieces[-1][1])]
+        return pieces
+
+    monkeypatch.setattr(cli, "row_pieces", merged)
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError):
+        main(["--format", "csv", "--output", str(target), "classify", *band.split()])
+    lo = original(start, step, count)[-2][0]
+    d_min, d_max, *d0 = map(int, band.replace("--d0", "").split())
+    rows = list(classify_rows(d_min, d_max, *d0 or [None]))
+    assert target.read_text() == classify_output("csv", rows[: earlier + lo])
+
+
+def _last_off_by_one(column):
+    def spoil(piece):
+        if column in piece.columns:
+            values = list(piece.columns[column])
+            values[-1] += 1
+            piece.columns[column] = values
+    return spoil
+
+
+def _constant_den_doubled(piece):
+    k3 = piece.marked["K3"]
+    if type(k3) is dict and type(k3["den"]) is int:
+        piece.marked["K3"] = {**k3, "den": 2 * k3["den"]}
+
+
+# Along d0, d0, e, count and the image label change; along d, K3 too (its
+# denominator is 1 on every piece of these bands).
+@pytest.mark.parametrize("spoil, band", [
+    (_last_off_by_one("d0"), (0, 40, None)),
+    (_last_off_by_one("image"), (0, 40, None)),
+    (_last_off_by_one("K3_num"), (0, 300, 40)),
+    (_last_off_by_one("pg"), (0, 300, 40)),
+    (_constant_den_doubled, (0, 300, 40)),
+], ids=["d0", "image", "K3_num", "pg", "K3 den"])
+def test_the_cross_check_reads_what_the_writers_write(monkeypatch, spoil, band):
+    """A piece whose marks or columns are wrong at its last row fails its
+    cross-check: the check reads the values that the templates are filled
+    with, not a second advance of the piece's steps."""
+    original = Piece.from_rows
+
+    def spoiled(*args):
+        piece = original(*args)
+        spoil(piece)
+        return piece
+
+    monkeypatch.setattr(Piece, "from_rows", staticmethod(spoiled))
+    with pytest.raises(CrossCheckError):
+        list(cli._classify_records(*band))
+
+
+def test_text_table_keeps_no_row_text():
+    """The text table of a sweep holds its pieces, not its 67,951 rows: the
+    traced peak was 32.7 MiB when every row was kept as strings."""
+    tracemalloc.start()
+    try:
+        assert main(["--format", "text", "--output", os.devnull, "classify", "0", "300"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 # --- every command in every format ----------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noetherline.invariants import (
     ImageKind,
@@ -20,6 +22,7 @@ from noetherline.invariants import (
 )
 from noetherline.singularities import EmptyFamilyError
 from noetherline.toric import BundleParams, DivisorClass
+from oracles import reid_plurigenus
 
 
 def existing_params(d_max, min_dd0=0):
@@ -94,6 +97,36 @@ def test_plurigenus_examples():
     assert plurigenus(BundleParams(4, 1), 2) == 33
     for params in existing_params(15, min_dd0=1):
         assert plurigenus(params, 1) == invariants(params).pg
+
+
+@st.composite
+def nonempty_models(draw, d_max: int = 59) -> BundleParams:
+    """X(d;d0) with 1 <= d <= d_max and 4*d0 >= d, but X(1..4;1), where K is
+    not nef: so d >= 2 and d0 >= 2."""
+    d = draw(st.integers(2, d_max))
+    d0 = draw(st.integers(max(2, -(-d // 4)), 3 * d // 2))
+    return BundleParams(d, d0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonempty_models(), st.integers(2, 10))
+@example(BundleParams(2, 2), 2)
+@example(BundleParams(8, 2), 10)
+@example(BundleParams(59, 15), 10)
+@example(BundleParams(59, 88), 7)
+def test_plurigenus_matches_reids_formula(params, m):
+    inv = invariants(params)
+    assert plurigenus(params, m) == reid_plurigenus(inv.K3, inv.chi_O, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(2, 10))
+def test_flipped_plurigenus_matches_reids_orbifold_formula(d, m):
+    """After the flip of X(d;1), K is nef: the plurigenera of X(d;1) follow
+    Reid's formula with the flipped K^3 and the basket."""
+    rec = flip_analysis(d)
+    basket = [(q.r, q.b) for q in rec.basket]
+    assert plurigenus(BundleParams(d, 1), m) == reid_plurigenus(rec.K3_plus, rec.chi_O, m, basket)
 
 
 def test_plurigenus_range_and_existence():

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given
 
 from noetherline.singularities import (
-    DISSIDENT_CHART,
     DU_VAL_SYSTEMS,
-    ChartMonomial,
     LocalMonomial,
     SingularityClassification,
     SingularityKind,
     classify_general_member,
-    crepant_chart_check,
     duval_test,
     local_support_at_s0,
     weight_below_one_exists,
 )
 from noetherline.toric import BundleParams
 
-from oracles import bundle_params, classify_by_e
+from oracles import (
+    DISSIDENT_CHART,
+    ChartMonomial,
+    bundle_params,
+    classify_by_e,
+    crepant_chart_check,
+)
 
 Z2 = LocalMonomial(0, 0, 2)
 Y5 = LocalMonomial(0, 5, 0)
