@@ -21,11 +21,14 @@ d) piece by piece (`singularities.row_pieces`), and a `pieces.Piece` is the
 unit of its output: the first record with each int that changes marked, the
 row count and the column of values of each mark.  `classify_record` derives
 the first two rows and the last row of a piece; the last row as the writers
-write it must equal the derived one before any row of the piece is written.
-`pieces` writes each format from one `%` template per piece; csv and compact
-JSON stream a piece at a time, and the text table makes two passes over the
-pieces, the first keeping the pieces, not their rows, to size the columns,
-the second writing.
+write it must equal the derived one, and the order test must agree with
+4*d0 >= d on every support pattern the piece crosses, before any row of the
+piece is written.  A piece ends only where a field of its rows can change,
+so the 3001 rows of d = 2000 are 7 pieces and cost 15 derivations.
+`pieces` writes each format from one `%` template per piece, at most 256
+rows to a string; csv and compact JSON stream as the pieces are computed,
+and the text table makes two passes over the pieces, the first keeping the
+pieces, not their rows, to size the columns, the second writing.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
@@ -44,6 +47,7 @@ once, and every call gets a fresh namespace and its own diagnostics.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import itertools
@@ -73,7 +77,13 @@ from .linear_system import (
     normal_form_support,
 )
 from .pieces import Piece, write_csv, write_json, write_text
-from .singularities import EmptyFamilyError, classify_general_member, row_pieces
+from .singularities import (
+    EmptyFamilyError,
+    classify_general_member,
+    order_test,
+    row_pieces,
+    support_breaks,
+)
 from .toric import (
     BundleParams,
     CrossCheckError,
@@ -232,9 +242,13 @@ def classify_record(params: BundleParams) -> dict:
 def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int):
     """The pieces of the rows start + i*step, 0 <= i < count (`row_pieces`).
     `classify_record` derives the first two rows and the last row of a
-    piece; a piece is yielded only after its last row, read from the marks
-    and columns that the writers write, equals the derived one."""
+    piece, and `order_test` runs on the first row of every other support
+    pattern the piece crosses (`support_breaks`).  A piece is yielded only
+    after those checks pass and its last row, read from the marks and
+    columns that the writers write, equals the derived one."""
     (d, d0), (sd, sd0) = start, step
+    # A line of three rows or fewer is all anchors.
+    breaks = support_breaks(start, step, count) if count > 3 else []
     for lo, hi in row_pieces(start, step, count):
         p0 = BundleParams(d + lo * sd, d0 + lo * sd0)
         first = classify_record(p0)
@@ -251,6 +265,11 @@ def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int):
                     f"{p0.label()} to X({last['d']};{last['d0']}): the advanced "
                     "last row differs from the derived one"
                 )
+            # The patterns that start after row lo + 1, but for the one that
+            # holds on the last row.
+            inner = breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)]
+            for i in inner[:-1]:
+                order_test(BundleParams(d + i * sd, d0 + i * sd0))
         yield piece
 
 

@@ -11,8 +11,9 @@ Hirzebruch image.
 Each format writes a piece from one `%` template.  The encoder that writes a
 record (the csv module, `json.dumps`) encodes the piece's marked record
 once, and each mark becomes `%d`; each row is then one `%` over the ints
-that change, and a one-row piece, which has none, is its template.  K3 is
-reduced by a gcd per row only where its denominator can change.  The text
+that change, and a one-row piece, which has none, is its template.  A piece
+can be a whole line, so its rows are written in runs of at most `_RUN`.  K3
+is reduced by a gcd per row only where its denominator can change.  The text
 table makes two passes over the pieces: the first sizes the columns, since
 an affine int is widest at one end of its piece, and keeps the pieces but
 no row text; the second writes the rows.
@@ -118,11 +119,22 @@ class Piece:
         return fill(self.marked)
 
 
-def _rows(template: str, columns) -> str:
-    """The text of a piece's rows: `template` % each row's values, one from
-    each of `columns`.  Rows of one piece differ in d or d0, so a piece
-    without a column is one row, and its template is that row's text."""
-    return "".join(map(template.__mod__, zip(*columns))) if columns else template % ()
+# The most rows of a piece joined into one string: a piece can be a whole
+# line of thousands of rows.
+_RUN = 256
+
+
+def _rows(template: str, columns) -> Iterable[str]:
+    """The text of a piece's rows, a run of `_RUN` rows at a time:
+    `template` % each row's values, one from each of `columns`.  Rows of one
+    piece differ in d or d0, so a piece without a column is one row, and its
+    template is that row's text."""
+    if not columns:
+        yield template % ()
+        return
+    rows = map(template.__mod__, zip(*columns))
+    while run := "".join(itertools.islice(rows, _RUN)):
+        yield run
 
 
 def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:
@@ -140,7 +152,7 @@ def write_json(pieces: Iterable[Piece]) -> Iterable[str]:
     for piece in pieces:
         template = (json.dumps(piece.marked).replace("%", "%%").replace(_JSON_MARK, "%d")
                     .replace(_JSON_MARK[1:-1], "%d"))
-        yield _rows(template + "\n", piece.columns.values())
+        yield from _rows(template + "\n", piece.columns.values())
 
 
 _NO_K3 = {"num": None, "den": None}
@@ -164,7 +176,7 @@ def write_csv(pieces: Iterable[Piece]) -> Iterable[str]:
     for piece in pieces:
         template = writer.writerow(_csv_cells(piece.marked)).replace("%", "%%").replace(_MARK, "%d")
         columns = piece.columns
-        yield _rows(template, [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
+        yield from _rows(template, [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
 
 
 _TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
@@ -249,4 +261,4 @@ def write_text(pieces: Iterable[Piece]) -> Iterable[str]:
     yield _text_line(_TEXT_HEADER, widths)
     for piece in pieces:
         cells, slots = _text_slots(piece)
-        yield _rows(_text_template(cells, widths, slots), slots.values())
+        yield from _rows(_text_template(cells, widths, slots), slots.values())

@@ -30,16 +30,21 @@ The classification is one derivation per model.  The local support is a
 filter on the signs of the integer forms of `linear_system.DEGREE_TEN_FORMS`,
 and the support depends on the sign pattern alone, so `local_support_at_s0`
 returns one shared frozenset per pattern.  Existence is the weighted order
-test on that support, cross-checked against 4*d0 >= d; the remaining cases
-read the values of the forms 8*d0 - 7*d (of x0^9 x1) and 4*d0 - d (of
-x0^7 x1^3).
+test on that support, cross-checked against 4*d0 >= d (`order_test`); its
+verdict is a function of the pattern too, derived once and kept next to the
+support.  The remaining cases read the values of the forms 8*d0 - 7*d (of
+x0^9 x1) and 4*d0 - d (of x0^7 x1^3).
 
 Every field of a classify row (the classification above and the invariants
-of `invariants.invariants`) is fixed by the signs of the integer forms
-`ROW_FORMS`, and is constant or affine in (d, d0) where those signs are.
-Along a line of the plane, `row_pieces` cuts a run of rows at the zeros of
-these forms into pieces of one sign pattern, a zero being a piece of one
-row; a caller derives a few rows of each piece and advances the others.
+of `invariants.invariants`) reads the signs of a few integer forms: the class
+and its count read `CLASS_FORMS`, and the invariants, which a row has only
+where 4*d0 >= d, read `INVARIANT_FORMS`.  Each field is constant or affine in
+(d, d0) where those signs are.  Along a line of the plane, `row_pieces` cuts
+a run of rows at the zeros of these forms into pieces, a row where a form is
+zero being a piece of its own; a caller derives a few rows of each piece and
+advances the others.  The other support forms change no field, only the
+support: `support_breaks` gives the rows where the support pattern changes,
+so that the order test still runs on every pattern a piece crosses.
 """
 
 from __future__ import annotations
@@ -61,9 +66,12 @@ __all__ = [
     "local_support_at_s0",
     "weight_below_one_exists",
     "duval_test",
+    "order_test",
     "classify_general_member",
-    "ROW_FORMS",
+    "CLASS_FORMS",
+    "INVARIANT_FORMS",
     "row_pieces",
+    "support_breaks",
 ]
 
 
@@ -110,10 +118,11 @@ class LocalMonomial:
 _LOCAL_IMAGES = tuple(LocalMonomial(mono.a1, mono.a2, 0) for mono, _, _ in DEGREE_TEN_FORMS)
 _ALWAYS_PRESENT = (LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0))
 
-# The local support of each sign pattern met so far.  The forms vanish on
-# eight slopes d0/d in [0, 3/2], so the plane 0 <= d0 <= 3d/2 has at most 17
-# patterns: one per slope, one per gap between slopes, and d = d0 = 0.
-_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], frozenset[LocalMonomial]] = {}
+# The local support of each sign pattern met so far, with the verdict of the
+# order test on it.  The forms vanish on eight slopes d0/d in [0, 3/2], so the
+# plane 0 <= d0 <= 3d/2 has at most 17 patterns: one per slope, one per gap
+# between slopes, and d = d0 = 0.
+_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], tuple[frozenset[LocalMonomial], bool]] = {}
 
 
 def local_support_at_s0(params: BundleParams) -> frozenset[LocalMonomial]:
@@ -121,14 +130,14 @@ def local_support_at_s0(params: BundleParams) -> frozenset[LocalMonomial]:
 
     A global x0^a0 x1^a1 y^a2 of the normal-form support contributes x^a1 y^a2,
     z^2 and y^5 contribute themselves.  Rows with the same sign pattern share
-    one frozenset.
+    one frozenset once `order_test` has met the pattern.
     """
     pattern = support_pattern(params)
-    support = _SUPPORT_BY_PATTERN.get(pattern)
-    if support is None:
-        kept = (m for m, sign in zip(_LOCAL_IMAGES, pattern) if sign)
-        support = _SUPPORT_BY_PATTERN[pattern] = frozenset((*kept, *_ALWAYS_PRESENT))
-    return support
+    entry = _SUPPORT_BY_PATTERN.get(pattern)
+    if entry is not None:
+        return entry[0]
+    kept = (m for m, sign in zip(_LOCAL_IMAGES, pattern) if sign)
+    return frozenset((*kept, *_ALWAYS_PRESENT))
 
 
 def weight_below_one_exists(
@@ -207,24 +216,36 @@ class SingularityClassification:
         return f"canonical singularities along S0, {self.count} dissident points"
 
 
+def order_test(params: BundleParams) -> bool:
+    """Whether the family of params has a member with canonical singularities,
+    by the weighted order test on the local support: the (2,1,1)/4 system
+    with the weight 2 on z asks for a support monomial with x-plus-y order
+    below four.  The verdict is derived once per sign pattern and is
+    cross-checked against the closed form 4*d0 >= d at every call; a
+    disagreement raises `CrossCheckError`.
+    """
+    pattern = support_pattern(params)
+    entry = _SUPPORT_BY_PATTERN.get(pattern)
+    if entry is None:
+        support = local_support_at_s0(params)
+        entry = _SUPPORT_BY_PATTERN[pattern] = (
+            support, weight_below_one_exists(support, DU_VAL_SYSTEMS[2], _Z_GETS_TWO)
+        )
+    if entry[1] != (4 * params.d0 >= params.d):
+        raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")
+    return entry[1]
+
+
 def classify_general_member(params: BundleParams) -> SingularityClassification:
     """Classify the general member by the support analysis along S0.
 
-    Existence is the weighted order test on the local support: the (2,1,1)/4
-    system with the weight 2 on z asks for a support monomial with x-plus-y
-    order below four.  It is cross-checked against the closed form
-    4*d0 >= d, and a disagreement raises `CrossCheckError`.  The member is
-    smooth iff d0 >= d or 8*d0 - 7*d = 0; otherwise 8*d0 - 7*d > 0 counts its
-    terminal points and 4*d0 - d its dissident points.
+    Existence is `order_test`.  The member is smooth iff d0 >= d or
+    8*d0 - 7*d = 0; otherwise 8*d0 - 7*d > 0 counts its terminal points and
+    4*d0 - d its dissident points.
     """
-    d, d0 = params.d, params.d0
-    existent = weight_below_one_exists(
-        local_support_at_s0(params), DU_VAL_SYSTEMS[2], _Z_GETS_TWO
-    )
-    if existent != (4 * d0 >= d):
-        raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")
-    if not existent:
+    if not order_test(params):
         return SingularityClassification(SingularityKind.NOT_EXISTENT)
+    d, d0 = params.d, params.d0
     if d == 0:
         return SingularityClassification(SingularityKind.SMOOTH, product=True)
     terminal = 8 * d0 - 7 * d
@@ -235,12 +256,15 @@ def classify_general_member(params: BundleParams) -> SingularityClassification:
     return SingularityClassification(SingularityKind.CANONICAL_CURVE, count=4 * d0 - d)
 
 
-#: Each form A*d + B*d0 + C, as (A, B, C), whose sign a classify row reads.
-ROW_FORMS: tuple[tuple[int, int, int], ...] = (
-    # The support along S0, existence, the kind and its count.
-    *((a, b, 0) for _, a, b in DEGREE_TEN_FORMS),
-    # The sections x0 and x1 of K = H - 2F, which p_g counts.
-    (0, 1, -2),
+#: The forms A*d + B*d0 + C, as (A, B, C), whose signs fix a row's class and
+#: its count: 8*d0 - 7*d and 4*d0 - d.
+CLASS_FORMS: tuple[tuple[int, int, int], ...] = ((-7, 8, 0), (-1, 4, 0))
+
+#: The other forms whose signs a classify row reads, all of them through the
+#: invariants of an existent member, so only where 4*d0 >= d.
+INVARIANT_FORMS: tuple[tuple[int, int, int], ...] = (
+    # The sections x0 and x1 of K = H - 2F, which p_g counts (x0's, d0 - 2,
+    # is among the d0 - k below).
     (3, -1, -2),
     # d0 >= d: the member is smooth, and the Mori dream flag.
     (-1, 1, 0),
@@ -255,19 +279,52 @@ ROW_FORMS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def row_pieces(
-    start: tuple[int, int], step: tuple[int, int], count: int
-) -> list[tuple[int, int]]:
-    """The pieces of the rows start + i*step, 0 <= i < count, as index
-    ranges [lo, hi) in order: every form of `ROW_FORMS` has one sign on each
-    piece, and a row where a form is zero is a piece of its own."""
+def _zeros(forms, start: tuple[int, int], step: tuple[int, int], count: int) -> set[int]:
+    """The cuts 0 < i < count of the rows start + i*step at the zeros of
+    `forms`: a form that is zero on row i cuts at i and i + 1, one that is
+    zero between rows i - 1 and i cuts at i."""
     (d, d0), (sd, sd0) = start, step
-    cuts = {0, count}
-    for a, b, c in ROW_FORMS:
+    cuts = set()
+    for a, b, c in forms:
         slope = a * sd + b * sd0
         if slope:
             # The form is value + i*slope; it is zero at i = -value/slope.
             value = a * d + b * d0 + c
             cuts.update(i for i in (-(value // slope), -value // slope + 1) if 0 < i < count)
+    return cuts
+
+
+def row_pieces(
+    start: tuple[int, int], step: tuple[int, int], count: int
+) -> list[tuple[int, int]]:
+    """The pieces of the rows start + i*step, 0 <= i < count, as index
+    ranges [lo, hi) in order.  Each form of `CLASS_FORMS` has one sign on
+    each piece, and so has each form of `INVARIANT_FORMS` on each piece where
+    the member exists; a row where such a form is zero is a piece of its
+    own.  The support forms do not cut: `support_breaks` walks them."""
+    (d, d0), (sd, sd0) = start, step
+    existence, slope = 4 * d0 - d, 4 * sd0 - sd  # 4*d0 - d on row i: existence + i*slope
+    cuts = {0, count, *_zeros(CLASS_FORMS, start, step, count)}
+    cuts.update(
+        i for i in _zeros(INVARIANT_FORMS, start, step, count)
+        if existence + i * slope >= 0 or existence + (i - 1) * slope >= 0
+    )
     bounds = sorted(cuts)
     return list(zip(bounds, bounds[1:]))
+
+
+def support_breaks(start: tuple[int, int], step: tuple[int, int], count: int) -> list[int]:
+    """The rows 0 < i < count of the rows start + i*step where the sign
+    pattern of the support forms (`linear_system.support_pattern`) changes,
+    ascending."""
+    (d, d0), (sd, sd0) = start, step
+    breaks = set()
+    for _, a, b in DEGREE_TEN_FORMS:
+        slope = a * sd + b * sd0
+        if slope:
+            # The first row i on the other side of value + i*slope >= 0.
+            value = a * d + b * d0
+            i = -(value // slope) if slope > 0 else -value // slope + 1
+            if 0 < i < count:
+                breaks.add(i)
+    return sorted(breaks)

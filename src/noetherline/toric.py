@@ -48,7 +48,6 @@ __all__ = [
     "coordinate_divisor_class",
     "canonical_class_F",
     "member_class",
-    "tautological_class",
     "quartic_intersection",
     "is_nef",
     "is_ample",
@@ -217,11 +216,6 @@ def canonical_class_F(params: BundleParams) -> DivisorClass:
 def member_class(params: BundleParams) -> DivisorClass:
     """Class 10(H - d*F) of the degree-ten family of threefolds."""
     return DivisorClass(10, -10 * params.d)
-
-
-def tautological_class(params: BundleParams) -> DivisorClass:
-    """Class H - d*F of the tautological sheaf O(1) of the bundle."""
-    return DivisorClass(1, -params.d)
 
 
 def quartic_intersection(

@@ -1,8 +1,10 @@
 """Closed-form oracles that the library derives another way, the per-row
 walk and the per-row writers that `classify` replaced by its pieces, the join
 loop that monomial labels replaced by their tables, the weight bookkeeping of
-the dissident-point chart, and the parameter strategy of the property
-tests."""
+the dissident-point chart, the degree arithmetic of the toric model that no
+command reports (the Gorenstein degree data, the Noether-type inequality, the
+split presentation and the relative dualising sheaf), and the parameter
+strategy of the property tests."""
 
 import csv
 import io
@@ -13,12 +15,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.cli import classify_record
 from noetherline.invariants import canonical_image
 from noetherline.linear_system import FibreMonomial
 from noetherline.pieces import CSV_CLASSIFY_HEADER
 from noetherline.singularities import SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams, CrossCheckError
+from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix, canonical_class_F
 
 
 @st.composite
@@ -264,3 +267,105 @@ def crepant_chart_check(
         )
     )
     return CrepantChartResult(not offenders, offenders)
+
+
+# The degree arithmetic of the toric model that no command reports: the
+# library's classes and degrees, derived a second way.
+
+
+def tautological_class(params: BundleParams) -> DivisorClass:
+    """Class H - d*F of the tautological sheaf O(1) of the bundle."""
+    return DivisorClass(1, -params.d)
+
+
+def gorenstein_data(params: BundleParams) -> FibrationData:
+    """The degrees of the toric model: genus 0, deg E1 = 3d, deg E2 = 2d."""
+    return FibrationData(0, 3 * params.d, 2 * params.d, split_E1=(params.d0, 3 * params.d - params.d0))
+
+
+@dataclass(frozen=True)
+class NoetherCheck:
+    lhs: Fraction
+    rhs: Fraction
+    gap: Fraction
+    equality: bool
+
+
+def noether_check(data: FibrationData, pg: int, q1: int, q2: int) -> NoetherCheck:
+    """Evaluate both sides of the Noether-type inequality.
+
+    lhs is K^3 from the degree data, rhs = (4(pg - q2) - 10(1 - q1))/3.  The
+    supplied invariants must satisfy q1 = b and chi(omega_X) = pg - q2 + q1 - 1;
+    then lhs - rhs = N/6 identically and equality holds iff N = 0.
+    """
+    chi = chi_invariants(data)
+    if q1 != data.genus_b:
+        raise ValueError(f"q1 = {q1} must equal the base genus {data.genus_b}")
+    if pg - q2 + q1 - 1 != chi.chi_omega_X:
+        raise ValueError(
+            f"inconsistent invariants: pg - q2 + q1 - 1 = {pg - q2 + q1 - 1} "
+            f"but chi(omega_X) = {chi.chi_omega_X}"
+        )
+    rhs = Fraction(4 * (pg - q2) - 10 * (1 - q1), 3)
+    gap = chi.K3 - rhs
+    return NoetherCheck(chi.K3, rhs, gap, gap == 0)
+
+
+def split_bundle_weight_matrix(
+    d0: int, d1: int, d2: int, d5: int
+) -> WeightMatrix:
+    """Weight matrix of the bundle of a split algebra over the line.
+
+    The generators of weights (1, 1, 2, 5) twisted by degrees
+    (d0, d1, d2, d5) give base row (1, 1, -d0, -d1, -d2, -d5).  When
+    d1 = 3d - d0, d2 = 2d, d5 = 5d this presents the same bundle as the
+    normalized matrix: twisting by t = d (adding d times the fibre row)
+    recovers it.
+    """
+    return WeightMatrix((1, 1, -d0, -d1, -d2, -d5))
+
+
+def twist_degrees(
+    degrees: tuple[int, int, int, int], t: int
+) -> tuple[int, int, int, int]:
+    """Degrees of the generators after tensoring the algebra by O(t)."""
+    weights = (1, 1, 2, 5)
+    return tuple(deg + w * t for deg, w in zip(degrees, weights))
+
+
+@dataclass(frozen=True)
+class DualisingDegrees:
+    """Twists of the relative dualising sheaf: O(taut_twist) (x) pullback O(base_twist)."""
+
+    taut_twist: int
+    base_twist: int
+
+
+def relative_dualising_degree(
+    weights: tuple[int, ...], char_degrees: tuple[int, ...]
+) -> DualisingDegrees:
+    """Relative dualising sheaf of a weighted projective bundle.
+
+    For generator weights (a_1, ..., a_n) (listed with multiplicity) and
+    characteristic-sheaf summand degrees the sheaf is O(-sum a_i) twisted by
+    the pullback of a base line bundle of degree sum(char_degrees).
+    """
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    return DualisingDegrees(-sum(weights), sum(char_degrees))
+
+
+def relative_canonical_class(params: BundleParams) -> DivisorClass:
+    """Relative canonical class of the toric model, as a divisor class.
+
+    Computed from the normalized presentation with generator degrees
+    (d0 - d, 2d - d0, 0, 0): the tautological twist is -9 and the base twist
+    is d, giving -9(H - d*F) + d*F = (-9, 10d).  Must differ from the
+    absolute canonical class by the pullback of the base canonical class.
+    """
+    d, d0 = params.d, params.d0
+    dual = relative_dualising_degree((1, 1, 2, 5), (d0 - d, 2 * d - d0, 0, 0))
+    cls = DivisorClass(dual.taut_twist, -dual.taut_twist * d + dual.base_twist)
+    if cls != canonical_class_F(params) - DivisorClass(0, -2):
+        raise CrossCheckError(f"{params.label()}: K_X/P1 = {cls} is not K_X + 2F")
+    return cls

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import ceil
 
-from noetherline.bundles import FibrationData, chi_invariants, noether_check
+from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.invariants import (
     canonical_ring_rank,
     flip_analysis,
@@ -40,7 +40,7 @@ from noetherline.toric import (
     quartic_intersection,
 )
 
-from oracles import classify_by_e
+from oracles import classify_by_e, noether_check
 
 
 def _report(n, text):

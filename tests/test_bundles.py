@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from noetherline.bundles import (
-    FibrationData,
-    chi_invariants,
+from noetherline.bundles import FibrationData, chi_invariants
+from noetherline.invariants import invariants
+from noetherline.toric import BundleParams, DivisorClass, canonical_class_F, weight_matrix
+
+from oracles import (
     gorenstein_data,
     noether_check,
     relative_canonical_class,
@@ -12,8 +14,6 @@ from noetherline.bundles import (
     split_bundle_weight_matrix,
     twist_degrees,
 )
-from noetherline.invariants import invariants
-from noetherline.toric import BundleParams, DivisorClass, canonical_class_F, weight_matrix
 
 
 def test_n_invariant():

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noetherline
-from noetherline import cli, linear_system
+from noetherline import cli, linear_system, singularities
 from noetherline.cli import classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
+from noetherline.linear_system import support_pattern
 from noetherline.pieces import CSV_CLASSIFY_HEADER, Piece, write_csv, write_json, write_text
 from noetherline.singularities import SingularityKind, row_pieces
 from noetherline.toric import BundleParams, CrossCheckError
@@ -337,6 +339,24 @@ def test_classify_derives_each_piece_at_its_anchors_only(monkeypatch, capsys):
     assert 50 * len(anchors) < rows
 
 
+@pytest.mark.parametrize("band, budget", [("10 111", 1800), ("2000 2000", 20)])
+def test_classify_anchor_budget(monkeypatch, capsys, band, budget):
+    """The 9,333 rows of `classify 10 111` and the 3,001 of d = 2000 cost at
+    most `budget` derivations."""
+    calls = []
+    original = cli.classify_general_member
+
+    def counting(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(cli, "classify_general_member", counting)
+    monkeypatch.setattr(invariants_module, "classify_general_member", counting)
+    code, out, _ = run_cli(capsys, "--format", "csv", "classify", *band.split())
+    assert code == 0
+    assert len(calls) <= budget < len(out.splitlines()) - 1
+
+
 @st.composite
 def segments(draw):
     """(start, step, count) of a run of rows along d0 or along d, its ends
@@ -450,6 +470,26 @@ def test_no_row_of_a_failing_piece_is_written(monkeypatch, tmp_path, band, start
     d_min, d_max, *d0 = map(int, band.replace("--d0", "").split())
     rows = list(classify_rows(d_min, d_max, *d0 or [None]))
     assert target.read_text() == classify_output("csv", rows[: earlier + lo])
+
+
+def test_every_support_pattern_of_a_piece_gets_the_order_test(monkeypatch, tmp_path):
+    """The order test's verdict on a support pattern that only the inside of
+    a piece crosses, never one of its anchors, flipped: `CrossCheckError`,
+    and the rows before the piece are written, none of its own."""
+    d, row = 20, 10
+    count = 3 * d // 2 + 1
+    pieces = row_pieces((d, 0), (0, 1), count)
+    lo = next(lo for lo, hi in pieces if lo <= row < hi)
+    anchors = {k for a, b in pieces for k in (a, a + 1, b - 1) if a <= k < b}
+    pattern = support_pattern(BundleParams(d, row))
+    assert pattern not in {support_pattern(BundleParams(d, k)) for k in anchors}
+    assert 4 * row >= d  # so the flipped verdict says no member exists
+    before = classify_output("csv", list(classify_rows(d, d, None))[:lo])
+    monkeypatch.setattr(singularities, "_SUPPORT_BY_PATTERN", {pattern: (frozenset(), False)})
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError, match=re.escape(BundleParams(d, row).label())):
+        main(["--format", "csv", "--output", str(target), "classify", str(d), str(d)])
+    assert target.read_text() == before
 
 
 def _last_off_by_one(column):

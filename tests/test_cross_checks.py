@@ -10,9 +10,9 @@ import pytest
 
 import noetherline
 
-# One derivation of each cross-check replaced by a wrong one: (module,
-# attribute, replacement, call that must raise), the last two evaluated in the
-# module's namespace.
+# One derivation of each cross-check replaced by a wrong one: (module of the
+# package, or the test oracles, attribute, replacement, call that must raise),
+# the last two evaluated in the module's namespace.
 BROKEN = [
     ("singularities", "local_support_at_s0", "lambda params: frozenset()",
      "classify_general_member(BundleParams(8, 7))"),
@@ -24,17 +24,23 @@ BROKEN = [
      "flip_analysis(2)"),
     ("invariants", "coefficient_degree", "lambda mono, params: -1",
      "deformation_feasible(BundleParams(4, 4))"),
-    ("bundles", "canonical_class_F", "lambda params: DivisorClass(0, 0)",
+    ("oracles", "canonical_class_F", "lambda params: DivisorClass(0, 0)",
      "relative_canonical_class(BundleParams(3, 2))"),
     # One piece for a whole band: its rows are advanced across breakpoints.
     ("cli", "row_pieces", "lambda start, step, count: [(0, count)]",
      "list(_classify_records(8, 8, None))"),
+    # The order test's verdict on the pattern of X(20;10), which only the
+    # inside of the piece of rows 6 to 17 of d = 20 crosses, flipped.
+    ("singularities", "_SUPPORT_BY_PATTERN",
+     "{support_pattern(BundleParams(20, 10)): (frozenset(), False)}",
+     "list(__import__('noetherline.cli').cli._classify_records(20, 20, None))"),
 ]
 
 SCRIPT = """
 import importlib, sys
 from noetherline.toric import CrossCheckError
-module = importlib.import_module("noetherline." + sys.argv[1])
+name = sys.argv[1]
+module = importlib.import_module(name if name == "oracles" else "noetherline." + name)
 setattr(module, sys.argv[2], eval(sys.argv[3], vars(module)))
 try:
     eval(sys.argv[4], vars(module))
@@ -47,7 +53,8 @@ except CrossCheckError as exc:
     "module, attribute, replacement, call", BROKEN, ids=[f"{m}.{a}" for m, a, *_ in BROKEN]
 )
 def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
-    env = dict(os.environ, PYTHONPATH=str(Path(noetherline.__file__).parents[1]))
+    paths = (Path(noetherline.__file__).parents[1], Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     done = subprocess.run(
         [sys.executable, "-O", "-c", SCRIPT, module, attribute, replacement, call],
         env=env, capture_output=True, text=True, timeout=60,

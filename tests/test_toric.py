@@ -20,9 +20,10 @@ from noetherline.toric import (
     is_nef,
     member_class,
     quartic_intersection,
-    tautological_class,
     weight_matrix,
 )
+
+from oracles import tautological_class
 
 
 def valid_params(d_max):
