@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import csv
 import functools
 import itertools
 import operator
@@ -57,7 +56,6 @@ import sys
 import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from types import SimpleNamespace
 from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
@@ -76,7 +74,7 @@ from .linear_system import (
     family_dimension,
     normal_form_support,
 )
-from .pieces import Piece, write_csv, write_json, write_text
+from .pieces import Piece, csv_line, write_csv, write_json, write_text
 from .singularities import (
     EmptyFamilyError,
     classify_general_member,
@@ -186,13 +184,6 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} is not a JSON value of a record")
 
 
-def _csv_lines(header: list[str], rows) -> Iterable[str]:
-    """The csv module's text of the header and of each row, line by line."""
-    # `writerow` returns what the sink's `write` returns: here, the line.
-    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    return map(writer.writerow, itertools.chain((header,), rows))
-
-
 def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     """The lines of a record: indented json, csv (a flat `field,value`
     listing, or the header and rows that `table` makes of the record) or the
@@ -200,9 +191,8 @@ def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     if fmt == "json":
         return (_json_text(record), "\n")
     if fmt == "csv":
-        if table:
-            return _csv_lines(*table(record))
-        return _csv_lines(["field", "value"], _flatten("", record, []))
+        header, rows = table(record) if table else (["field", "value"], _flatten("", record, []))
+        return map(csv_line, itertools.chain((header,), rows))
     return render(record)
 
 
@@ -351,8 +341,7 @@ def inspect_record(params: BundleParams) -> dict:
         for m in normal_form_support(params)
     ]
     record["coefficient_profile"] = [
-        {"label": entry.monomial.label(), "degree": entry.degree}
-        for entry in profile
+        {"label": mono.label(), "degree": degree} for mono, degree in profile
     ]
     record["flip"] = flip_record(params.d) if params.d0 == 1 and params.d in (2, 3, 4) else None
     return record

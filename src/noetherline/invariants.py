@@ -48,7 +48,6 @@ __all__ = [
     "QuotientSingularity",
     "FlipRecord",
     "ModuliComponents",
-    "WpsHypersurface",
     "invariants",
     "plurigenus",
     "basket_normalize",
@@ -59,8 +58,6 @@ __all__ = [
     "moduli_components",
     "deformation_feasible",
     "canonical_ring_rank",
-    "weighted_monomial_count",
-    "wps_hypersurface_basics",
 ]
 
 _K = DivisorClass(1, -2)  # the canonical class of the member, restricted from H - 2F
@@ -404,35 +401,3 @@ def canonical_ring_rank(n: int) -> int:
         return n + 1
     return 3 + n * (n - 1) // 2
 
-
-def weighted_monomial_count(weights: tuple[int, ...], degree: int) -> int:
-    """Number of monomials of the given weighted degree; 0 for negative degree."""
-    if degree < 0:
-        return 0
-    counts = [1] + [0] * degree
-    for w in weights:
-        for n in range(w, degree + 1):
-            counts[n] += counts[n - w]
-    return counts[degree]
-
-
-@dataclass(frozen=True)
-class WpsHypersurface:
-    amplitude: int
-    pg: int
-
-
-def wps_hypersurface_basics(
-    weights: tuple[int, ...], total_degree: int
-) -> WpsHypersurface:
-    """Amplitude and geometric genus of a quasismooth weighted hypersurface.
-
-    The amplitude of the canonical class is N - sum(weights) for a degree-N
-    hypersurface; its sections are the monomials of that weighted degree.
-    """
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    if total_degree <= 0:
-        raise ValueError("total degree must be positive")
-    amplitude = total_degree - sum(weights)
-    return WpsHypersurface(amplitude, weighted_monomial_count(tuple(weights), amplitude))

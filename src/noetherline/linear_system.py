@@ -5,7 +5,8 @@ A fibre monomial x0^a0 x1^a1 y^a2 z^a5 of weighted degree m = a0 + a1 +
 binary form in t0, t1 of degree (2*a1 - a0)*d + (a0 - a1)*d0, whatever a2 and
 a5 are (`toric.coefficient_form`).  A negative degree forces the coefficient
 to vanish identically, so a general member contains exactly the monomials of
-nonnegative coefficient degree.
+nonnegative coefficient degree.  `coefficient_profile` lists the monomials of
+a degree as (monomial, coefficient degree) pairs.
 
 For the degree-ten family the equation is normalized: the coefficients of
 z^2 and y^5 are nonzero constants scaled to one, and completing the square in
@@ -28,7 +29,6 @@ from .toric import coefficient_form, fibre_exponents, h0_class, member_class
 
 __all__ = [
     "FibreMonomial",
-    "CoefficientEntry",
     "BaseLocus",
     "Z_SQUARED",
     "Y_FIFTH",
@@ -95,18 +95,6 @@ Z_SQUARED = FibreMonomial(0, 0, 0, 2)
 Y_FIFTH = FibreMonomial(0, 0, 5, 0)
 
 
-@dataclass(frozen=True)
-class CoefficientEntry:
-    """A monomial together with the degree of its binary-form coefficient.
-
-    Negative degree means the coefficient vanishes identically, so the
-    monomial is absent from every member of the system.
-    """
-
-    monomial: FibreMonomial
-    degree: int
-
-
 @lru_cache(maxsize=None)
 def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     """All fibre monomials of weighted degree m, ordered by (a5, a2, a1).
@@ -124,13 +112,15 @@ def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
     return coefficient_form(monomial.a0, monomial.a1, params.d, params.d0)
 
 
-def coefficient_profile(params: BundleParams, m: int = 10) -> tuple[CoefficientEntry, ...]:
-    """Every degree-m monomial paired with its coefficient degree."""
+def coefficient_profile(
+    params: BundleParams, m: int = 10
+) -> tuple[tuple[FibreMonomial, int], ...]:
+    """Every degree-m monomial paired with its coefficient degree, as
+    (monomial, degree) in enumeration order."""
     d, d0 = params.d, params.d0
-    return tuple(
-        CoefficientEntry(mono, coefficient_form(mono.a0, mono.a1, d, d0))
-        for mono in enumerate_monomials(m)
-    )
+    return tuple([
+        (mono, coefficient_form(mono.a0, mono.a1, d, d0)) for mono in enumerate_monomials(m)
+    ])
 
 
 #: The z-free degree-ten monomials other than y^5, in enumeration order, each
@@ -184,7 +174,7 @@ def base_locus(params: BundleParams) -> BaseLocus:
 
 
 def family_dimension(
-    params: BundleParams, profile: tuple[CoefficientEntry, ...] | None = None
+    params: BundleParams, profile: tuple[tuple[FibreMonomial, int], ...] | None = None
 ) -> int:
     """Projective dimension of the degree-ten family.
 
@@ -194,7 +184,7 @@ def family_dimension(
     """
     if profile is None:
         profile = coefficient_profile(params)
-    total = sum(max(0, entry.degree + 1) for entry in profile)
+    total = sum(max(0, degree + 1) for _, degree in profile)
     sections = h0_class(member_class(params), params)
     if total != sections:
         raise CrossCheckError(f"{params.label()}: {total} coefficients, {sections} sections")

@@ -4,19 +4,20 @@ Along a line of its sweep, every field of a classify row is constant or
 affine on a piece of the line (`singularities.row_pieces`).  A `Piece` is
 such a run of rows: its first record with every int that changes replaced
 by a mark, its row count and the column of values of each mark.  Ints are
-affine; K3 is affine over a common denominator; an image label that
-changes is its kind's prefix and the row's e, the degree of a cone or
-Hirzebruch image.
+affine, K3 among them: every member lies on the Noether line, where
+K3 = 4d - 6, so a fractional K3 that changes within a piece fails its
+cross-check.  An image label that changes is its kind's prefix and the
+row's e, the degree of a cone or Hirzebruch image.
 
 Each format writes a piece from one `%` template.  The encoder that writes a
 record (the csv module, `json.dumps`) encodes the piece's marked record
 once, and each mark becomes `%d`; each row is then one `%` over the ints
 that change, and a one-row piece, which has none, is its template.  A piece
-can be a whole line, so its rows are written in runs of at most `_RUN`.  K3
-is reduced by a gcd per row only where its denominator can change.  The text
-table makes two passes over the pieces: the first sizes the columns, since
-an affine int is widest at one end of its piece, and keeps the pieces but
-no row text; the second writes the rows.
+can be a whole line, so its rows are written in runs of at most `_RUN`.  The
+text table makes two passes over the pieces: the first sizes the columns,
+since every changing cell is an affine int after a fixed prefix and so is
+widest at one end of its piece, and keeps the pieces but no row text; the
+second writes the rows.
 """
 
 from __future__ import annotations
@@ -24,19 +25,21 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
-import operator
 from types import SimpleNamespace
 from typing import Iterable
 
 from .toric import BundleParams, CrossCheckError
 
-__all__ = ["CSV_CLASSIFY_HEADER", "Piece", "write_csv", "write_json", "write_text"]
+__all__ = ["CSV_CLASSIFY_HEADER", "Piece", "csv_line", "write_csv", "write_json", "write_text"]
 
 CSV_CLASSIFY_HEADER = [
     "d", "d0", "e", "pg", "K3_num", "K3_den", "class", "count",
     "image", "K_ample", "K_nef", "noether", "mds",
 ]
+
+#: The csv module's text of one row.  `writerow` returns what the sink's
+#: `write` returns: here, the line.
+csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 # A changing int in a piece's marked record: each writer encodes the marked
 # record once and turns the encoded mark into a `%d`.  No string a record
@@ -51,9 +54,9 @@ class Piece:
     the row index i.  `marked` is the record of row 0 with each int that
     changes from row to row replaced by `_MARK`; `columns` holds the values
     of those ints, one sequence per mark, in the order of the marks.  A
-    column is named after its csv column: an int field, K3_num and, where
-    the reduced denominator changes too, K3_den, or image, whose values are
-    e's: an image label that changes is its kind's prefix and the row's e."""
+    column is named after its csv column: an int field, K3_num, or image,
+    whose values are e's: an image label that changes is its kind's prefix
+    and the row's e."""
 
     __slots__ = ("marked", "columns", "count")
 
@@ -65,10 +68,10 @@ class Piece:
                   count: int) -> Piece:
         """The piece of `count` rows whose rows 0 and 1 are `first` and
         `second`, the records of p0 and p1.  A field the two rows share is
-        constant; of the others, an int is affine, K3 is affine over a common
-        denominator, reduced by a gcd per row only where its denominator can
-        change, and the image label is its kind's prefix and the row's e.
-        Any other field that changes raises CrossCheckError."""
+        constant; of the others, an int is affine, K3 with denominator 1 on
+        both rows is an affine numerator, and the image label is its kind's
+        prefix and the row's e.  Any other field that changes raises
+        CrossCheckError."""
         marked, columns = first.copy(), {}
         for key, v0 in first.items():
             v1 = second[key]
@@ -77,20 +80,10 @@ class Piece:
             if type(v0) is int and type(v1) is int:
                 marked[key] = _MARK
                 columns[key] = range(v0, v0 + count * (v1 - v0), v1 - v0)
-            elif key == "K3" and v0 and v1:
-                den = math.lcm(v0["den"], v1["den"])
-                num = v0["num"] * (den // v0["den"])
-                step = v1["num"] * (den // v1["den"]) - num
-                if step % den:  # gcd(num + i*step, den) can change with i
-                    nums = range(num, num + count * step, step)
-                    gcds = list(map(math.gcd, nums, itertools.repeat(den)))
-                    columns["K3_num"] = list(map(operator.floordiv, nums, gcds))
-                    columns["K3_den"] = list(map(operator.floordiv, itertools.repeat(den), gcds))
-                    marked[key] = {"num": _MARK, "den": _MARK}
-                else:
-                    g = math.gcd(num, den)
-                    columns["K3_num"] = range(num // g, (num + count * step) // g, step // g)
-                    marked[key] = {"num": _MARK, "den": den // g}
+            elif key == "K3" and v0 and v1 and v0["den"] == v1["den"] == 1:
+                num, step = v0["num"], v1["num"] - v0["num"]
+                marked[key] = {"num": _MARK, "den": 1}
+                columns["K3_num"] = range(num, num + count * step, step)
             elif key == "image" and v0 and v1:
                 e0, e1 = str(first["e"]), str(second["e"])
                 prefix = v0[: len(v0) - len(e0)]
@@ -171,10 +164,9 @@ def _csv_cells(record: dict) -> list:
 
 def write_csv(pieces: Iterable[Piece]) -> Iterable[str]:
     """The csv header, then the csv module's text of every row."""
-    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    yield writer.writerow(CSV_CLASSIFY_HEADER)
+    yield csv_line(CSV_CLASSIFY_HEADER)
     for piece in pieces:
-        template = writer.writerow(_csv_cells(piece.marked)).replace("%", "%%").replace(_MARK, "%d")
+        template = csv_line(_csv_cells(piece.marked)).replace("%", "%%").replace(_MARK, "%d")
         columns = piece.columns
         yield from _rows(template, [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
 
@@ -182,7 +174,7 @@ def write_csv(pieces: Iterable[Piece]) -> Iterable[str]:
 _TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
                 "K_ample", "K_nef", "noether", "mds"]
 
-# The text column of each of a piece's columns but K3_den.
+# The text column of each of a piece's columns.
 _TEXT_COLUMNS = {"d": 0, "d0": 1, "e": 2, "count": 4, "pg": 5, "K3_num": 6, "image": 7}
 
 
@@ -206,32 +198,17 @@ def _text_cells(record: dict) -> list[str]:
 
 def _text_slots(piece: Piece) -> tuple[list[str], dict]:
     """The text cells of a piece's marked record, and the values of each
-    changing cell by its column.  A changing cell is an int after a fixed
-    prefix and ends with its one mark, except a K3 fraction, which is
-    written whole: its values are its cells."""
-    marked, columns = piece.marked, piece.columns
-    cells = _text_cells(marked)
-    slots = {_TEXT_COLUMNS[key]: values for key, values in columns.items() if key != "K3_den"}
-    if 6 in slots and not _int_slot(cells[6]):
-        dens = columns.get("K3_den") or itertools.repeat(marked["K3"]["den"])
-        slots[6] = map(_k3_text, slots[6], dens)
-    return cells, slots
-
-
-def _int_slot(cell: str) -> bool:
-    """Whether a marked cell is an int after a fixed prefix."""
-    return cell.find(_MARK) == len(cell) - 1
+    changing cell by its text column.  A changing cell is an int after a
+    fixed prefix: it ends with its one mark."""
+    return _text_cells(piece.marked), {_TEXT_COLUMNS[k]: v for k, v in piece.columns.items()}
 
 
 def _text_widths(cells: list[str], slots: dict) -> list[int]:
-    """The width of each cell over the rows of a piece.  An affine int is
-    widest at one end of the piece; a K3 fraction is measured row by row."""
+    """The width of each cell over the rows of a piece: an affine int is
+    widest at one end of the piece."""
     widths = list(map(len, cells))
     for j, values in slots.items():
-        if _int_slot(cells[j]):
-            widths[j] += max(len(str(values[0])), len(str(values[-1]))) - 1
-        else:
-            widths[j] = max(map(len, values))
+        widths[j] += max(len(str(values[0])), len(str(values[-1]))) - 1
     return widths
 
 
@@ -241,11 +218,11 @@ def _text_line(cells: list[str], widths: list[int]) -> str:
 
 def _text_template(cells: list[str], widths: list[int], slots: dict) -> str:
     """The `%` template of a piece's rows in the text table: `_text_line`
-    with a `%-Nd` after each int's prefix and a `%-Ns` for a K3 fraction."""
+    with a `%-Nd` after each int's prefix."""
     parts = [cell.ljust(width).replace("%", "%%") for cell, width in zip(cells, widths)]
     for j in slots:
         prefix = cells[j][:-1].replace("%", "%%")
-        parts[j] = f"{prefix}%-{widths[j] - len(cells[j]) + 1}d" if _int_slot(cells[j]) else f"%-{widths[j]}s"
+        parts[j] = f"{prefix}%-{widths[j] - len(cells[j]) + 1}d"
     # The last column is a flag, constant on a piece, so only its padding is
     # stripped.
     return "  ".join(parts).rstrip() + "\n"

@@ -5,12 +5,14 @@ fibre coordinates x = x1/x0, y = y/x0^2, z = z/x0^5, and its equation has
 local monomial support obtained from the global normal-form support (a global
 x0^a0 x1^a1 y^a2 contributes x^a1 y^a2).
 
-Whether a surface germ is a rational double point is decided by a weighted
-order test: for each of the four weight systems (1,1,0)/2, (1,1,1)/3,
-(2,1,1)/4, (3,2,1)/6 and every assignment of the three weights to the local
-coordinates, the equation must contain a monomial of weight below one.
-Applied along S0 this yields a complete classification of the general member
-by elementary inequalities in (d, d0), equivalently in (d, e):
+Whether the family has a member with canonical singularities is decided
+by one weighted order test along S0: under the (2,1,1)/4 system with the
+weight 2 on z, the equation must contain a monomial of weight below one,
+that is x^p y^q z^s with p + q + 2*s < 4.  (The full test of the four
+systems (1,1,0)/2, (1,1,1)/3, (2,1,1)/4, (3,2,1)/6 under every assignment of
+their weights is an oracle of the test suite.)  With the values of two
+coefficient forms this yields a complete classification of the general
+member by elementary inequalities in (d, d0), equivalently in (d, e):
 
 * the family has a member with canonical singularities iff 4*d0 >= d
   (iff 2*e <= 5*d);
@@ -51,21 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 from .linear_system import DEGREE_TEN_FORMS, support_pattern
 from .toric import BundleParams, CrossCheckError
 
 __all__ = [
     "EmptyFamilyError",
-    "WeightSystem",
-    "DU_VAL_SYSTEMS",
     "LocalMonomial",
     "SingularityKind",
     "SingularityClassification",
     "local_support_at_s0",
-    "weight_below_one_exists",
-    "duval_test",
     "order_test",
     "classify_general_member",
     "CLASS_FORMS",
@@ -77,26 +74,6 @@ __all__ = [
 
 class EmptyFamilyError(ValueError):
     """No member of the family has canonical singularities (4*d0 < d)."""
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Rational weights weights/r on three local coordinates."""
-
-    r: int
-    weights: tuple[int, int, int]
-
-
-DU_VAL_SYSTEMS = (
-    WeightSystem(2, (1, 1, 0)),
-    WeightSystem(3, (1, 1, 1)),
-    WeightSystem(4, (2, 1, 1)),
-    WeightSystem(6, (3, 2, 1)),
-)
-
-# Assignment carrying the weight 2 of the (2,1,1)/4 system onto z; the order
-# test for this single case decides whether the family is nonempty.
-_Z_GETS_TWO = (1, 2, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +96,12 @@ _LOCAL_IMAGES = tuple(LocalMonomial(mono.a1, mono.a2, 0) for mono, _, _ in DEGRE
 _ALWAYS_PRESENT = (LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0))
 
 # The local support of each sign pattern met so far, with the verdict of the
-# order test on it.  The forms vanish on eight slopes d0/d in [0, 3/2], so the
-# plane 0 <= d0 <= 3d/2 has at most 17 patterns: one per slope, one per gap
-# between slopes, and d = d0 = 0.
+# order test on it.  The plane 0 <= d0 <= 3d/2 has exactly 8 patterns, one
+# per gap that the slopes d0/d in {0, 1/4, 1/2, 2/3, 3/4, 5/6, 7/8, 1}, where
+# forms vanish, leave in [0, 3/2]: every form zero on such a ray is positive
+# above it and the test is >= 0, so a ray has the pattern of the gap above
+# it, and the origin's all-true pattern is that of d <= d0 <= 3d/2, where
+# every form is nonnegative.
 _SUPPORT_BY_PATTERN: dict[tuple[bool, ...], tuple[frozenset[LocalMonomial], bool]] = {}
 
 
@@ -138,37 +118,6 @@ def local_support_at_s0(params: BundleParams) -> frozenset[LocalMonomial]:
         return entry[0]
     kept = (m for m, sign in zip(_LOCAL_IMAGES, pattern) if sign)
     return frozenset((*kept, *_ALWAYS_PRESENT))
-
-
-def weight_below_one_exists(
-    support: frozenset[LocalMonomial] | set[LocalMonomial],
-    system: WeightSystem,
-    assignment: tuple[int, int, int],
-) -> bool:
-    """Does some support monomial have weight < 1 under the assigned weights?
-
-    ``assignment[k]`` is the index of the weight carried by the k-th local
-    coordinate (x, y, z).  The comparison is exact: weight < 1 iff the
-    integer weighted order is below the denominator r.
-    """
-    w = system.weights
-    wx, wy, wz = w[assignment[0]], w[assignment[1]], w[assignment[2]]
-    return any(m.x * wx + m.y * wy + m.z * wz < system.r for m in support)
-
-
-def duval_test(support: frozenset[LocalMonomial] | set[LocalMonomial]) -> bool:
-    """Monomial-support criterion for a rational double point.
-
-    True iff for each of the four weight systems and each of the six
-    assignments of its weights to (x, y, z) some support monomial has weight
-    below one.  This is the sufficiency direction of the weighted order test,
-    evaluated on the given coordinates only.
-    """
-    return all(
-        weight_below_one_exists(support, system, assignment)
-        for system in DU_VAL_SYSTEMS
-        for assignment in permutations((0, 1, 2))
-    )
 
 
 class SingularityKind(str, Enum):
@@ -219,8 +168,8 @@ class SingularityClassification:
 def order_test(params: BundleParams) -> bool:
     """Whether the family of params has a member with canonical singularities,
     by the weighted order test on the local support: the (2,1,1)/4 system
-    with the weight 2 on z asks for a support monomial with x-plus-y order
-    below four.  The verdict is derived once per sign pattern and is
+    with the weight 2 on z asks for a support monomial x^p y^q z^s with
+    p + q + 2*s below four.  The verdict is derived once per sign pattern and is
     cross-checked against the closed form 4*d0 >= d at every call; a
     disagreement raises `CrossCheckError`.
     """
@@ -229,7 +178,7 @@ def order_test(params: BundleParams) -> bool:
     if entry is None:
         support = local_support_at_s0(params)
         entry = _SUPPORT_BY_PATTERN[pattern] = (
-            support, weight_below_one_exists(support, DU_VAL_SYSTEMS[2], _Z_GETS_TWO)
+            support, any(m.x + m.y + 2 * m.z < 4 for m in support)
         )
     if entry[1] != (4 * params.d0 >= params.d):
         raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")

@@ -46,7 +46,6 @@ __all__ = [
     "SpecialCurve",
     "weight_matrix",
     "coordinate_divisor_class",
-    "canonical_class_F",
     "member_class",
     "quartic_intersection",
     "is_nef",
@@ -167,16 +166,6 @@ class WeightMatrix:
         i = self.labels.index(label)
         return (self.base_row[i], self.fibre_row[i])
 
-    def twist(self, t: int) -> "WeightMatrix":
-        """Re-present the bundle after twisting its algebra by O(-t) on the base.
-
-        Adds t times the fibre row to the base row; the underlying variety is
-        unchanged.
-        """
-        return WeightMatrix(
-            tuple(b + t * w for b, w in zip(self.base_row, self.fibre_row))
-        )
-
 
 def weight_matrix(params: BundleParams) -> WeightMatrix:
     """The normalized weight matrix of the bundle selected by ``params``."""
@@ -203,14 +192,6 @@ def coordinate_divisor_class(coord: str, params: BundleParams) -> DivisorClass:
         return table[coord]
     except KeyError:
         raise ValueError(f"unknown coordinate label {coord!r}") from None
-
-
-def canonical_class_F(params: BundleParams) -> DivisorClass:
-    """Canonical class of the ambient bundle: -9H + (10d - 2)F.
-
-    Equals minus the sum of the six coordinate divisor classes.
-    """
-    return DivisorClass(-9, 10 * params.d - 2)
 
 
 def member_class(params: BundleParams) -> DivisorClass:

@@ -1,9 +1,12 @@
 """Closed-form oracles that the library derives another way, the per-row
 walk and the per-row writers that `classify` replaced by its pieces, the join
-loop that monomial labels replaced by their tables, the weight bookkeeping of
-the dissident-point chart, the degree arithmetic of the toric model that no
-command reports (the Gorenstein degree data, the Noether-type inequality, the
-split presentation and the relative dualising sheaf), and the parameter
+loop that monomial labels replaced by their tables, the full weighted order
+test of the four Du Val weight systems (the library runs the one system that
+decides existence), the weight bookkeeping of the dissident-point chart, the
+degree arithmetic of the toric model that no command reports (the canonical
+class of the bundle, its twists, the Gorenstein degree data, the Noether-type
+inequality, the split presentation and the relative dualising sheaf), the
+monomial count and genus of a weighted hypersurface, and the parameter
 strategy of the property tests."""
 
 import csv
@@ -12,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import strategies as st
 
@@ -20,8 +24,8 @@ from noetherline.cli import classify_record
 from noetherline.invariants import canonical_image
 from noetherline.linear_system import FibreMonomial
 from noetherline.pieces import CSV_CLASSIFY_HEADER
-from noetherline.singularities import SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix, canonical_class_F
+from noetherline.singularities import LocalMonomial, SingularityClassification, SingularityKind
+from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix
 
 
 @st.composite
@@ -113,9 +117,8 @@ def advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
 def piece_rows(pieces):
     """The records of the rows of `pieces.Piece`s, each row on its own: the
     piece's marked record with each changing int set from its column, K3
-    from its numerator's column and its denominator's column or constant
-    denominator, as they stand, and the image label its prefix and the
-    row's e."""
+    from its numerator's column over the marked denominator, as they stand,
+    and the image label its prefix and the row's e."""
     for piece in pieces:
         marked, columns = piece.marked, piece.columns
         for i in range(piece.count):
@@ -124,8 +127,7 @@ def piece_rows(pieces):
                 if key in columns:
                     record[key] = columns[key][i]
             if "K3_num" in columns:
-                den = columns["K3_den"][i] if "K3_den" in columns else marked["K3"]["den"]
-                record["K3"] = {"num": columns["K3_num"][i], "den": den}
+                record["K3"] = {"num": columns["K3_num"][i], "den": marked["K3"]["den"]}
             if "image" in columns:
                 record["image"] = f"{marked['image'][:-1]}{record['e']}"
             yield record
@@ -214,6 +216,58 @@ def base_weight(mono: FibreMonomial, params: BundleParams) -> int:
     return mono.a0 * d0 + mono.a1 * (3 * d - d0) + (2 * mono.a2 + 5 * mono.a5) * d
 
 
+@dataclass(frozen=True)
+class WeightSystem:
+    """Rational weights weights/r on three local coordinates."""
+
+    r: int
+    weights: tuple[int, int, int]
+
+
+DU_VAL_SYSTEMS = (
+    WeightSystem(2, (1, 1, 0)),
+    WeightSystem(3, (1, 1, 1)),
+    WeightSystem(4, (2, 1, 1)),
+    WeightSystem(6, (3, 2, 1)),
+)
+
+# Assignment carrying the weight 2 of the (2,1,1)/4 system onto z; the order
+# test for this single case decides whether the family is nonempty
+# (`singularities.order_test`).
+Z_GETS_TWO = (1, 2, 0)
+
+
+def weight_below_one_exists(
+    support: frozenset[LocalMonomial] | set[LocalMonomial],
+    system: WeightSystem,
+    assignment: tuple[int, int, int],
+) -> bool:
+    """Does some support monomial have weight < 1 under the assigned weights?
+
+    ``assignment[k]`` is the index of the weight carried by the k-th local
+    coordinate (x, y, z).  The comparison is exact: weight < 1 iff the
+    integer weighted order is below the denominator r.
+    """
+    w = system.weights
+    wx, wy, wz = w[assignment[0]], w[assignment[1]], w[assignment[2]]
+    return any(m.x * wx + m.y * wy + m.z * wz < system.r for m in support)
+
+
+def duval_test(support: frozenset[LocalMonomial] | set[LocalMonomial]) -> bool:
+    """Monomial-support criterion for a rational double point.
+
+    True iff for each of the four weight systems and each of the six
+    assignments of its weights to (x, y, z) some support monomial has weight
+    below one.  This is the sufficiency direction of the weighted order test,
+    evaluated on the given coordinates only.
+    """
+    return all(
+        weight_below_one_exists(support, system, assignment)
+        for system in DU_VAL_SYSTEMS
+        for assignment in permutations((0, 1, 2))
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ChartMonomial:
     """Exponents of t^a x^p y^q z^s in the blowup chart at a dissident point."""
@@ -271,6 +325,23 @@ def crepant_chart_check(
 
 # The degree arithmetic of the toric model that no command reports: the
 # library's classes and degrees, derived a second way.
+
+
+def canonical_class_F(params: BundleParams) -> DivisorClass:
+    """Canonical class of the ambient bundle: -9H + (10d - 2)F.
+
+    Equals minus the sum of the six coordinate divisor classes.
+    """
+    return DivisorClass(-9, 10 * params.d - 2)
+
+
+def twist(matrix: WeightMatrix, t: int) -> WeightMatrix:
+    """Re-present the bundle after twisting its algebra by O(-t) on the base.
+
+    Adds t times the fibre row to the base row; the underlying variety is
+    unchanged.
+    """
+    return WeightMatrix(tuple(b + t * w for b, w in zip(matrix.base_row, matrix.fibre_row)))
 
 
 def tautological_class(params: BundleParams) -> DivisorClass:
@@ -369,3 +440,36 @@ def relative_canonical_class(params: BundleParams) -> DivisorClass:
     if cls != canonical_class_F(params) - DivisorClass(0, -2):
         raise CrossCheckError(f"{params.label()}: K_X/P1 = {cls} is not K_X + 2F")
     return cls
+
+
+def weighted_monomial_count(weights: tuple[int, ...], degree: int) -> int:
+    """Number of monomials of the given weighted degree; 0 for negative degree."""
+    if degree < 0:
+        return 0
+    counts = [1] + [0] * degree
+    for w in weights:
+        for n in range(w, degree + 1):
+            counts[n] += counts[n - w]
+    return counts[degree]
+
+
+@dataclass(frozen=True)
+class WpsHypersurface:
+    amplitude: int
+    pg: int
+
+
+def wps_hypersurface_basics(
+    weights: tuple[int, ...], total_degree: int
+) -> WpsHypersurface:
+    """Amplitude and geometric genus of a quasismooth weighted hypersurface.
+
+    The amplitude of the canonical class is N - sum(weights) for a degree-N
+    hypersurface; its sections are the monomials of that weighted degree.
+    """
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    if total_degree <= 0:
+        raise ValueError("total degree must be positive")
+    amplitude = total_degree - sum(weights)
+    return WpsHypersurface(amplitude, weighted_monomial_count(tuple(weights), amplitude))

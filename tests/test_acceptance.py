@@ -23,13 +23,10 @@ from noetherline.invariants import (
 )
 from noetherline.linear_system import enumerate_monomials
 from noetherline.singularities import (
-    DU_VAL_SYSTEMS,
     LocalMonomial,
     SingularityKind,
     classify_general_member,
-    duval_test,
     local_support_at_s0,
-    weight_below_one_exists,
 )
 from noetherline.toric import (
     BundleParams,
@@ -40,7 +37,14 @@ from noetherline.toric import (
     quartic_intersection,
 )
 
-from oracles import classify_by_e, noether_check
+from oracles import (
+    DU_VAL_SYSTEMS,
+    Z_GETS_TWO,
+    classify_by_e,
+    duval_test,
+    noether_check,
+    weight_below_one_exists,
+)
 
 
 def _report(n, text):
@@ -147,13 +151,12 @@ def test_criterion_6_du_val_weight_test():
     assert duval_test({z2, y5, x3})
     assert not duval_test({z2, y5})
 
-    z_gets_two = (1, 2, 0)
     cases = 0
     for d in range(0, 201):
         for d0 in range(0, 3 * d // 2 + 1):
             params = BundleParams(d, d0)
             derived = weight_below_one_exists(
-                local_support_at_s0(params), DU_VAL_SYSTEMS[2], z_gets_two
+                local_support_at_s0(params), DU_VAL_SYSTEMS[2], Z_GETS_TWO
             )
             assert derived == (4 * d0 >= d), params
             cases += 1

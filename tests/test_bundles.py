@@ -4,14 +4,16 @@ import pytest
 
 from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.invariants import invariants
-from noetherline.toric import BundleParams, DivisorClass, canonical_class_F, weight_matrix
+from noetherline.toric import BundleParams, DivisorClass, weight_matrix
 
 from oracles import (
+    canonical_class_F,
     gorenstein_data,
     noether_check,
     relative_canonical_class,
     relative_dualising_degree,
     split_bundle_weight_matrix,
+    twist,
     twist_degrees,
 )
 
@@ -115,7 +117,7 @@ def test_split_matrix_bridges_to_normalized_matrix():
     for d in range(0, 15):
         for d0 in range(0, 3 * d // 2 + 1):
             split = split_bundle_weight_matrix(d0, 3 * d - d0, 2 * d, 5 * d)
-            assert split.twist(d) == weight_matrix(BundleParams(d, d0))
+            assert twist(split, d) == weight_matrix(BundleParams(d, d0))
 
 
 def test_split_matrix_product_case():

@@ -424,21 +424,27 @@ def test_classify_output_matches_the_per_row_writers(capsys, fmt, band):
 
 
 # Rows 0 and 1 of a piece with K3 replaced by (num0, den0) and (num1, den1):
-# one denominator throughout, a constant one above 1, and one that changes
-# with the row, with negative numerators too.
+# an integer throughout, then a constant denominator above 1, and one that
+# changes with the row, with negative numerators too.
 K3_STEPS = [((2, 1), (6, 1)), ((1, 3), (4, 3)), ((1, 3), (5, 6)), ((-7, 2), (1, 3)), ((5, 4), (-1, 6))]
 
 
 @pytest.mark.parametrize("k3s", K3_STEPS)
 @pytest.mark.parametrize("start, count", [((20, 6), 25), ((20, 29), 1), ((20, 12), 2), ((9, 4), 10)])
 def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
-    """A piece whose K3 is a fraction is written as the per-row writers
-    write the rows that `advance` makes from its first two rows."""
+    """A piece whose K3 changes as an integer is written as the per-row
+    writers write the rows that `advance` makes from its first two rows.  A
+    K3 that changes as a fraction fails the piece's cross-check: every row
+    of the family lies on the Noether line, where K3 = 4d - 6."""
     p0 = BundleParams(*start)
     p1 = BundleParams(p0.d, p0.d0 + 1)
     first, second = classify_record(p0), classify_record(p1)
     for record, (num, den) in zip((first, second), k3s):
         record["K3"] = {"num": num, "den": den}
+    if k3s[0][1] != 1 or k3s[1][1] != 1:
+        with pytest.raises(CrossCheckError, match="K3 changes within one piece"):
+            Piece.from_rows(first, second, p0, p1, count)
+        return
     row = advance(first, second, p0, p1)
     rows = [row(i) for i in range(count)]
     piece = Piece.from_rows(first, second, p0, p1, count)

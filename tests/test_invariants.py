@@ -17,12 +17,10 @@ from noetherline.invariants import (
     moduli_components,
     orbifold_rr_K3,
     plurigenus,
-    weighted_monomial_count,
-    wps_hypersurface_basics,
 )
 from noetherline.singularities import EmptyFamilyError
 from noetherline.toric import BundleParams, DivisorClass
-from oracles import reid_plurigenus
+from oracles import reid_plurigenus, weighted_monomial_count, wps_hypersurface_basics
 
 
 def existing_params(d_max, min_dd0=0):

@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given
 
 from noetherline.singularities import (
-    DU_VAL_SYSTEMS,
     LocalMonomial,
     SingularityClassification,
     SingularityKind,
     classify_general_member,
-    duval_test,
     local_support_at_s0,
-    weight_below_one_exists,
 )
 from noetherline.toric import BundleParams
 
 from oracles import (
     DISSIDENT_CHART,
+    DU_VAL_SYSTEMS,
     ChartMonomial,
     bundle_params,
     classify_by_e,
     crepant_chart_check,
+    duval_test,
+    weight_below_one_exists,
 )
 
 Z2 = LocalMonomial(0, 0, 2)

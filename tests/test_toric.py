@@ -12,7 +12,6 @@ from noetherline.toric import (
     H,
     NormalizationError,
     SpecialCurve,
-    canonical_class_F,
     coordinate_divisor_class,
     curve_intersection,
     h0_class,
@@ -23,7 +22,7 @@ from noetherline.toric import (
     weight_matrix,
 )
 
-from oracles import tautological_class
+from oracles import canonical_class_F, tautological_class
 
 
 def valid_params(d_max):
