@@ -16,6 +16,22 @@ same bytes as the standard library's `json.dumps` with an indent of 2
 without falling back to that encoder's pure-Python path; each container
 writes its str and int items in place, with no call per scalar.
 
+Listings are written from one `%` template per row shape, in runs.  A JSON
+list of 12 dicts or more whose first item holds only exact str and int
+values makes one template of that item's keys (`_json_shape`); a run of up
+to 256 items is checked a column at a time (the same keys in the same
+order, one exact type per column) and written as the template over its
+columns, and a run that fails recurses item by item.  A dict record's list
+of more than 256 items is written a run at a time (`_json_lines`), so a
+long listing is never one string.  CSV rows, the monomials table and the
+flat listing alike, go through `pieces.csv_lines`: a run of rows is one
+`%s` template where its cells are exact ints and strs of one width and its
+text proves that no cell needs quoting, and `csv_line` per row otherwise.
+The monomials come from the cache of `linear_system.enumerate_monomials`,
+which fills a degree 4096 monomials at a time, setting each field a column
+at a time through its slot rather than running the frozen dataclass
+`__init__` per monomial.
+
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece (`singularities.row_pieces`), and a `pieces.Piece` is the
 unit of its output: the first record with each int that changes marked, the
@@ -74,7 +90,7 @@ from .linear_system import (
     family_dimension,
     normal_form_support,
 )
-from .pieces import Piece, csv_line, write_csv, write_json, write_text
+from .pieces import RUN, Piece, csv_line, csv_lines, write_csv, write_json, write_text
 from .singularities import (
     EmptyFamilyError,
     classify_general_member,
@@ -146,7 +162,8 @@ def _json_text(value, indent: str = "\n") -> str:
     make: dict with str keys, list, str, int, bool and None; any other type
     raises TypeError.  Strings go through the library's C quoting and each
     container is one join; a container writes its str and int items in place
-    and recurses only for the others.  `indent` is the newline and
+    and recurses only for the others, and a list of dicts of one shape is
+    written from one template (`_json_shape`).  `indent` is the newline and
     indentation of the line `value` starts on."""
     kind = type(value)
     if kind is str:
@@ -171,6 +188,8 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
+        if len(value) >= _TEMPLATE_MIN and (shape := _json_shape(value, inner)):
+            return "".join(_json_runs(value, shape, indent))
         return "[" + inner + ("," + inner).join([
             _json_str(item) if (t := type(item)) is str
             else int.__repr__(item) if t is int
@@ -184,15 +203,87 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} is not a JSON value of a record")
 
 
+def _json_lines(record) -> Iterable[str]:
+    """`_json_text(record)` and its newline, in parts: a list value of a
+    dict record that has more than `RUN` items and a template is written a
+    run of items at a time (`_json_runs`), and the text between such lists
+    is one string, so a long listing is never one string."""
+    if type(record) is not dict or not record:
+        yield _json_text(record) + "\n"
+        return
+    parts, sep = [], "{"
+    for key, item in record.items():
+        parts += sep, "\n  ", _json_str(key), ": "
+        sep = ","
+        if type(item) is list and len(item) > RUN and (shape := _json_shape(item, "\n    ")):
+            yield "".join(parts)
+            parts = []
+            yield from _json_runs(item, shape, "\n  ")
+        else:
+            parts.append(_json_text(item, "\n  "))
+    parts.append("\n}\n")
+    yield "".join(parts)
+
+
+# Lists shorter than this recurse for every item: a template and its checks
+# cost more than the items they would write.
+_TEMPLATE_MIN = 12
+
+
+def _json_shape(items: list, indent: str) -> tuple | None:
+    """(template, keys, value types) of the items of a nonempty list whose
+    items start at `indent`, made from its first item when that is a
+    nonempty dict of exact int and str values; otherwise None.  Keys are
+    quoted once, with any `%` doubled; an int is written by `%d`, a str by
+    `%s` of its quoted text."""
+    first = items[0]
+    if type(first) is not dict or not first:
+        return None
+    types = tuple(map(type, first.values()))
+    if not set(types) <= {int, str}:
+        return None
+    inner = indent + "  "
+    slots = [
+        inner + _json_str(key).replace("%", "%%") + (": %d" if t is int else ": %s")
+        for key, t in zip(first, types)
+    ]
+    return "{" + ",".join(slots) + indent + "}", tuple(first), types
+
+
+def _json_runs(items: list, shape: tuple, indent: str) -> Iterable[str]:
+    """The indented JSON of a list with a template (`_json_shape`), a run of
+    at most `RUN` items at a time.  Where every item of a run is a dict of
+    the template's keys, in order, and value types, checked a column at a
+    time, the run is the template over its columns, each str column quoted
+    at once; otherwise every item of the run recurses."""
+    template, keys, types = shape
+    inner = indent + "  "
+    sep = "[" + inner
+    for start in range(0, len(items), RUN):
+        run = items[start:start + RUN]
+        texts = None
+        if set(map(type, run)) == {dict} and set(map(tuple, run)) == {keys}:
+            columns = list(zip(*map(dict.values, run)))
+            if all(set(map(type, column)) == {t} for column, t in zip(columns, types)):
+                columns = [c if t is int else map(_json_str, c) for c, t in zip(columns, types)]
+                texts = map(template.__mod__, zip(*columns))
+        if texts is None:
+            texts = [_json_text(item, inner) for item in run]
+        yield sep + ("," + inner).join(texts)
+        sep = "," + inner
+    yield indent + "]"
+
+
 def emit(fmt: str, record, render, table=None) -> Iterable[str]:
     """The lines of a record: indented json, csv (a flat `field,value`
     listing, or the header and rows that `table` makes of the record) or the
-    text that `render` makes of it."""
+    text that `render` makes of it.  A long list is written a run of items
+    or rows at a time (`_json_lines`, `pieces.csv_lines`)."""
     if fmt == "json":
-        return (_json_text(record), "\n")
+        return _json_lines(record)
     if fmt == "csv":
         header, rows = table(record) if table else (["field", "value"], _flatten("", record, []))
-        return map(csv_line, itertools.chain((header,), rows))
+        return itertools.chain((csv_line(header),), csv_lines(rows))
     return render(record)
 
 

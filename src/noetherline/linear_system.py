@@ -6,7 +6,9 @@ binary form in t0, t1 of degree (2*a1 - a0)*d + (a0 - a1)*d0, whatever a2 and
 a5 are (`toric.coefficient_form`).  A negative degree forces the coefficient
 to vanish identically, so a general member contains exactly the monomials of
 nonnegative coefficient degree.  `coefficient_profile` lists the monomials of
-a degree as (monomial, coefficient degree) pairs.
+a degree as (monomial, coefficient degree) pairs; for degree ten it reads
+each degree off `PROFILE_FORMS`, the form A*d + B*d0 of each of the 49
+monomials, read once at import.
 
 For the degree-ten family the equation is normalized: the coefficients of
 z^2 and y^5 are nonzero constants scaled to one, and completing the square in
@@ -14,7 +16,7 @@ z removes every monomial divisible by z.  `normal_form_support` returns the
 surviving monomials.
 
 `DEGREE_TEN_FORMS` holds the forms of the 35 z-free monomials other than y^5,
-read once at import, so a row's support is a filter on their signs
+taken from `PROFILE_FORMS`, so a row's support is a filter on their signs
 (`support_pattern`).
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
+from itertools import islice, repeat
 
 from .toric import BundleParams, CrossCheckError, SpecialCurve
 from .toric import coefficient_form, fibre_exponents, h0_class, member_class
@@ -32,6 +34,7 @@ __all__ = [
     "BaseLocus",
     "Z_SQUARED",
     "Y_FIFTH",
+    "PROFILE_FORMS",
     "DEGREE_TEN_FORMS",
     "support_pattern",
     "enumerate_monomials",
@@ -95,16 +98,37 @@ Z_SQUARED = FibreMonomial(0, 0, 0, 2)
 Y_FIFTH = FibreMonomial(0, 0, 5, 0)
 
 
+# Exponent vectors turned into monomials at a time: a degree's vectors and
+# columns are never all held beside its monomials.
+_FILL_RUN = 4096
+
+
 @lru_cache(maxsize=None)
 def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     """All fibre monomials of weighted degree m, ordered by (a5, a2, a1).
 
     The ordering is part of the contract: output tables and serialized
     records are byte-stable across runs.
+
+    The monomials are made `_FILL_RUN` exponent vectors at a time, without
+    the frozen `__init__` per monomial: a run's objects are allocated bare,
+    then each field is set a column at a time through its slot's
+    descriptor, after the column's minimum is checked.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    return tuple(starmap(FibreMonomial, fibre_exponents(m)))
+    exponents = fibre_exponents(m)
+    slots = [getattr(FibreMonomial, name).__set__ for name in FibreMonomial.__slots__]
+    monos: list[FibreMonomial] = []
+    while run := list(islice(exponents, _FILL_RUN)):
+        objects = list(map(object.__new__, repeat(FibreMonomial, len(run))))
+        for set_slot, column in zip(slots, zip(*run)):
+            if min(column) < 0:
+                raise ValueError("exponents must be nonnegative")
+            # `__set__` returns None, so `any` runs the map to its end.
+            any(map(set_slot, objects, column))
+        monos += objects
+    return tuple(monos)
 
 
 def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
@@ -112,24 +136,33 @@ def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
     return coefficient_form(monomial.a0, monomial.a1, params.d, params.d0)
 
 
+def _forms(m: int) -> tuple[tuple[FibreMonomial, int, int], ...]:
+    """Every degree-m monomial in enumeration order, with its coefficient
+    degree A*d + B*d0 as (A, B), the form at (1, 0) and (0, 1)."""
+    return tuple([
+        (mono, coefficient_form(mono.a0, mono.a1, 1, 0), coefficient_form(mono.a0, mono.a1, 0, 1))
+        for mono in enumerate_monomials(m)
+    ])
+
+
+#: The forms of the 49 degree-ten monomials, z included (`_forms`).
+PROFILE_FORMS = _forms(10)
+
+#: The z-free degree-ten monomials other than y^5, with their forms.
+DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
+    row for row in PROFILE_FORMS if row[0].a5 == 0 and row[0] != Y_FIFTH
+)
+
+
 def coefficient_profile(
     params: BundleParams, m: int = 10
 ) -> tuple[tuple[FibreMonomial, int], ...]:
     """Every degree-m monomial paired with its coefficient degree, as
-    (monomial, degree) in enumeration order."""
+    (monomial, degree) in enumeration order: each degree is its form of
+    `PROFILE_FORMS` at params for m = 10."""
     d, d0 = params.d, params.d0
-    return tuple([
-        (mono, coefficient_form(mono.a0, mono.a1, d, d0)) for mono in enumerate_monomials(m)
-    ])
-
-
-#: The z-free degree-ten monomials other than y^5, in enumeration order, each
-#: with its coefficient degree A*d + B*d0 as (A, B), the form at (1, 0), (0, 1).
-DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
-    (mono, coefficient_form(mono.a0, mono.a1, 1, 0), coefficient_form(mono.a0, mono.a1, 0, 1))
-    for mono in enumerate_monomials(10)
-    if mono.a5 == 0 and mono != Y_FIFTH
-)
+    forms = PROFILE_FORMS if m == 10 else _forms(m)
+    return tuple([(mono, a * d + b * d0) for mono, a, b in forms])
 
 
 def support_pattern(params: BundleParams) -> tuple[bool, ...]:

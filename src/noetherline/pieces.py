@@ -13,7 +13,7 @@ Each format writes a piece from one `%` template.  The encoder that writes a
 record (the csv module, `json.dumps`) encodes the piece's marked record
 once, and each mark becomes `%d`; each row is then one `%` over the ints
 that change, and a one-row piece, which has none, is its template.  A piece
-can be a whole line, so its rows are written in runs of at most `_RUN`.  The
+can be a whole line, so its rows are written in runs of at most `RUN`.  The
 text table makes two passes over the pieces: the first sizes the columns,
 since every changing cell is an affine int after a fixed prefix and so is
 widest at one end of its piece, and keeps the pieces but no row text; the
@@ -30,7 +30,10 @@ from typing import Iterable
 
 from .toric import BundleParams, CrossCheckError
 
-__all__ = ["CSV_CLASSIFY_HEADER", "Piece", "csv_line", "write_csv", "write_json", "write_text"]
+__all__ = [
+    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "csv_lines", "write_csv", "write_json",
+    "write_text",
+]
 
 CSV_CLASSIFY_HEADER = [
     "d", "d0", "e", "pg", "K3_num", "K3_den", "class", "count",
@@ -112,13 +115,13 @@ class Piece:
         return fill(self.marked)
 
 
-# The most rows of a piece joined into one string: a piece can be a whole
-# line of thousands of rows.
-_RUN = 256
+#: The most rows joined into one string: a piece can be a whole line of
+#: thousands of rows, and a listing hundreds of thousands.
+RUN = 256
 
 
 def _rows(template: str, columns) -> Iterable[str]:
-    """The text of a piece's rows, a run of `_RUN` rows at a time:
+    """The text of a piece's rows, a run of `RUN` rows at a time:
     `template` % each row's values, one from each of `columns`.  Rows of one
     piece differ in d or d0, so a piece without a column is one row, and its
     template is that row's text."""
@@ -126,8 +129,58 @@ def _rows(template: str, columns) -> Iterable[str]:
         yield template % ()
         return
     rows = map(template.__mod__, zip(*columns))
-    while run := "".join(itertools.islice(rows, _RUN)):
+    while run := "".join(itertools.islice(rows, RUN)):
         yield run
+
+
+def csv_lines(rows: Iterable) -> Iterable[str]:
+    """The csv module's text of `rows`, a run at a time: each run is one `%`
+    template where that is proven to write the same text (`_csv_template`)
+    and `csv_line` of each row otherwise.  Runs start at `_CSV_FIRST_RUN`
+    rows and double after each templated run, up to `RUN`; a run that needs
+    `csv_line` starts the doubling again, so a quoted cell costs a short
+    run, and a listing of one shape is written `RUN` rows at a time.  A
+    shorter run (a short listing, or the last rows of one) is written by
+    `csv_line`."""
+    rows = iter(rows)
+    size = _CSV_FIRST_RUN
+    while run := list(itertools.islice(rows, size)):
+        text = _csv_template(run)
+        if text is None:
+            yield "".join(map(csv_line, run))
+            size = _CSV_FIRST_RUN
+        else:
+            yield text
+            size = min(2 * size, RUN)
+
+
+# The rows of a first run, and the fewest that a template writes: below
+# that, a template and its checks cost more than the rows they would write,
+# and a run that fails its checks costs up to twice `csv_line` of its rows.
+_CSV_FIRST_RUN = 24
+
+
+def _csv_template(run: list) -> str | None:
+    """The csv module's text of `run`, as one `%s` template over all of its
+    cells, or None where that is not proven to be the same text.  It is
+    when the run has `_CSV_FIRST_RUN` rows or more, every row has the
+    same two or more cells, each an exact int or str, and the text has one
+    comma between cells, one newline per row and no quote, carriage return
+    or NUL: then no cell holds a character that the csv module quotes (a
+    carriage return only in some versions) or, before Python 3.11, refuses,
+    and no row is a lone "" that it quotes.  `%s` writes an exact int as the
+    csv module does, by `str`."""
+    n, width = len(run), len(run[0])
+    if n < _CSV_FIRST_RUN or width < 2 or set(map(len, run)) != {width}:
+        return None
+    cells = tuple(itertools.chain.from_iterable(run))
+    if not set(map(type, cells)) <= {int, str}:
+        return None
+    text = (("%s," * (width - 1) + "%s\n") * n) % cells
+    if (text.count("\n") == n and text.count(",") == n * (width - 1)
+            and '"' not in text and "\r" not in text and "\0" not in text):
+        return text
+    return None
 
 
 def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noetherline
-from noetherline import cli, linear_system, singularities
+from noetherline import cli, linear_system, pieces, singularities
 from noetherline.cli import classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
 from noetherline.linear_system import support_pattern
@@ -554,7 +554,10 @@ def test_text_table_keeps_no_row_text():
 
 # (exit code, SHA-256 of standard output) of each command in each format,
 # recorded before the parser was shared between calls; `monomials 0`, `1`
-# and `84` before indented JSON had its own writer.
+# and `84` before indented JSON had its own writer; `inspect 12 9` (a flat
+# csv listing with a quoted cell and empty values) and `monomials 147` and
+# `150` (the largest listings the monomials bench writes) before listings
+# were written from templates.
 COMMAND_DIGESTS = {
     ("text", "classify 7 9"): (0, "fa5de77f90f31e48b0d36c704fe9e32bcde969d5ee7ec1b1f22e8740412bd7b0"),
     ("json", "classify 7 9"): (0, "bde3da5a67c83ba0895e00e7bd6ce44d77338b4d0c60cebab29e437eca6a6e7c"),
@@ -568,6 +571,9 @@ COMMAND_DIGESTS = {
     ("text", "inspect 40 33"): (0, "a22060573c7fdf5a20862a347fc685fddcda25394d5dc4497ac2d545bb0370fb"),
     ("json", "inspect 40 33"): (0, "a2f1e853e4861487fb5071ad6a970f147b809132095deae6e058a4fc7f292a94"),
     ("csv", "inspect 40 33"): (0, "4430924e926dfbeee7aeb7cb495ace19c7c9d45fc99c254e98df5ea70653e9ea"),
+    ("text", "inspect 12 9"): (0, "d29928674018ea33289fca274257f34517109af9918ff93579e20a5616fda520"),
+    ("json", "inspect 12 9"): (0, "96b35b25984284557b30e3db8ffa2087767e9dc60f4f18f8a911aa57ef531b1c"),
+    ("csv", "inspect 12 9"): (0, "24341ff02cd96bc240348b9053aad3c57b2a9f056ca47328f6832d91f1151097"),
     ("text", "inspect 2 1"): (0, "4908e0be6e11304d1d36267e74148143dfd0e7ad55e54f831b7a9be7b3ccf94d"),
     ("json", "inspect 2 1"): (0, "e13714d257951cb78a0f7715830d69b56c84305c583f7f272c001b0105885671"),
     ("csv", "inspect 2 1"): (0, "f99c6f459592fc1a459c0e2b96744e15c398e4af1dc59800adb09f4f74d5c3c2"),
@@ -628,6 +634,12 @@ COMMAND_DIGESTS = {
     ("text", "monomials 84"): (0, "4d67502e19d36906c0c712f889f18585d8ded172f48ade592e24a856419da59f"),
     ("json", "monomials 84"): (0, "9c65d54a57fe1b8f8b093fac4f9b0bf48fee51cdf9dd2897cad6881679c7a91f"),
     ("csv", "monomials 84"): (0, "e297785f9b2fb79a4d20b9c7c721d27e59147cd7cc5c3b5b9bc9ea8b21d54a17"),
+    ("text", "monomials 147"): (0, "a6866408d5f1b9db2a3f7ffa78152a16ff413a3e0b399276d30a03e8ce4bb997"),
+    ("json", "monomials 147"): (0, "00d34a80aec44343922e51949475130379d8e840ec905da90914c8f53c84f72b"),
+    ("csv", "monomials 147"): (0, "48d33af450ef993e6371936739fa4444fc958d8dd18a77772123479843a63115"),
+    ("text", "monomials 150"): (0, "3fb6a0a1e5d435fd2e2a6b94b10bc6a192069e38700aa3f5161917532a52f4f7"),
+    ("json", "monomials 150"): (0, "cf71b16566e77208479b3e1855636ff6410fb51dc76433e376d7e6121681169d"),
+    ("csv", "monomials 150"): (0, "f93ad34a5d2bb105055272549850e6bfe5aeff7e7c3ef906f61e9c7f825aed15"),
     ("text", "nef 5 4 1 -2"): (0, "5e28be0d97f61cde7a50bc66e8fafd9d62e1f1b1fef87f29c0f8baf20e9f3e84"),
     ("json", "nef 5 4 1 -2"): (0, "26d3487fa4b627f70f7f2f93784adce8f03db03a7e0d749ec39d9cf91afee9df"),
     ("csv", "nef 5 4 1 -2"): (0, "d114d9e7c445b8c727eb2631b8e57fdff0b6437046c0b019faf55dd3d2f83fe4"),
@@ -719,6 +731,110 @@ def _emitted_json(record) -> str:
 @example([False, 0, "", 2**63, {"k": 1}, ["z"]])
 def test_json_writer_matches_the_standard_library(value):
     assert _emitted_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+# Text with a `%`, which a template must not take for a conversion.
+_PERCENT_TEXT = _TEXT | st.sampled_from(["%", "%d", "%s", "100%", "a%%b", "%(k)s"])
+
+
+@st.composite
+def _listings(draw):
+    """A list of dicts of one shape, some items changed: keys in another
+    order, True or False in place of an int, a missing or an extra key, a
+    value of another type, or an item that is no dict."""
+    keys = draw(st.lists(_PERCENT_TEXT, min_size=1, max_size=4, unique=True))
+    kinds = draw(st.lists(st.sampled_from([int, str]), min_size=len(keys), max_size=len(keys)))
+    changes = ["same"] * 6 + ["order", "bool", "drop", "extra", "value", "item"]
+    items = []
+    for _ in range(draw(st.integers(0, 40))):
+        item = {key: draw(_INTS if kind is int else _PERCENT_TEXT) for key, kind in zip(keys, kinds)}
+        change = draw(st.sampled_from(changes))
+        if change == "order":
+            item = dict(reversed(item.items()))
+        elif change == "bool":
+            item[keys[kinds.index(int)] if int in kinds else keys[0]] = draw(st.booleans())
+        elif change == "drop":
+            del item[keys[-1]]
+        elif change == "extra":
+            item["%extra"] = draw(_INTS)
+        elif change == "value":
+            item[draw(st.sampled_from(keys))] = draw(_JSON_VALUES)
+        elif change == "item":
+            item = draw(_JSON_VALUES)
+        items.append(item)
+    return items
+
+
+def _long_listing(change_at: int) -> list:
+    """More than `pieces.RUN` items of one shape, `%` in its keys and
+    values, one item with its keys in another order."""
+    items = [{"a%d": i, "b\"%s": f"x{i}%s", "c": -i} for i in range(300)]
+    items[change_at] = dict(reversed(items[change_at].items()))
+    return items
+
+
+@given(_listings())
+@example([{"a": 1, "b": "x"}] * 11 + [{"a": True, "b": "x"}])
+@example([{"a": 1, "b": "x"}] * 12 + [{"b": "x", "a": 1}, {"a": 1}, 1, None, [], {}])
+@example([{"%": "%", "%d": 1, "": "\ud800\r\n,\"\\"}] * 13)
+@example([{"k": "\U0001f600\x00\x1f\u2028"}] * 12 + [{"k": 2**63}])
+@example([{"k": 1}] * 12 + [{"k": 1.5}, {"k": Fraction(1, 2)}])
+@example(_long_listing(0))
+@example(_long_listing(260))
+def test_json_templates_match_the_standard_library(items):
+    # A list of dicts is written from one template of its first item; a run
+    # that holds an item of another shape, and any list below the template
+    # length, is recursed for item by item.  A dict record's list of more
+    # than `RUN` items is written a run at a time.
+    for value in (items, {"n": len(items), "items": items, "after": [items]}):
+        try:
+            expected = json.dumps(value, indent=2) + "\n"
+        except TypeError:
+            with pytest.raises(TypeError):
+                _emitted_json(value)
+            continue
+        assert _emitted_json(value) == expected
+
+
+# Cells as a listing holds them, and cells the csv module quotes or writes
+# in its own way.
+_CSV_CELLS = (
+    _PERCENT_TEXT | _INTS | st.booleans() | st.none()
+    | st.sampled_from(["", ",", '"', "\r", "\n", "a,b", "x\ny", "\x00", "\ud800", "\xe9"])
+)
+
+
+@st.composite
+def _csv_listings(draw):
+    """Rows of str and int cells of one width, some changed: a cell the csv
+    module quotes or writes otherwise (bool, None), or another width."""
+    width = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from([int, str]), min_size=width, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 90))):
+        row = [draw(_INTS if kind is int else st.text(st.sampled_from("abx.[]0_ "))) for kind in kinds]
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, width - 1))] = draw(_CSV_CELLS)
+        if draw(st.integers(0, 19)) == 0:
+            row = draw(st.lists(_CSV_CELLS, max_size=4))
+        rows.append(draw(st.sampled_from([row, tuple(row)])))
+    return rows
+
+
+@given(_csv_listings())
+@example([["a", ""]] * 30)
+@example([[""]] * 30)
+@example([[]] * 30)
+@example([["k", 1]] * 40 + [["k", "a,b"]] + [["k", 2]] * 600)
+@example([("x", True)] * 30)
+@example([("x", None)] * 30)
+@example([["a%s", "%d"]] * 30 + [["a", "b", "c"], ["d"]] + [["a", "b"]] * 30)
+@example([["a", 'b"c']] * 30)
+@example([["a", "b\rc"], ["\x00", 1]] * 15)
+def test_csv_templates_match_the_csv_module(rows):
+    # A run of rows is one `%` template only where that is proven to be the
+    # csv module's text; every other run is written a row at a time.
+    assert "".join(pieces.csv_lines(rows)) == "".join(map(pieces.csv_line, rows))
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,15 @@ from noetherline.linear_system import (
     family_dimension,
     normal_form_support,
 )
-from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, h0_class
+from noetherline import linear_system
+from noetherline.toric import (
+    BundleParams,
+    CrossCheckError,
+    DivisorClass,
+    SpecialCurve,
+    fibre_exponents,
+    h0_class,
+)
 
 from oracles import base_weight, bundle_params, monomial_label
 
@@ -84,6 +92,29 @@ def test_enumerate_matches_brute_force_and_is_sorted():
         keys = [(x.a5, x.a2, x.a1) for x in monos]
         assert keys == sorted(keys)
         assert all(x.degree == m for x in monos)
+
+
+def test_enumerated_monomials_equal_constructed_ones():
+    # The cache is filled without the dataclass `__init__`; its monomials
+    # must be the constructor's in every respect a record or test reads.
+    for m in range(0, 61):
+        built = tuple(FibreMonomial(*e) for e in fibre_exponents(m))
+        monos = enumerate_monomials(m)
+        assert monos == built
+        assert list(map(hash, monos)) == list(map(hash, built))
+        assert list(map(repr, monos)) == list(map(repr, built))
+        assert list(map(astuple, monos)) == list(map(astuple, built))
+        assert all(type(x) is FibreMonomial for x in monos)
+
+
+def test_enumeration_checks_the_exponents(monkeypatch):
+    # The nonnegativity that `__post_init__` checks per monomial is checked
+    # per column of a run when the cache is filled.
+    monkeypatch.setattr(
+        linear_system, "fibre_exponents", lambda m: iter([(m, 0, 0, 0), (m + 1, -1, 0, 0)])
+    )
+    with pytest.raises(ValueError):
+        enumerate_monomials(299)
 
 
 def test_monomials_minus_relation_equals_ring_rank():
