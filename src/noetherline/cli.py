@@ -7,30 +7,21 @@ Rationals are printed as "p/q" in lowest terms, never as decimals; JSON
 encodes them as {"num": p, "den": q}.  Output is byte-identical across runs.
 
 Every command is one row of `COMMANDS`: a record builder, which computes
-the command's record (a dict of JSON values) from the parsed arguments, and
-a text renderer, which reads only that record.  One emitter, `emit`, writes
-a record as indented JSON, as CSV (a flat `field,value` listing, or the rows
-that classify and monomials supply) or as the renderer's text.  Indented
-JSON comes from this module's own writer, `_json_text`, which writes the
-same bytes as the standard library's `json.dumps` with an indent of 2
-without falling back to that encoder's pure-Python path; each container
-writes its str and int items in place, with no call per scalar.
+the command's record from the parsed arguments, and a text renderer, which
+reads only that record, or, for the listings classify and monomials, a
+writer per format.  One emitter, `emit`, writes a record as indented JSON,
+as a flat `field,value` CSV listing (`pieces.csv_lines`) or as the
+renderer's text.  Indented JSON comes from this module's own writer,
+`_json_text`, which writes the same bytes as the standard library's
+`json.dumps` with an indent of 2 without that encoder's pure-Python path,
+and writes a list of dicts of one shape from one template (`_json_listing`).
 
-Listings are written from one `%` template per row shape, in runs.  A JSON
-list of 12 dicts or more whose first item holds only exact str and int
-values makes one template of that item's keys (`_json_shape`); a run of up
-to 256 items is checked a column at a time (the same keys in the same
-order, one exact type per column) and written as the template over its
-columns, and a run that fails recurses item by item.  A dict record's list
-of more than 256 items is written a run at a time (`_json_lines`), so a
-long listing is never one string.  CSV rows, the monomials table and the
-flat listing alike, go through `pieces.csv_lines`: a run of rows is one
-`%s` template where its cells are exact ints and strs of one width and its
-text proves that no cell needs quoting, and `csv_line` per row otherwise.
-The monomials come from the cache of `linear_system.enumerate_monomials`,
-which fills a degree 4096 monomials at a time, setting each field a column
-at a time through its slot rather than running the frozen dataclass
-`__init__` per monomial.
+monomials is written from the cached `linear_system.enumerate_monomials(m)`
+tuple a block, the monomials of one (a5, a2), at a time (`_monomial_rows`),
+each block checked against the enumeration's order before any of its rows
+is written (CrossCheckError).  The rows of a long block with a0 >= 2 and
+a1 >= 2 are one `%` template per block and format; every other row comes
+from its monomial's own `label()`.  No long listing is one string.
 
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece (`singularities.row_pieces`), and a `pieces.Piece` is the
@@ -66,7 +57,6 @@ import argparse
 import bisect
 import functools
 import itertools
-import operator
 import os
 import sys
 import warnings
@@ -163,7 +153,7 @@ def _json_text(value, indent: str = "\n") -> str:
     raises TypeError.  Strings go through the library's C quoting and each
     container is one join; a container writes its str and int items in place
     and recurses only for the others, and a list of dicts of one shape is
-    written from one template (`_json_shape`).  `indent` is the newline and
+    written from one template (`_json_listing`).  `indent` is the newline and
     indentation of the line `value` starts on."""
     kind = type(value)
     if kind is str:
@@ -188,8 +178,8 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if len(value) >= _TEMPLATE_MIN and (shape := _json_shape(value, inner)):
-            return "".join(_json_runs(value, shape, indent))
+        if len(value) >= _TEMPLATE_MIN and (text := _json_listing(value, indent)):
+            return text
         return "[" + inner + ("," + inner).join([
             _json_str(item) if (t := type(item)) is str
             else int.__repr__(item) if t is int
@@ -203,87 +193,42 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} is not a JSON value of a record")
 
 
-def _json_lines(record) -> Iterable[str]:
-    """`_json_text(record)` and its newline, in parts: a list value of a
-    dict record that has more than `RUN` items and a template is written a
-    run of items at a time (`_json_runs`), and the text between such lists
-    is one string, so a long listing is never one string."""
-    if type(record) is not dict or not record:
-        yield _json_text(record) + "\n"
-        return
-    parts, sep = [], "{"
-    for key, item in record.items():
-        parts += sep, "\n  ", _json_str(key), ": "
-        sep = ","
-        if type(item) is list and len(item) > RUN and (shape := _json_shape(item, "\n    ")):
-            yield "".join(parts)
-            parts = []
-            yield from _json_runs(item, shape, "\n  ")
-        else:
-            parts.append(_json_text(item, "\n  "))
-    parts.append("\n}\n")
-    yield "".join(parts)
-
-
-# Lists shorter than this recurse for every item: a template and its checks
-# cost more than the items they would write.
+# JSON lists and monomial blocks shorter than this are written item by item:
+# a template and its checks cost more than the items they would write.
 _TEMPLATE_MIN = 12
 
 
-def _json_shape(items: list, indent: str) -> tuple | None:
-    """(template, keys, value types) of the items of a nonempty list whose
-    items start at `indent`, made from its first item when that is a
-    nonempty dict of exact int and str values; otherwise None.  Keys are
-    quoted once, with any `%` doubled; an int is written by `%d`, a str by
-    `%s` of its quoted text."""
+def _json_listing(items: list, indent: str) -> str | None:
+    """The indented JSON of a list of dicts that share their keys, in order,
+    and one exact int or str type per key, written from one `%` template;
+    None for any other list.  Keys are quoted once, with any `%` doubled; an
+    int is written by `%d`, a str by `%s` of its quoted text, each column
+    checked and quoted at once.  `indent` is the newline and indentation of
+    the line the list starts on."""
     first = items[0]
-    if type(first) is not dict or not first:
+    if (type(first) is not dict or not first or set(map(type, items)) != {dict}
+            or set(map(tuple, items)) != {tuple(first)}):
         return None
-    types = tuple(map(type, first.values()))
-    if not set(types) <= {int, str}:
+    columns = list(zip(*map(dict.values, items)))
+    types = [set(map(type, column)) for column in columns]
+    if not all(t == {int} or t == {str} for t in types):
         return None
     inner = indent + "  "
-    slots = [
-        inner + _json_str(key).replace("%", "%%") + (": %d" if t is int else ": %s")
+    template = "{" + ",".join([
+        inner + "  " + _json_str(key).replace("%", "%%") + (": %d" if t == {int} else ": %s")
         for key, t in zip(first, types)
-    ]
-    return "{" + ",".join(slots) + indent + "}", tuple(first), types
+    ]) + inner + "}"
+    columns = [c if t == {int} else map(_json_str, c) for c, t in zip(columns, types)]
+    return "[" + inner + ("," + inner).join(map(template.__mod__, zip(*columns))) + indent + "]"
 
 
-def _json_runs(items: list, shape: tuple, indent: str) -> Iterable[str]:
-    """The indented JSON of a list with a template (`_json_shape`), a run of
-    at most `RUN` items at a time.  Where every item of a run is a dict of
-    the template's keys, in order, and value types, checked a column at a
-    time, the run is the template over its columns, each str column quoted
-    at once; otherwise every item of the run recurses."""
-    template, keys, types = shape
-    inner = indent + "  "
-    sep = "[" + inner
-    for start in range(0, len(items), RUN):
-        run = items[start:start + RUN]
-        texts = None
-        if set(map(type, run)) == {dict} and set(map(tuple, run)) == {keys}:
-            columns = list(zip(*map(dict.values, run)))
-            if all(set(map(type, column)) == {t} for column, t in zip(columns, types)):
-                columns = [c if t is int else map(_json_str, c) for c, t in zip(columns, types)]
-                texts = map(template.__mod__, zip(*columns))
-        if texts is None:
-            texts = [_json_text(item, inner) for item in run]
-        yield sep + ("," + inner).join(texts)
-        sep = "," + inner
-    yield indent + "]"
-
-
-def emit(fmt: str, record, render, table=None) -> Iterable[str]:
-    """The lines of a record: indented json, csv (a flat `field,value`
-    listing, or the header and rows that `table` makes of the record) or the
-    text that `render` makes of it.  A long list is written a run of items
-    or rows at a time (`_json_lines`, `pieces.csv_lines`)."""
+def emit(fmt: str, record, render) -> Iterable[str]:
+    """The lines of a record: indented json, a flat `field,value` csv
+    listing or the text that `render` makes of it."""
     if fmt == "json":
-        return _json_lines(record)
+        return (_json_text(record) + "\n",)
     if fmt == "csv":
-        header, rows = table(record) if table else (["field", "value"], _flatten("", record, []))
-        return itertools.chain((csv_line(header),), csv_lines(rows))
+        return itertools.chain((csv_line(["field", "value"]),), csv_lines(_flatten("", record, [])))
     return render(record)
 
 
@@ -363,6 +308,15 @@ def _classify_records(d_min: int, d_max: int, d0: int | None):
     elif d0 >= 0:
         d = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
         yield from _segment_records((d, d0), (1, 0), max(0, d_max + 1 - d))
+
+
+def _classify_sweep(args):
+    """The pieces of `classify`, after its range is checked."""
+    if not 0 <= args.d_min <= args.d_max <= 10000:
+        raise ValueError("need 0 <= d_min <= d_max <= 10000")
+    if args.d0 is not None and args.d0 < 0:
+        raise ValueError("need d0 >= 0")
+    return _classify_records(args.d_min, args.d_max, args.d0)
 
 
 def flip_record(d: int) -> dict:
@@ -482,18 +436,13 @@ def bundle_record(b: int, e1: int, e2: int) -> dict:
 
 
 def monomials_record(m: int) -> dict:
+    """The listing of degree m: its header fields, and under "monomials" the
+    cached `enumerate_monomials(m)` tuple, which the writers walk a block at
+    a time (`_monomial_rows`)."""
     if not 0 <= m <= 300:
         raise ValueError("need 0 <= m <= 300")
     monos = enumerate_monomials(m)
-    return {
-        "degree": m,
-        "count": len(monos),
-        "ring_rank": canonical_ring_rank(m),
-        "monomials": [
-            {"a0": x.a0, "a1": x.a1, "a2": x.a2, "a5": x.a5, "label": x.label()}
-            for x in monos
-        ],
-    }
+    return {"degree": m, "count": len(monos), "ring_rank": canonical_ring_rank(m), "monomials": monos}
 
 
 def nef_record(d: int, d0: int, a: int, b: int) -> dict:
@@ -515,7 +464,7 @@ def nef_record(d: int, d0: int, a: int, b: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# text renderers, which yield lines, and csv tables; each reads only its
+# text renderers, which yield lines, and the monomials writers; each reads only its
 # command's record
 
 def _inspect_text(record: dict):
@@ -608,18 +557,72 @@ def _bundle_text(record: dict):
         )
 
 
-def _monomials_text(record: dict):
-    yield (
-        f"degree {record['degree']}: {record['count']} monomials, "
-        f"ring rank {record['ring_rank']}\n"
-    )
-    for m in record["monomials"]:
-        yield f"  {m['label']}\n"
+def _monomial_rows(record: dict, encode) -> Iterable[str]:
+    """The rows of a monomials listing as `encode(a0, a1, a2, a5, label)`
+    writes each, in strings of about `RUN` rows or more, walked a block, the
+    monomials of one (a5, a2), at a time.  Before any row of a block is
+    written, its first and last monomials must be (rest, 0, a2, a5) and
+    (0, rest, a2, a5) for the (a5, a2) after the previous block's, and the
+    tuple must end with the last block, or CrossCheckError.  In a block of
+    `_TEMPLATE_MIN` rows or more, the rows with a0, a1 >= 2 are `encode` of
+    a0 and a1 as `%d` and the label x0^%d x1^%d and what follows x0^rest in
+    the first label (which holds no `%`); the others come from `label()`."""
+    m, monos = record["degree"], record["monomials"]
+    i = a2 = a5 = done = 0  # monos[:done] are encoded
+    rows = []
+    while i < len(monos):
+        rest = m - 2 * a2 - 5 * a5
+        j = i + rest
+        first, last = monos[i], monos[min(j, len(monos) - 1)]
+        if (rest < 0 or j >= len(monos) or (first.a0, first.a1, first.a2, first.a5) != (rest, 0, a2, a5)
+                or (last.a0, last.a1, last.a2, last.a5) != (0, rest, a2, a5)):
+            raise CrossCheckError(f"monomials {m}: monomials {i} to {j} are not the block "
+                                  f"x0^a0 x1^a1 y^{a2} z^{a5}, a0 + a1 = {rest}")
+        if rest >= _TEMPLATE_MIN:
+            template = encode("%d", "%d", a2, a5, "x0^%d x1^%d" + first.label()[len(f"x0^{rest}"):])
+            # a0 and a1 once in the label, and in csv and json once before it.
+            columns = (range(rest - 2, 1, -1), range(2, rest - 1)) * (template.count("%d") // 2)
+            rows += [encode(x.a0, x.a1, x.a2, x.a5, x.label()) for x in monos[done:i + 2]]
+            rows += map(template.__mod__, zip(*columns))
+            done = j - 1
+            if len(rows) >= RUN:
+                yield "".join(rows)
+                rows = []
+        i = j + 1
+        a2, a5 = (a2 + 1, a5) if rest >= 2 else (0, a5 + 1)
+    if monos and a5 != m // 5 + 1:
+        raise CrossCheckError(f"monomials {m}: the listing ends before its last block, y^{a2} z^{a5}")
+    yield "".join(rows + [encode(x.a0, x.a1, x.a2, x.a5, x.label()) for x in monos[done:]])
 
 
-def _monomials_table(record: dict):
-    header = ["a0", "a1", "a2", "a5", "label"]
-    return header, map(operator.itemgetter(*header), record["monomials"])
+def _monomials_text(record: dict) -> Iterable[str]:
+    yield "degree %(degree)d: %(count)d monomials, ring rank %(ring_rank)d\n" % record
+    yield from _monomial_rows(record, lambda a0, a1, a2, a5, label: f"  {label}\n")
+
+
+def _monomials_csv(record: dict) -> Iterable[str]:
+    # The csv module quotes no cell of these rows: each is an int or a label,
+    # which holds only x0, x1, y, z, `^`, digits and spaces.
+    yield csv_line(["a0", "a1", "a2", "a5", "label"])
+    yield from _monomial_rows(record, lambda *row: "%s,%s,%s,%s,%s\n" % row)
+
+
+# One monomial of the JSON listing, after the comma ending the one before.
+_MONOMIAL_JSON = (',\n    {\n      "a0": %s,\n      "a1": %s,\n      "a2": %s,\n      "a5": %s,'
+                  '\n      "label": %s\n    }')
+
+
+def _monomials_json(record: dict) -> Iterable[str]:
+    """The record's text with an empty listing, filled, its first comma the
+    listing's opening bracket."""
+    head, foot = _json_text({**record, "monomials": []}).rsplit("[]", 1)
+    rows = _monomial_rows(
+        record, lambda a0, a1, a2, a5, label: _MONOMIAL_JSON % (a0, a1, a2, a5, _json_str(label)))
+    first = next(rows)
+    yield head + ("[" + first[1:] if first else "[]" + foot + "\n")
+    if first:
+        yield from rows
+        yield "\n  ]" + foot + "\n"
 
 
 def _nef_text(record: dict):
@@ -636,25 +639,26 @@ def _nef_text(record: dict):
 # the command table, its handlers and the parser built from it
 
 # name: (help, integer positionals, record builder from the parsed arguments,
-# text renderer, csv table or None for the flat listing).  A builder looks
-# its `*_record` function up in the module's globals when it is called.
+# and a text renderer or, for a listing, its writer per format).  A builder
+# looks its `*_record` function up in the module's globals when it is called.
 COMMANDS = {
-    "classify": ("classification sweep over (d, d0)", "d_min d_max",
-                 lambda a: _classify_records(a.d_min, a.d_max, a.d0), None, None),
+    "classify": ("classification sweep over (d, d0)", "d_min d_max", _classify_sweep,
+                 {"csv": write_csv, "json": write_json, "text": write_text}),
     "inspect": ("full record of a single model", "d d0",
-                lambda a: inspect_record(BundleParams(a.d, a.d0)), _inspect_text, None),
+                lambda a: inspect_record(BundleParams(a.d, a.d0)), _inspect_text),
     "flip": ("flip data for X(d;1), d in {2,3,4}", "d",
-             lambda a: flip_record(a.d), _flip_text, None),
+             lambda a: flip_record(a.d), _flip_text),
     "moduli": ("moduli component count for a genus", "pg",
-               lambda a: moduli_record(a.pg), _moduli_text, None),
+               lambda a: moduli_record(a.pg), _moduli_text),
     "kobayashi": ("translate blowup parameters (a, e)", "a e",
-                  lambda a: kobayashi_record(a.a, a.e), _kobayashi_text, None),
+                  lambda a: kobayashi_record(a.a, a.e), _kobayashi_text),
     "bundle": ("degree arithmetic over a genus-b base", "b e1 e2",
-               lambda a: bundle_record(a.b, a.e1, a.e2), _bundle_text, None),
+               lambda a: bundle_record(a.b, a.e1, a.e2), _bundle_text),
     "monomials": ("fibre monomials of a weighted degree", "m",
-                  lambda a: monomials_record(a.m), _monomials_text, _monomials_table),
+                  lambda a: monomials_record(a.m),
+                  {"csv": _monomials_csv, "json": _monomials_json, "text": _monomials_text}),
     "nef": ("nef/ample test and curve degrees of a class", "d d0 a b",
-            lambda a: nef_record(a.d, a.d0, a.a, a.b), _nef_text, None),
+            lambda a: nef_record(a.d, a.d0, a.a, a.b), _nef_text),
 }
 
 
@@ -662,17 +666,12 @@ def cmd_record(args) -> tuple[int, Iterable[str]]:
     """The lines of one record; `inspect` of an empty family exits 3."""
     record = args.build(args)
     empty = record.get("classification", {}).get("kind") == "not_existent"
-    return (3 if empty else 0), emit(args.format, record, args.render, args.table)
+    return (3 if empty else 0), emit(args.format, record, args.write)
 
 
-def cmd_classify(args) -> tuple[int, Iterable[str]]:
-    """The sweep's lines, computed a piece at a time as they are read."""
-    if not 0 <= args.d_min <= args.d_max <= 10000:
-        raise ValueError("need 0 <= d_min <= d_max <= 10000")
-    if args.d0 is not None and args.d0 < 0:
-        raise ValueError("need d0 >= 0")
-    write = {"csv": write_csv, "json": write_json, "text": write_text}[args.format]
-    return 0, write(args.build(args))
+def cmd_listing(args) -> tuple[int, Iterable[str]]:
+    """A listing's lines, computed a piece or block at a time as they are read."""
+    return 0, args.write[args.format](args.build(args))
 
 
 @functools.cache
@@ -688,14 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", "-o", metavar="FILE", help="write output to FILE")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, ints, build, render, table) in COMMANDS.items():
+    for name, (help_, ints, build, write) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for dest in ints.split():
             p.add_argument(dest, type=int)
         if name == "classify":
             p.add_argument("--d0", type=int, default=None, help="restrict to a single d0")
-        handler = cmd_classify if name == "classify" else cmd_record
-        p.set_defaults(handler=handler, build=build, render=render, table=table)
+        handler = cmd_listing if type(write) is dict else cmd_record
+        p.set_defaults(handler=handler, build=build, write=write)
     return parser
 
 

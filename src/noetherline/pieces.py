@@ -115,7 +115,7 @@ class Piece:
         return fill(self.marked)
 
 
-#: The most rows joined into one string: a piece can be a whole line of
+#: The rows joined into one string: a piece can be a whole line of
 #: thousands of rows, and a listing hundreds of thousands.
 RUN = 256
 

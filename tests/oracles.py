@@ -1,5 +1,6 @@
 """Closed-form oracles that the library derives another way, the per-row
-walk and the per-row writers that `classify` replaced by its pieces, the join
+walk and the per-row writers that `classify` replaced by its pieces, the
+per-monomial record that the `monomials` listing replaced by its blocks, the join
 loop that monomial labels replaced by their tables, the full weighted order
 test of the four Du Val weight systems (the library runs the one system that
 decides existence), the weight bookkeeping of the dissident-point chart, the
@@ -21,11 +22,11 @@ from hypothesis import strategies as st
 
 from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.cli import classify_record
-from noetherline.invariants import canonical_image
+from noetherline.invariants import canonical_image, canonical_ring_rank
 from noetherline.linear_system import FibreMonomial
-from noetherline.pieces import CSV_CLASSIFY_HEADER
+from noetherline.pieces import CSV_CLASSIFY_HEADER, csv_line
 from noetherline.singularities import LocalMonomial, SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix
+from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix, fibre_exponents
 
 
 @st.composite
@@ -184,6 +185,40 @@ def classify_output(fmt: str, records) -> str:
         writer.writerows(map(classify_csv_row, records))
         return out.getvalue()
     return "".join(classify_text(records))
+
+
+def monomials_record(m: int) -> dict:
+    """The record of `monomials m` with one dict per monomial, each built
+    with the constructor from `fibre_exponents` and labelled by its own
+    `label()`: the listing that the CLI writes a block at a time."""
+    monos = [FibreMonomial(*exponents) for exponents in fibre_exponents(m)]
+    return {
+        "degree": m,
+        "count": len(monos),
+        "ring_rank": canonical_ring_rank(m),
+        "monomials": [
+            {"a0": x.a0, "a1": x.a1, "a2": x.a2, "a5": x.a5, "label": x.label()}
+            for x in monos
+        ],
+    }
+
+
+def monomials_output(fmt: str, record: dict):
+    """What `monomials` writes for the record of `monomials_record`, in
+    parts, monomial by monomial: the parts of `json.dumps(record, indent=2)`
+    (`JSONEncoder.iterencode`), `csv_line` per row, or the text lines."""
+    if fmt == "json":
+        yield from json.JSONEncoder(indent=2).iterencode(record)
+        yield "\n"
+    elif fmt == "csv":
+        header = ["a0", "a1", "a2", "a5", "label"]
+        yield csv_line(header)
+        for row in record["monomials"]:
+            yield csv_line([row[key] for key in header])
+    else:
+        yield f"degree {record['degree']}: {record['count']} monomials, ring rank {record['ring_rank']}\n"
+        for row in record["monomials"]:
+            yield f"  {row['label']}\n"
 
 
 def reid_plurigenus(k3, chi_o: int, m: int, basket=()) -> Fraction:

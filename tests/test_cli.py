@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -25,7 +26,10 @@ from noetherline.linear_system import support_pattern
 from noetherline.pieces import CSV_CLASSIFY_HEADER, Piece, write_csv, write_json, write_text
 from noetherline.singularities import SingularityKind, row_pieces
 from noetherline.toric import BundleParams, CrossCheckError
-from oracles import advance, bundle_params, classify_output, classify_rows, piece_rows
+from oracles import (
+    advance, bundle_params, classify_output, classify_rows, monomials_output, monomials_record,
+    piece_rows,
+)
 
 # The package attribute `invariants` is the function of that name.
 invariants_module = importlib.import_module("noetherline.invariants")
@@ -766,8 +770,8 @@ def _listings(draw):
 
 
 def _long_listing(change_at: int) -> list:
-    """More than `pieces.RUN` items of one shape, `%` in its keys and
-    values, one item with its keys in another order."""
+    """300 items of one shape, `%` in its keys and values, one item with
+    its keys in another order."""
     items = [{"a%d": i, "b\"%s": f"x{i}%s", "c": -i} for i in range(300)]
     items[change_at] = dict(reversed(items[change_at].items()))
     return items
@@ -782,10 +786,9 @@ def _long_listing(change_at: int) -> list:
 @example(_long_listing(0))
 @example(_long_listing(260))
 def test_json_templates_match_the_standard_library(items):
-    # A list of dicts is written from one template of its first item; a run
+    # A list of dicts of one shape is written from one template; a list
     # that holds an item of another shape, and any list below the template
-    # length, is recursed for item by item.  A dict record's list of more
-    # than `RUN` items is written a run at a time.
+    # length, is written item by item.
     for value in (items, {"n": len(items), "items": items, "after": [items]}):
         try:
             expected = json.dumps(value, indent=2) + "\n"
@@ -856,8 +859,11 @@ def test_json_of_every_record_builder_matches_the_standard_library(params, a, b)
 
 
 def test_json_of_fixed_records_matches_the_standard_library(capsys):
-    records = [cli.monomials_record(m) for m in range(41)]
-    records += [cli.flip_record(d) for d in (2, 3, 4)]
+    # The monomials listing is written by its own writer, a block at a time.
+    for m in range(41):
+        out = run_cli(capsys, "--format", "json", "monomials", str(m))[1]
+        assert out == json.dumps(monomials_record(m), indent=2) + "\n", m
+    records = [cli.flip_record(d) for d in (2, 3, 4)]
     records += [cli.bundle_record(*args) for args in ((1, 10, 10), (0, 2, 1), (0, -1, 0))]
     records += [cli.nef_record(8, 7, 1, -9), cli.inspect_record(noetherline.BundleParams(5, 1))]
     capsys.readouterr()
@@ -900,6 +906,53 @@ def test_monomials_degree_is_capped_before_enumerating(tmp_path, monkeypatch, ca
     code, out, _ = run_cli(capsys, "monomials", "300")
     assert code == 0 and calls == [300]
     assert out == "degree 300: 0 monomials, ring rank 44853\n"
+
+
+# Degrees up to 60 hold every block shape (rest 0 to 3, all edge rows, and
+# longer blocks with an interior) at every (a5, a2) near the start; 84, 147
+# and 150 have recorded digests, and 299 and 300 are the longest listings.
+@pytest.mark.parametrize("m", [*range(61), 84, 147, 150, 299, 300])
+def test_monomials_listing_matches_the_per_monomial_oracle(capsys, m):
+    record = monomials_record(m)
+    try:
+        for fmt in ("text", "csv", "json"):
+            code, out, _ = run_cli(capsys, "--format", fmt, "monomials", str(m))
+            assert code == 0
+            # The oracle's parts, compared with the output 4096 at a time.
+            parts, pos = monomials_output(fmt, record), 0
+            while expected := "".join(itertools.islice(parts, 4096)):
+                assert out[pos:pos + len(expected)] == expected, (fmt, pos)
+                pos += len(expected)
+            assert pos == len(out), fmt
+    finally:
+        linear_system.enumerate_monomials.cache_clear()
+
+
+class _LargestWrite:
+    """Standard output that keeps only the length of its largest write."""
+
+    largest = 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+        return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+
+def test_a_long_listing_is_never_one_write(monkeypatch):
+    # `monomials 300` is 11 MB as text and 54 MB as JSON.
+    for fmt in ("text", "csv", "json"):
+        sink = _LargestWrite()
+        monkeypatch.setattr(sys, "stdout", sink)
+        try:
+            assert main(["--format", fmt, "monomials", "300"]) == 0
+        finally:
+            monkeypatch.undo()
+        assert 0 < sink.largest <= 2**20, fmt
+    linear_system.enumerate_monomials.cache_clear()
 
 
 def test_monomials_record_enumerates_once_through_the_cache(monkeypatch):

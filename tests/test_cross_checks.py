@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import noetherline
+from noetherline import cli
+from noetherline.toric import CrossCheckError
+from oracles import monomials_output, monomials_record
 
 # One derivation of each cross-check replaced by a wrong one: (module of the
 # package, or the test oracles, attribute, replacement, call that must raise),
@@ -38,6 +41,14 @@ BROKEN = [
     ("singularities", "_SUPPORT_BY_PATTERN",
      "{support_pattern(BundleParams(20, 10)): (frozenset(), False)}",
      "list(__import__('noetherline.cli').cli._classify_records(20, 20, None))"),
+    # The monomials of degree 12 with x0^6 x1^2 y^2 dropped, then with the
+    # last monomial of the block of y^2, x1^8 y^2, and the first of the next
+    # swapped.
+    ("cli", "enumerate_monomials", "lambda m, f=enumerate_monomials: f(m)[:26] + f(m)[27:]",
+     "''.join(_monomials_csv(monomials_record(12)))"),
+    ("cli", "enumerate_monomials",
+     "lambda m, f=enumerate_monomials: f(m)[:32] + f(m)[33:34] + f(m)[32:33] + f(m)[34:]",
+     "''.join(_monomials_json(monomials_record(12)))"),
 ]
 
 SCRIPT = """
@@ -54,7 +65,8 @@ except CrossCheckError as exc:
 
 
 @pytest.mark.parametrize(
-    "module, attribute, replacement, call", BROKEN, ids=[f"{m}.{a}" for m, a, *_ in BROKEN]
+    "module, attribute, replacement, call", BROKEN,
+    ids=[f"{m}.{a}" + "-swapped" * ("f(m)[32:33]" in r) for m, a, r, _ in BROKEN],
 )
 def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
     paths = (Path(noetherline.__file__).parents[1], Path(__file__).parent)
@@ -65,3 +77,29 @@ def test_cross_check_raises_under_optimization(module, attribute, replacement, c
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("CrossCheckError: "), done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("change, bad", [
+    (lambda monos: monos[:310] + monos[311:], 306),  # x0^17 x1^4 y^2 z dropped
+    (lambda monos: monos[:327] + monos[328:329] + monos[327:328] + monos[329:], 306),  # across a block end
+    (lambda monos: monos[:-1], 679),  # the last block, z^6, dropped
+    (lambda monos: monos + monos[-1:], 680),  # a block after the last one
+], ids=["dropped", "swapped", "last-block-dropped", "extra-block"])
+def test_no_row_of_a_failing_monomials_block_is_written(monkeypatch, tmp_path, fmt, change, bad):
+    """A listing of degree 30 whose monomials are not the blocks of the
+    enumeration: `CrossCheckError`, with rows of the blocks before the bad
+    one written and none of its own."""
+    monos = cli.enumerate_monomials(30)
+    assert (monos[306].a1, monos[327].a1, monos[328].a1, len(monos)) == (0, 21, 0, 680)
+    assert monos[-1].label() == "z^6"
+    monkeypatch.setattr(cli, "enumerate_monomials", lambda m: change(monos))
+    target = tmp_path / "rows"
+    with pytest.raises(CrossCheckError):
+        cli.main(["--format", fmt, "--output", str(target), "monomials", "30"])
+    # The rows after the header, whose count is the changed tuple's length.
+    start = '"monomials": [' if fmt == "json" else "\n"
+    written = target.read_text(encoding="utf-8").partition(start)[2]
+    expected = "".join(monomials_output(fmt, monomials_record(30))).partition(start)[2]
+    assert expected.startswith(written)
+    assert 0 < (written.count('"label"') if fmt == "json" else written.count("\n")) <= bad
