@@ -31,8 +31,8 @@ from typing import Iterable
 from .toric import BundleParams, CrossCheckError
 
 __all__ = [
-    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "csv_lines", "write_csv", "write_json",
-    "write_text",
+    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "csv_lines", "row_map", "write_csv",
+    "write_json", "write_text",
 ]
 
 CSV_CLASSIFY_HEADER = [
@@ -113,6 +113,40 @@ class Piece:
             return value
 
         return fill(self.marked)
+
+
+def row_map(first: tuple, last: tuple, derive):
+    """The row map of a cell whose first and last multi-row pieces (start,
+    step, lo, hi) lie on two lines: changing ints, K3's numerator too, as
+    c + a*d + b*d0 and an image label as its prefix and e, through three of
+    the rows `derive` gives, the first two and last of each; all must fit."""
+    points = [BundleParams(d + i * sd, d0 + i * sd0) for (d, d0), (sd, sd0), lo, hi in (first, last)
+              for i in dict.fromkeys((lo, lo + 1, hi - 1))]
+    rows = list(map(derive, points))
+    (x0, y0), (x1, y1), (x2, y2) = ((p.d, p.d0) for p in (points[0], points[1], points[-1]))
+    det, template, affine = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0), rows[0], []
+    for key, v0 in template.items():
+        v1, v2, wrap = rows[1][key], rows[-1][key], int
+        if key == "K3" and v0 and v1 and v2 and v0["den"] == v1["den"] == v2["den"] == 1:
+            v0, v1, v2, wrap = v0["num"], v1["num"], v2["num"], lambda v: {"num": v, "den": 1}
+        if v0 == v1 == v2:
+            continue
+        if key == "image" and v0:
+            wrap = lambda v, prefix=v0[: len(v0) - len(str(template["e"]))]: prefix + str(v)
+            v0, v1, v2 = (r["e"] for r in (rows[0], rows[1], rows[-1]))
+        elif not type(v0) is type(v1) is type(v2) is int:
+            raise CrossCheckError(f"{points[0].label()}: {key} changes within one cell")
+        # Floored: a map that is not integral misses one of the fit rows.
+        a = ((v1 - v0) * (y2 - y0) - (v2 - v0) * (y1 - y0)) // det
+        b = ((x1 - x0) * (v2 - v0) - (x2 - x0) * (v1 - v0)) // det
+        affine.append((key, v0 - a * x0 - b * y0, a, b, wrap))
+
+    def row(p: BundleParams) -> dict:
+        return template | {key: wrap(c + a * p.d + b * p.d0) for key, c, a, b, wrap in affine}
+
+    if any(row(p) != record for p, record in zip(points, rows)):
+        raise CrossCheckError(f"{points[0].label()}: a derived row of its cell differs from the cell's map")
+    return row
 
 
 #: The rows joined into one string: a piece can be a whole line of

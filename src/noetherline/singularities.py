@@ -40,13 +40,13 @@ x0^9 x1) and 4*d0 - d (of x0^7 x1^3).
 Every field of a classify row (the classification above and the invariants
 of `invariants.invariants`) reads the signs of a few integer forms: the class
 and its count read `CLASS_FORMS`, and the invariants, which a row has only
-where 4*d0 >= d, read `INVARIANT_FORMS`.  Each field is constant or affine in
-(d, d0) where those signs are.  Along a line of the plane, `row_pieces` cuts
-a run of rows at the zeros of these forms into pieces, a row where a form is
-zero being a piece of its own; a caller derives a few rows of each piece and
-advances the others.  The other support forms change no field, only the
-support: `support_breaks` gives the rows where the support pattern changes,
-so that the order test still runs on every pattern a piece crosses.
+where 4*d0 >= d, read `INVARIANT_FORMS`.  Those signs cut the plane into
+convex cells (`cell`; 21 meet d < 160), and each field is constant or affine
+in (d, d0) on a cell.  `row_pieces` cuts a line of the plane into its
+intersections with the cells; a sweep derives rows at the ends of a cell's
+first and last pieces and writes the others from the cell's affine map.
+The support forms change no field: `support_breaks` gives the rows where
+the support pattern changes, so that the order test runs inside pieces.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ __all__ = [
     "classify_general_member",
     "CLASS_FORMS",
     "INVARIANT_FORMS",
+    "cell",
     "row_pieces",
     "support_breaks",
 ]
@@ -226,6 +227,12 @@ INVARIANT_FORMS: tuple[tuple[int, int, int], ...] = (
     (1, 0, 0),
     (0, 1, 0),
 )
+
+
+def cell(d: int, d0: int) -> tuple[int, ...]:
+    """The cell of (d, d0): the signs of `CLASS_FORMS` and, if 4*d0 >= d, `INVARIANT_FORMS`."""
+    forms = CLASS_FORMS + INVARIANT_FORMS if 4 * d0 >= d else CLASS_FORMS
+    return tuple([(v > 0) - (v < 0) for v in [a * d + b * d0 + c for a, b, c in forms]])
 
 
 def _zeros(forms, start: tuple[int, int], step: tuple[int, int], count: int) -> set[int]:

@@ -10,8 +10,9 @@ import pytest
 
 import noetherline
 from noetherline import cli
+from noetherline.singularities import cell
 from noetherline.toric import CrossCheckError
-from oracles import monomials_output, monomials_record
+from oracles import classify_output, classify_rows, monomials_output, monomials_record
 
 # One derivation of each cross-check replaced by a wrong one: (module of the
 # package, or the test oracles, attribute, replacement, call that must raise),
@@ -49,6 +50,18 @@ BROKEN = [
     ("cli", "enumerate_monomials",
      "lambda m, f=enumerate_monomials: f(m)[:32] + f(m)[33:34] + f(m)[32:33] + f(m)[34:]",
      "''.join(_monomials_json(monomials_record(12)))"),
+    # pg one higher on the last line of `classify 30 40` only: the map of a
+    # cell, fit to rows of d = 30 and d = 40, misses one of its derived rows.
+    ("cli", "classify_record",
+     "lambda p, f=classify_record: {k: v + (k == 'pg' and p.d == 40) if type(v) is int else v"
+     " for k, v in f(p).items()}",
+     "list(_classify_records(30, 40, None))"),
+    # The piece of rows 31 to 34 of d = 35, inside the terminal points cell,
+    # merged with the row d0 = d after it: its last row leaves the cell.
+    ("cli", "row_pieces",
+     "lambda start, step, count, f=row_pieces: [(lo, hi + (start == (35, 0) and hi == 35))"
+     " for lo, hi in f(start, step, count) if start != (35, 0) or lo != 35]",
+     "list(_classify_records(30, 40, None))"),
 ]
 
 SCRIPT = """
@@ -66,7 +79,8 @@ except CrossCheckError as exc:
 
 @pytest.mark.parametrize(
     "module, attribute, replacement, call", BROKEN,
-    ids=[f"{m}.{a}" + "-swapped" * ("f(m)[32:33]" in r) for m, a, r, _ in BROKEN],
+    ids=[f"{m}.{a}" + "-swapped" * ("f(m)[32:33]" in r) + "-leaves-its-cell" * ("(35, 0)" in r)
+         for m, a, r, _ in BROKEN],
 )
 def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
     paths = (Path(noetherline.__file__).parents[1], Path(__file__).parent)
@@ -103,3 +117,31 @@ def test_no_row_of_a_failing_monomials_block_is_written(monkeypatch, tmp_path, f
     expected = "".join(monomials_output(fmt, monomials_record(30))).partition(start)[2]
     assert expected.startswith(written)
     assert 0 < (written.count('"label"') if fmt == "json" else written.count("\n")) <= bad
+
+
+def test_no_row_of_a_cell_whose_map_fails_is_written(monkeypatch, tmp_path):
+    """pg one higher on the rows of d = 40 with terminal points: the map of
+    the terminal points cell of `classify 30 40`, fit to rows of d = 30 and
+    d = 40, misses a derived row, and `CrossCheckError` is raised before any
+    row of the cell is written, while the rows before it, of other cells,
+    are."""
+    original = cli.classify_record
+
+    def shifted(params):
+        record = original(params)
+        if params.d == 40 and record["class"] == "terminal_points":
+            record["pg"] += 1
+        return record
+
+    monkeypatch.setattr(cli, "classify_record", shifted)
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError, match="differs from the cell's map"):
+        cli.main(["--format", "csv", "--output", str(target), "classify", "30", "40"])
+    rows = list(classify_rows(30, 40, None))
+    text = target.read_text(encoding="utf-8")
+    written = len(text.splitlines()) - 1
+    assert text == classify_output("csv", rows[:written])
+    failing = cell(rows[written]["d"], rows[written]["d0"])
+    assert rows[written]["class"] == "terminal_points"
+    assert failing not in {cell(r["d"], r["d0"]) for r in rows[:written]}
+    assert len({r["class"] for r in rows[:written]}) > 1
