@@ -10,18 +10,18 @@ degree-level bundle arithmetic over bases of any genus.  All computations
 are exact: integers and rationals only.
 """
 
-# Each module's public names, re-exported.  The package attribute
-# `invariants` ends up as the function of that name, not the module.
-from . import bundles, linear_system, singularities, toric
-from . import invariants as _invariants_module
+# Each module's public names, re-exported; then the package attribute
+# `invariants` is the module again, not the function of that name.
 from .bundles import *
 from .invariants import *
 from .linear_system import *
 from .singularities import *
 from .toric import *
+del invariants
+from . import bundles, invariants, linear_system, singularities, toric
 
 __all__ = [
     name
-    for module in (toric, linear_system, singularities, _invariants_module, bundles)
+    for module in (toric, linear_system, singularities, invariants, bundles)
     for name in module.__all__
 ]

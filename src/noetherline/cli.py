@@ -16,12 +16,11 @@ renderer's text.  Indented JSON comes from this module's own writer,
 `json.dumps` with an indent of 2 without that encoder's pure-Python path,
 and writes a list of dicts of one shape from one template (`_json_listing`).
 
-monomials is written from the cached `linear_system.enumerate_monomials(m)`
-tuple a block, the monomials of one (a5, a2), at a time (`_monomial_rows`),
-each block checked against the enumeration's order before any of its rows
-is written (CrossCheckError).  The rows of a long block with a0 >= 2 and
-a1 >= 2 are one `%` template per block and format; every other row comes
-from its monomial's own `label()`.  No long listing is one string.
+monomials is written a block, the monomials of one (a5, a2), at a time
+(`_monomial_rows`): each is checked against the cached
+`linear_system.enumerate_monomials(m)` tuple (CrossCheckError), then joined
+from the strings that change along it, kept per rest in `_PAIRS`, so no row
+calls `label()` or formats a number.  No long listing is one string.
 
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece: a piece is a line's intersection with a cell, the rows
@@ -73,13 +72,8 @@ from .invariants import (
     kobayashi_translate,
     moduli_components,
 )
-from .linear_system import (
-    base_locus,
-    coefficient_profile,
-    enumerate_monomials,
-    family_dimension,
-    normal_form_support,
-)
+from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
+from .linear_system import family_dimension, normal_form_support
 from .pieces import RUN, Piece, csv_line, csv_lines, row_map, write_csv, write_json, write_text
 from .singularities import (
     EmptyFamilyError,
@@ -194,8 +188,8 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} is not a JSON value of a record")
 
 
-# JSON lists and monomial blocks shorter than this are written item by item:
-# a template and its checks cost more than the items they would write.
+# JSON lists shorter than this are written item by item: a template and its
+# checks cost more than the items they would write.
 _TEMPLATE_MIN = 12
 
 
@@ -446,8 +440,8 @@ def bundle_record(b: int, e1: int, e2: int) -> dict:
 
 def monomials_record(m: int) -> dict:
     """The listing of degree m: its header fields, and under "monomials" the
-    cached `enumerate_monomials(m)` tuple, which the writers walk a block at
-    a time (`_monomial_rows`)."""
+    cached `enumerate_monomials(m)` tuple, which the writers check a block
+    at a time (`_monomial_rows`)."""
     if not 0 <= m <= 300:
         raise ValueError("need 0 <= m <= 300")
     monos = enumerate_monomials(m)
@@ -566,20 +560,38 @@ def _bundle_text(record: dict):
         )
 
 
-def _monomial_rows(record: dict, encode) -> Iterable[str]:
-    """The rows of a monomials listing as `encode(a0, a1, a2, a5, label)`
-    writes each, in strings of about `RUN` rows or more, walked a block, the
-    monomials of one (a5, a2), at a time.  Before any row of a block is
-    written, its first and last monomials must be (rest, 0, a2, a5) and
-    (0, rest, a2, a5) for the (a5, a2) after the previous block's, and the
-    tuple must end with the last block, or CrossCheckError.  In a block of
-    `_TEMPLATE_MIN` rows or more, the rows with a0, a1 >= 2 are `encode` of
-    a0 and a1 as `%d` and the label x0^%d x1^%d and what follows x0^rest in
-    the first label (which holds no `%`); the others come from `label()`."""
+class _BlockPairs(dict):
+    """Per (rest, sep), built when first asked for, the strings that change
+    along a monomials block, a1 = 0..rest and a0 = rest - a1: the label
+    pairs `_X0[a0] + _X1[a1]` for sep None, else f"{a0}{sep}{a1}".  rest <= 300
+    and one fixed sep per format bound them: ~2.4 MiB up to rest 150."""
+
+    def __missing__(self, key: tuple[int, str | None]) -> list[str]:
+        rest, sep = key
+        pairs = self[key] = [_X0[rest - a1] + _X1[a1] if sep is None else f"{rest - a1}{sep}{a1}"
+                             for a1 in range(rest + 1)]
+        return pairs
+
+
+_PAIRS = _BlockPairs()
+
+
+def _monomial_rows(record: dict, head: str, sep: str | None, middle: str, end: str) -> Iterable[str]:
+    """A monomials listing's rows, `head`, a0 `sep` a1 and `middle` of a2 and
+    a5 unless `sep` is None, the label and `end`, in strings of `RUN` rows or
+    more (the last may be shorter) that end with a block, those of one
+    (a5, a2).  A block's first and last monomials must be (rest, 0, a2, a5)
+    and (0, rest, a2, a5) for the (a5, a2) after the last block's, and the
+    tuple must end with the last block, or CrossCheckError before the block
+    is written as one join over its rest's `_PAIRS`, each label pair and the
+    tail y^a2 z^a5; without a tail (a2 = a5 = 0) a pair drops its space."""
     m, monos = record["degree"], record["monomials"]
-    i = a2 = a5 = done = 0  # monos[:done] are encoded
+    i = a2 = a5 = start = 0  # rows holds monos[start:i]
     rows = []
     while i < len(monos):
+        if i - start >= RUN:
+            yield "".join(rows)
+            rows, start = [], i
         rest = m - 2 * a2 - 5 * a5
         j = i + rest
         first, last = monos[i], monos[min(j, len(monos) - 1)]
@@ -587,46 +599,37 @@ def _monomial_rows(record: dict, encode) -> Iterable[str]:
                 or (last.a0, last.a1, last.a2, last.a5) != (0, rest, a2, a5)):
             raise CrossCheckError(f"monomials {m}: monomials {i} to {j} are not the block "
                                   f"x0^a0 x1^a1 y^{a2} z^{a5}, a0 + a1 = {rest}")
-        if rest >= _TEMPLATE_MIN:
-            template = encode("%d", "%d", a2, a5, "x0^%d x1^%d" + first.label()[len(f"x0^{rest}"):])
-            # a0 and a1 once in the label, and in csv and json once before it.
-            columns = (range(rest - 2, 1, -1), range(2, rest - 1)) * (template.count("%d") // 2)
-            rows += [encode(x.a0, x.a1, x.a2, x.a5, x.label()) for x in monos[done:i + 2]]
-            rows += map(template.__mod__, zip(*columns))
-            done = j - 1
-            if len(rows) >= RUN:
-                yield "".join(rows)
-                rows = []
+        tail = _Y[a2] + _Z[a5]
+        labels = _PAIRS[rest, None] if tail else [pair[:-1] or "1" for pair in _PAIRS[rest, None]]
+        if sep is not None:
+            labels = map(middle.format(a2=a2, a5=a5).join, zip(_PAIRS[rest, sep], labels))
+        close = tail[:-1] + end
+        rows += head, (close + head).join(labels), close
         i = j + 1
         a2, a5 = (a2 + 1, a5) if rest >= 2 else (0, a5 + 1)
     if monos and a5 != m // 5 + 1:
         raise CrossCheckError(f"monomials {m}: the listing ends before its last block, y^{a2} z^{a5}")
-    yield "".join(rows + [encode(x.a0, x.a1, x.a2, x.a5, x.label()) for x in monos[done:]])
+    yield "".join(rows)
 
 
 def _monomials_text(record: dict) -> Iterable[str]:
     yield "degree %(degree)d: %(count)d monomials, ring rank %(ring_rank)d\n" % record
-    yield from _monomial_rows(record, lambda a0, a1, a2, a5, label: f"  {label}\n")
+    yield from _monomial_rows(record, "  ", None, "", "\n")
 
 
 def _monomials_csv(record: dict) -> Iterable[str]:
     # The csv module quotes no cell of these rows: each is an int or a label,
     # which holds only x0, x1, y, z, `^`, digits and spaces.
     yield csv_line(["a0", "a1", "a2", "a5", "label"])
-    yield from _monomial_rows(record, lambda *row: "%s,%s,%s,%s,%s\n" % row)
-
-
-# One monomial of the JSON listing, after the comma ending the one before.
-_MONOMIAL_JSON = (',\n    {\n      "a0": %s,\n      "a1": %s,\n      "a2": %s,\n      "a5": %s,'
-                  '\n      "label": %s\n    }')
+    yield from _monomial_rows(record, "", ",", ",{a2},{a5},", "\n")
 
 
 def _monomials_json(record: dict) -> Iterable[str]:
     """The record's text with an empty listing, filled, its first comma the
-    listing's opening bracket."""
+    listing's opening bracket.  A label needs no escape (see `_monomials_csv`)."""
     head, foot = _json_text({**record, "monomials": []}).rsplit("[]", 1)
-    rows = _monomial_rows(
-        record, lambda a0, a1, a2, a5, label: _MONOMIAL_JSON % (a0, a1, a2, a5, _json_str(label)))
+    rows = _monomial_rows(record, ',\n    {\n      "a0": ', ',\n      "a1": ',
+                          ',\n      "a2": {a2},\n      "a5": {a5},\n      "label": "', '"\n    }')
     first = next(rows)
     yield head + ("[" + first[1:] if first else "[]" + foot + "\n")
     if first:

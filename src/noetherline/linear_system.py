@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, repeat
 
 from .toric import BundleParams, CrossCheckError, SpecialCurve
-from .toric import coefficient_form, fibre_exponents, h0_class, member_class
+from .toric import coefficient_form, fibre_blocks, h0_class, member_class
 
 __all__ = [
     "FibreMonomial",
@@ -98,11 +98,6 @@ Z_SQUARED = FibreMonomial(0, 0, 0, 2)
 Y_FIFTH = FibreMonomial(0, 0, 5, 0)
 
 
-# Exponent vectors turned into monomials at a time: a degree's vectors and
-# columns are never all held beside its monomials.
-_FILL_RUN = 4096
-
-
 @lru_cache(maxsize=None)
 def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     """All fibre monomials of weighted degree m, ordered by (a5, a2, a1).
@@ -110,25 +105,21 @@ def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     The ordering is part of the contract: output tables and serialized
     records are byte-stable across runs.
 
-    The monomials are made `_FILL_RUN` exponent vectors at a time, without
-    the frozen `__init__` per monomial: a run's objects are allocated bare,
-    then each field is set a column at a time through its slot's
-    descriptor, after the column's minimum is checked.
+    The monomials are allocated bare, without the frozen `__init__`, then
+    each field is set through its slot a column at a time, chained from one
+    `range` or `repeat` per block of `toric.fibre_blocks`, checked first.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    exponents = fibre_exponents(m)
-    slots = [getattr(FibreMonomial, name).__set__ for name in FibreMonomial.__slots__]
-    monos: list[FibreMonomial] = []
-    while run := list(islice(exponents, _FILL_RUN)):
-        objects = list(map(object.__new__, repeat(FibreMonomial, len(run))))
-        for set_slot, column in zip(slots, zip(*run)):
-            if min(column) < 0:
-                raise ValueError("exponents must be nonnegative")
-            # `__set__` returns None, so `any` runs the map to its end.
-            any(map(set_slot, objects, column))
-        monos += objects
-    return tuple(monos)
+    blocks = list(fibre_blocks(m))
+    if blocks and min(map(min, blocks)) < 0:
+        raise ValueError("exponents must be nonnegative")
+    monos = tuple(map(object.__new__, repeat(FibreMonomial, sum(rest + 1 for rest, _, _ in blocks))))
+    columns = [(range(r, -1, -1), range(r + 1), repeat(a2, r + 1), repeat(a5, r + 1)) for r, a2, a5 in blocks]
+    for name, column in zip(FibreMonomial.__slots__, zip(*columns)):
+        # `__set__` returns None, so `any` runs the map to its end.
+        any(map(getattr(FibreMonomial, name).__set__, monos, chain.from_iterable(column)))
+    return monos
 
 
 def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:

@@ -51,6 +51,7 @@ __all__ = [
     "is_nef",
     "is_ample",
     "curve_intersection",
+    "fibre_blocks",
     "fibre_exponents",
     "coefficient_form",
     "h0_class",
@@ -271,13 +272,18 @@ def curve_intersection(
     return quartic_intersection(c, factors[0], factors[1], factors[2], params)
 
 
-def fibre_exponents(m: int) -> Iterator[tuple[int, int, int, int]]:
-    """(a0, a1, a2, a5) with a0 + a1 + 2*a2 + 5*a5 = m, ordered by (a5, a2, a1)."""
+def fibre_blocks(m: int) -> Iterator[tuple[int, int, int]]:
+    """(rest, a2, a5) of each block of degree m, a0 + a1 = rest, ordered by (a5, a2)."""
     for a5 in range(m // 5 + 1):
         for a2 in range((m - 5 * a5) // 2 + 1):
-            rest = m - 5 * a5 - 2 * a2
-            for a1 in range(rest + 1):
-                yield rest - a1, a1, a2, a5
+            yield m - 5 * a5 - 2 * a2, a2, a5
+
+
+def fibre_exponents(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a0, a1, a2, a5) with a0 + a1 + 2*a2 + 5*a5 = m, ordered by (a5, a2, a1)."""
+    for rest, a2, a5 in fibre_blocks(m):
+        for a1 in range(rest + 1):
+            yield rest - a1, a1, a2, a5
 
 
 def coefficient_form(a0: int, a1: int, d: int, d0: int) -> int:

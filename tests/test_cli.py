@@ -1,7 +1,6 @@
 import argparse
 import csv
 import hashlib
-import importlib
 import io
 import itertools
 import json
@@ -19,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noetherline
+import noetherline.invariants as invariants_module
 from noetherline import cli, linear_system, pieces, singularities
 from noetherline.cli import classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
@@ -30,9 +30,6 @@ from oracles import (
     advance, bundle_params, classify_output, classify_rows, monomials_output, monomials_record,
     piece_rows,
 )
-
-# The package attribute `invariants` is the function of that name.
-invariants_module = importlib.import_module("noetherline.invariants")
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +312,20 @@ def test_classify_output_file_matches_recorded_digest(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == CLASSIFY_DIGESTS["json", "0 60"]
+
+
+def test_the_invariants_module_is_the_package_attribute(monkeypatch):
+    """`import noetherline.invariants as invariants_module`, above, binds the
+    module, not the function of that name, so a monkeypatch through it
+    reaches what classify runs: K3 made to change along the line d = 8
+    fails its piece."""
+    assert invariants_module is sys.modules["noetherline.invariants"] is noetherline.invariants
+    assert invariants_module.invariants is cli.invariants
+    assert len(list(cli._classify_records(8, 8, None))) == 7
+    monkeypatch.setattr(invariants_module, "quartic_intersection",
+                        lambda c1, c2, c3, c4, params: Fraction(params.d0, 3))
+    with pytest.raises(CrossCheckError):
+        list(cli._classify_records(8, 8, None))
 
 
 def test_classify_derives_each_piece_at_its_anchors_only(monkeypatch, capsys):
@@ -1058,6 +1069,57 @@ def test_a_long_listing_is_never_one_write(monkeypatch):
             monkeypatch.undo()
         assert 0 < sink.largest <= 2**20, fmt
     linear_system.enumerate_monomials.cache_clear()
+
+
+# Each format's separator between a0 and a1; text has none.
+_PAIR_SEPS = {"text": None, "csv": ",", "json": ',\n      "a1": '}
+
+
+def test_listings_in_one_process_do_not_depend_on_what_ran_before(capsys, monkeypatch):
+    """Listings of several degrees, formats rotating, in one process: each is
+    its recorded digest or the oracle's bytes, whichever lists were built
+    before it, and the block pairs then hold exactly the rests of the blocks
+    listed so far (none above the largest degree), with no separator but the
+    formats' fixed ones."""
+    monkeypatch.setattr(cli, "_PAIRS", type(cli._PAIRS)())
+    expected_keys = set()
+    try:
+        for m, fmt in [(150, "text"), (7, "csv"), (84, "json"), (0, "text"), (150, "csv"), (299, "json")]:
+            code, out, _ = run_cli(capsys, "--format", fmt, "monomials", str(m))
+            assert code == 0
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            if (fmt, f"monomials {m}") in COMMAND_DIGESTS:
+                assert digest == COMMAND_DIGESTS[fmt, f"monomials {m}"][1], (m, fmt)
+            elif (m, fmt) in ORACLE_DIGESTS:
+                assert digest == ORACLE_DIGESTS[m, fmt], (m, fmt)
+            else:
+                assert out == "".join(monomials_output(fmt, monomials_record(m))), (m, fmt)
+            rests = {m - 2 * a2 - 5 * a5 for a5 in range(m // 5 + 1) for a2 in range((m - 5 * a5) // 2 + 1)}
+            expected_keys |= {(rest, sep) for rest in rests for sep in {None, _PAIR_SEPS[fmt]}}
+            assert set(cli._PAIRS) == expected_keys, (m, fmt)
+    finally:
+        linear_system.enumerate_monomials.cache_clear()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 30, 150])
+def test_each_written_string_of_a_listing_ends_with_a_block(m):
+    """Every string of a listing's rows ends with a block's last row, the one
+    with a0 = 0, and holds fewer than `RUN` rows before its last block; every
+    string but the last holds `RUN` rows or more.  The three formats break
+    their rows into strings at the same rows."""
+    record = cli.monomials_record(m)
+    csv_strings = list(cli._monomials_csv(record))[1:]
+    sizes = [text.count("\n") for text in csv_strings]
+    assert sum(sizes) == record["count"]
+    assert all(size >= pieces.RUN for size in sizes[:-1])
+    for text in csv_strings:
+        last = [*map(int, text.splitlines()[-1].split(",")[:4])]
+        assert last[0] == 0, (m, last)
+        # The last block's rows are its rest + 1 = a1 + 1 of its last row.
+        assert text.count("\n") - (last[1] + 1) < pieces.RUN
+    assert [text.count("\n") for text in list(cli._monomials_text(record))[1:]] == sizes
+    json_strings = list(cli._monomials_json(record))
+    assert [text.count('"a0": ') for text in json_strings[:-1]] == sizes
 
 
 def test_monomials_record_enumerates_once_through_the_cache(monkeypatch):

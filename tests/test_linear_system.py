@@ -95,9 +95,11 @@ def test_enumerate_matches_brute_force_and_is_sorted():
 
 
 def test_enumerated_monomials_equal_constructed_ones():
-    # The cache is filled without the dataclass `__init__`; its monomials
-    # must be the constructor's in every respect a record or test reads.
-    for m in range(0, 61):
+    # The cache is filled without the dataclass `__init__`, from the blocks
+    # of `fibre_blocks`; its monomials must be the checked constructor's over
+    # `fibre_exponents`, in values, order and every respect a record or test
+    # reads, at every degree through 80 and at the bench's longest listings.
+    for m in [*range(81), 147, 150]:
         built = tuple(FibreMonomial(*e) for e in fibre_exponents(m))
         monos = enumerate_monomials(m)
         assert monos == built
@@ -109,12 +111,14 @@ def test_enumerated_monomials_equal_constructed_ones():
 
 def test_enumeration_checks_the_exponents(monkeypatch):
     # The nonnegativity that `__post_init__` checks per monomial is checked
-    # per column of a run when the cache is filled.
-    monkeypatch.setattr(
-        linear_system, "fibre_exponents", lambda m: iter([(m, 0, 0, 0), (m + 1, -1, 0, 0)])
-    )
-    with pytest.raises(ValueError):
-        enumerate_monomials(299)
+    # per block when the cache is filled, on the rest, a2 and a5 of each
+    # block it reads from `fibre_blocks`; a failing fill caches nothing.
+    enumerate_monomials.cache_clear()
+    for bad in [(-1, 1, 0), (2, -1, 0), (2, 0, -1)]:
+        monkeypatch.setattr(linear_system, "fibre_blocks", lambda m, bad=bad: iter([(m, 0, 0), bad]))
+        with pytest.raises(ValueError):
+            enumerate_monomials(299)
+        assert enumerate_monomials.cache_info().currsize == 0
 
 
 def test_monomials_minus_relation_equals_ring_rank():
