@@ -25,16 +25,16 @@ calls `label()` or formats a number.  No long listing is one string.
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece: a piece is a line's intersection with a cell, the rows
 where the forms a row reads have fixed signs (`singularities.cell`), and
-every field is affine in (d, d0) on a cell.  A first walk keeps each cell's
-first and last multi-row piece.  Where they lie on two lines, their first
-two rows and last rows are derived and must fit one integer affine map,
-and each multi-row piece of the cell is the map's rows; other pieces are
-derived at their first two rows and their last.  Interior lines of a cell
-are not derived, as interior rows of a piece are not: `classify 10 111`
-derives 171 of 9,333 rows.  A failing check raises CrossCheckError before
-any row of the cell or piece is written.  `pieces` writes each format from
-one `%` template per piece, at most 256 rows to a string; csv and compact
-JSON stream, and the text table sizes its columns in a first pass.
+every field is affine in (d, d0) on a cell.  Every piece is built by its
+cell's integer affine row map (`pieces.row_map`), fit before the cell's
+first piece at its anchors, the only rows `classify_record` derives: the
+first two rows and the last of the cell's first and last pieces, and the
+first row of its second, kept by a first walk over two lines or more.  Rows
+between a cell's anchors are not derived: `classify 10 111` derives 38 of
+9,333 rows.  A failing check raises CrossCheckError before any row of the
+cell or piece is written.  `pieces` writes each format from one `%`
+template per piece, at most 256 rows to a string; csv and compact JSON
+stream, and the text table sizes its columns in a first pass.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
@@ -74,7 +74,7 @@ from .invariants import (
 )
 from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
 from .linear_system import family_dimension, normal_form_support
-from .pieces import RUN, Piece, csv_line, csv_lines, row_map, write_csv, write_json, write_text
+from .pieces import RUN, csv_line, csv_lines, row_map, write_csv, write_json, write_text
 from .singularities import (
     EmptyFamilyError,
     cell,
@@ -261,31 +261,29 @@ def classify_record(params: BundleParams) -> dict:
 
 
 def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int, maps=None):
-    """The pieces of the rows start + i*step, 0 <= i < count (`row_pieces`).
-    A multi-row piece of a cell in `maps`, fit before the cell's first piece,
-    is the map's rows, its last row in the cell; `classify_record` derives
-    the first two rows and the last of any other.  `order_test` runs on the
-    first row of every other support pattern a piece crosses.  A piece is
-    yielded when its last row as written is the map's or the derived one."""
+    """The pieces of the rows start + i*step, 0 <= i < count (`row_pieces`),
+    each built by its cell's map (`row_map`): the one in `maps`, fit before
+    the cell's first piece, whose pieces of two rows or more must end in the
+    cell, or, on the only line of its cells, one fit at the piece's first two
+    rows and last.  The last row of a piece as written must be the map's,
+    and `order_test` runs on the first row of every other support pattern it
+    crosses."""
     (d, d0), (sd, sd0) = start, step
-    # A line of three rows or fewer is all anchors.
-    breaks = support_breaks(start, step, count) if count > 3 else []
+    breaks = None  # the line's support breaks, once a piece has inner rows
     for lo, hi in row_pieces(start, step, count):
-        p0 = BundleParams(d + lo * sd, d0 + lo * sd0)
-        derive = fit() if maps and (fit := maps.get(key := cell(p0.d, p0.d0))) else classify_record
-        if hi - lo == 1:
-            yield Piece(classify_record(p0))
-            continue
         n = hi - lo - 1  # the index of the last row
-        p1, pn = (BundleParams(p0.d + i * sd, p0.d0 + i * sd0) for i in (1, n))
-        if derive is not classify_record and cell(pn.d, pn.d0) != key:
-            raise CrossCheckError(f"{p0.label()} to {pn.label()}: the piece leaves its cell")
-        piece = Piece.from_rows(derive(p0), derive(p1), p0, p1, hi - lo)
-        if n > 1:
-            if piece.row(n) != derive(pn):
-                raise CrossCheckError(f"{p0.label()} to {pn.label()}: the advanced last row differs")
+        first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
+        row, build = maps[key := cell(*first)]() if maps else row_map(
+            [first, (first[0] + sd, first[1] + sd0), last][:n + 1], classify_record)
+        piece = build(first, step, hi - lo)
+        if n:
+            if maps and cell(*last) != key:
+                raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
+            if piece.row(n) != row(last):
+                raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (*first, *last))
             # The patterns that start after row lo + 1, but for the one that
             # holds on the last row.
+            breaks = support_breaks(start, step, count) if breaks is None else breaks
             inner = breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)]
             for i in inner[:-1]:
                 order_test(BundleParams(d + i * sd, d0 + i * sd0))
@@ -294,21 +292,24 @@ def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int, 
 
 def _classify_records(d_min: int, d_max: int, d0: int | None):
     """The sweep's pieces in order: the band of each d over d0 or, with
-    --d0, the band of that d0 over d.  A first walk over the lines derives
-    nothing and keeps each cell's first and last multi-row piece."""
+    --d0, the band of that d0 over d.  Over two lines or more, a first walk
+    derives nothing and keeps each cell's first, second and last piece; the
+    cell's map is fit at the first two rows and the last of its first and
+    last pieces and the first row of its second."""
     if d0 is None:
         lines = lambda: (((d, 0), (0, 1), 3 * d // 2 + 1) for d in range(d_min, d_max + 1))
     else:
         least = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
         lines = lambda: [((least, d0), (1, 0), max(0, d_max + 1 - least))] * (d0 >= 0)
-    ends = {}  # a cell's first and last multi-row piece: (start, step, lo, hi)
-    for (d, k), step, count in lines():
-        for lo, hi in row_pieces((d, k), step, count):
-            if hi - lo > 1:
-                piece = (d, k), step, lo, hi
-                ends.setdefault(cell(d + lo * step[0], k + lo * step[1]), [piece])[1:] = [piece]
-    maps = {key: functools.cache(functools.partial(row_map, first, last, classify_record))
-            for key, (first, last) in ends.items() if first[0] != last[0]}  # on two lines
+    kept = {}  # a cell's first, second and last piece: (start, step, lo, hi)
+    for start, step, count in lines() if d0 is None and d_min < d_max else ():
+        for lo, hi in row_pieces(start, step, count):
+            seen = kept.setdefault(cell(start[0] + lo * step[0], start[1] + lo * step[1]), [])
+            seen[min(len(seen), 2):] = [(start, step, lo, hi)]
+    maps = {key: functools.cache(functools.partial(row_map, [
+        (d + i * sd, k + i * sk) for n, ((d, k), (sd, sk), lo, hi) in enumerate(seen)
+        for i in ((lo,) if n == 1 < len(seen) - 1 else (lo, lo + 1, hi - 1)) if i < hi
+    ], classify_record)) for key, seen in kept.items()}
     for line in lines():
         yield from _segment_records(*line, maps)
 

@@ -3,11 +3,11 @@
 Along a line of its sweep, every field of a classify row is constant or
 affine on a piece of the line (`singularities.row_pieces`).  A `Piece` is
 such a run of rows: its first record with every int that changes replaced
-by a mark, its row count and the column of values of each mark.  Ints are
-affine, K3 among them: every member lies on the Noether line, where
-K3 = 4d - 6, so a fractional K3 that changes within a piece fails its
-cross-check.  An image label that changes is its kind's prefix and the
-row's e, the degree of a cone or Hirzebruch image.
+by a mark, its row count and the column of values of each mark.  Its cell's
+map (`row_map`) builds it.  Ints are affine, K3 among them: every member
+lies on the Noether line, where K3 = 4d - 6, so a fractional K3 that
+changes within a cell fails its map.  An image label that changes is its
+kind's prefix and the row's e, the degree of a cone or Hirzebruch image.
 
 Each format writes a piece from one `%` template.  The encoder that writes a
 record (the csv module, `json.dumps`) encodes the piece's marked record
@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -63,90 +64,89 @@ class Piece:
 
     __slots__ = ("marked", "columns", "count")
 
-    def __init__(self, record: dict, count: int = 1, columns: dict | None = None):
-        self.marked, self.count, self.columns = record, count, columns or {}
-
-    @classmethod
-    def from_rows(cls, first: dict, second: dict, p0: BundleParams, p1: BundleParams,
-                  count: int) -> Piece:
-        """The piece of `count` rows whose rows 0 and 1 are `first` and
-        `second`, the records of p0 and p1.  A field the two rows share is
-        constant; of the others, an int is affine, K3 with denominator 1 on
-        both rows is an affine numerator, and the image label is its kind's
-        prefix and the row's e.  Any other field that changes raises
-        CrossCheckError."""
-        marked, columns = first.copy(), {}
-        for key, v0 in first.items():
-            v1 = second[key]
-            if v0 == v1:
-                continue
-            if type(v0) is int and type(v1) is int:
-                marked[key] = _MARK
-                columns[key] = range(v0, v0 + count * (v1 - v0), v1 - v0)
-            elif key == "K3" and v0 and v1 and v0["den"] == v1["den"] == 1:
-                num, step = v0["num"], v1["num"] - v0["num"]
-                marked[key] = {"num": _MARK, "den": 1}
-                columns["K3_num"] = range(num, num + count * step, step)
-            elif key == "image" and v0 and v1:
-                e0, e1 = str(first["e"]), str(second["e"])
-                prefix = v0[: len(v0) - len(e0)]
-                if v0 != prefix + e0 or v1 != prefix + e1:
-                    raise CrossCheckError(f"{p0.label()}, {p1.label()}: the image label does not follow e")
-                marked[key] = prefix + _MARK
-                columns[key] = columns["e"]
-            else:
-                raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
-        return cls(marked, count, columns)
+    def __init__(self, record: dict, count: int, columns: dict):
+        self.marked, self.count, self.columns = record, count, columns
 
     def row(self, i: int) -> dict:
         """The record of row i as the writers write it: each mark of
         `marked`, in order, replaced by its column's value at i."""
         values = iter([column[i] for column in self.columns.values()])
-
-        def fill(value):
-            if type(value) is dict:
-                return {key: fill(v) for key, v in value.items()}
-            if value == _MARK:
-                return next(values)
-            if type(value) is str and _MARK in value:
-                return value.replace(_MARK, str(next(values)))
-            return value
-
-        return fill(self.marked)
+        fill = lambda v: (next(values) if v == _MARK else v.replace(_MARK, str(next(values)))
+                          if type(v) is str and _MARK in v else v)
+        return {key: {k: fill(x) for k, x in v.items()} if type(v) is dict else fill(v)
+                for key, v in self.marked.items()}
 
 
-def row_map(first: tuple, last: tuple, derive):
-    """The row map of a cell whose first and last multi-row pieces (start,
-    step, lo, hi) lie on two lines: changing ints, K3's numerator too, as
-    c + a*d + b*d0 and an image label as its prefix and e, through three of
-    the rows `derive` gives, the first two and last of each; all must fit."""
-    points = [BundleParams(d + i * sd, d0 + i * sd0) for (d, d0), (sd, sd0), lo, hi in (first, last)
-              for i in dict.fromkeys((lo, lo + 1, hi - 1))]
-    rows = list(map(derive, points))
-    (x0, y0), (x1, y1), (x2, y2) = ((p.d, p.d0) for p in (points[0], points[1], points[-1]))
-    det, template, affine = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0), rows[0], []
-    for key, v0 in template.items():
-        v1, v2, wrap = rows[1][key], rows[-1][key], int
-        if key == "K3" and v0 and v1 and v2 and v0["den"] == v1["den"] == v2["den"] == 1:
-            v0, v1, v2, wrap = v0["num"], v1["num"], v2["num"], lambda v: {"num": v, "den": 1}
-        if v0 == v1 == v2:
-            continue
-        if key == "image" and v0:
-            wrap = lambda v, prefix=v0[: len(v0) - len(str(template["e"]))]: prefix + str(v)
-            v0, v1, v2 = (r["e"] for r in (rows[0], rows[1], rows[-1]))
-        elif not type(v0) is type(v1) is type(v2) is int:
-            raise CrossCheckError(f"{points[0].label()}: {key} changes within one cell")
-        # Floored: a map that is not integral misses one of the fit rows.
-        a = ((v1 - v0) * (y2 - y0) - (v2 - v0) * (y1 - y0)) // det
-        b = ((x1 - x0) * (v2 - v0) - (x2 - x0) * (v1 - v0)) // det
-        affine.append((key, v0 - a * x0 - b * y0, a, b, wrap))
+def row_map(anchors: list, derive):
+    """The row map of a cell through `anchors`, its rows (d, d0), as `derive`
+    gives them: each changing int, K3's numerator too, as c + a*d + b*d0 with
+    int a, b, c, an image label as its prefix and e.  Three anchors not on one
+    line fix it, or two on one line with no step across it, or one; every
+    anchor must be its row (CrossCheckError).  Returns `row`, the record at
+    (d, d0), and `piece`, the `Piece` of `count` rows from `start` by `step`;
+    both refuse a point off the span of the anchors."""
+    points = list(dict.fromkeys(anchors))
+    rows = [derive(BundleParams(*p)) for p in points]
+    template, (x0, y0), affine = rows[0], points[0], []
+    on_span = points[0].__eq__
+    if len(points) > 1:
+        (x1, y1), k = points[1], 0  # k: the anchor of the third point, or the first
+        dx1, dy1 = x1 - x0, y1 - y0
+        on_line = lambda p: dx1 * (p[1] - y0) == (p[0] - x0) * dy1
+        if off := [i for i, p in enumerate(points) if not on_line(p)]:
+            (x2, y2), k, on_span = points[off[0]], off[0], lambda p: True
+        else:  # The third point is one lattice step across the line, where
+            # every field keeps its first value: the steps (ux, uy) along the
+            # line and (x2 - x0, y2 - y0) span the lattice, so a, b are ints.
+            ux, uy = dx1 // (g := math.gcd(dx1, dy1)), dy1 // g
+            wy = pow(ux, -1, abs(uy)) if uy else ux
+            x2, y2, on_span = x0 + ((wy * ux - 1) // uy if uy else 0), y0 + wy, on_line
+        dx2, dy2, second, third = x2 - x0, y2 - y0, rows[1], rows[k]
+        det = dx1 * dy2 - dx2 * dy1
+        for key, v0 in template.items():
+            v1, v2, name, wrap = second[key], third[key], key, _same
+            if v0 == v1 == v2:
+                continue
+            if key == "K3" and v0 and v1 and v2 and v0["den"] == v1["den"] == v2["den"] == 1:
+                v0, v1, v2, name = v0["num"], v1["num"], v2["num"], "K3_num"
+                wrap = lambda v: {"num": v, "den": 1}
+            elif key == "image" and v0 and v1 and v2:
+                wrap = lambda v, prefix=v0[: len(v0) - len(str(template["e"]))]: prefix + str(v)
+                v0, v1, v2 = template["e"], second["e"], third["e"]
+            elif not type(v0) is type(v1) is type(v2) is int:
+                raise CrossCheckError(f"X({x0};{y0}): {key} changes within one cell")
+            # Floored: a map that is not integral misses one of the anchors.
+            a = ((v1 - v0) * dy2 - (v2 - v0) * dy1) // det
+            b = (dx1 * (v2 - v0) - dx2 * (v1 - v0)) // det
+            affine.append((key, name, v0 - a * x0 - b * y0, a, b, wrap))
 
-    def row(p: BundleParams) -> dict:
-        return template | {key: wrap(c + a * p.d + b * p.d0) for key, c, a, b, wrap in affine}
+    def span(p: tuple) -> tuple:
+        if not on_span(p):
+            raise CrossCheckError("X(%d;%d): off the span of its cell's anchors" % p)
+        return p
+
+    def row(p: tuple) -> dict:
+        d, d0 = span(p)
+        return template | {key: wrap(c + a * d + b * d0) for key, _, c, a, b, wrap in affine}
+
+    def piece(start: tuple, step: tuple, count: int) -> Piece:
+        (d, d0), (sd, sd0) = span(start), step
+        span((d + (count - 1) * sd, d0 + (count - 1) * sd0))
+        marked, columns = template.copy(), {}
+        for key, name, c, a, b, wrap in affine:
+            v, s = c + a * d + b * d0, (a * sd + b * sd0) * (count > 1)
+            marked[key] = wrap(_MARK if s else v)
+            if s:
+                columns[name] = range(v, v + count * s, s)
+        return Piece(marked, count, columns)
 
     if any(row(p) != record for p, record in zip(points, rows)):
-        raise CrossCheckError(f"{points[0].label()}: a derived row of its cell differs from the cell's map")
-    return row
+        raise CrossCheckError(f"X({x0};{y0}): a derived row of its cell differs from the cell's map")
+    return row, piece
+
+
+def _same(v):
+    return v
 
 
 #: The rows joined into one string: a piece can be a whole line of

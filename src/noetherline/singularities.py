@@ -43,8 +43,8 @@ and its count read `CLASS_FORMS`, and the invariants, which a row has only
 where 4*d0 >= d, read `INVARIANT_FORMS`.  Those signs cut the plane into
 convex cells (`cell`; 21 meet d < 160), and each field is constant or affine
 in (d, d0) on a cell.  `row_pieces` cuts a line of the plane into its
-intersections with the cells; a sweep derives rows at the ends of a cell's
-first and last pieces and writes the others from the cell's affine map.
+intersections with the cells; a sweep derives a few anchor rows of each
+cell and writes every piece of the cell from its affine map.
 The support forms change no field: `support_breaks` gives the rows where
 the support pattern changes, so that the order test runs inside pieces.
 """
@@ -232,7 +232,7 @@ INVARIANT_FORMS: tuple[tuple[int, int, int], ...] = (
 def cell(d: int, d0: int) -> tuple[int, ...]:
     """The cell of (d, d0): the signs of `CLASS_FORMS` and, if 4*d0 >= d, `INVARIANT_FORMS`."""
     forms = CLASS_FORMS + INVARIANT_FORMS if 4 * d0 >= d else CLASS_FORMS
-    return tuple([(v > 0) - (v < 0) for v in [a * d + b * d0 + c for a, b, c in forms]])
+    return tuple([((v := a * d + b * d0 + c) > 0) - (v < 0) for a, b, c in forms])
 
 
 def _zeros(forms, start: tuple[int, int], step: tuple[int, int], count: int) -> set[int]:
@@ -240,14 +240,13 @@ def _zeros(forms, start: tuple[int, int], step: tuple[int, int], count: int) -> 
     `forms`: a form that is zero on row i cuts at i and i + 1, one that is
     zero between rows i - 1 and i cuts at i."""
     (d, d0), (sd, sd0) = start, step
-    cuts = set()
+    cuts = []
     for a, b, c in forms:
-        slope = a * sd + b * sd0
-        if slope:
+        if slope := a * sd + b * sd0:
             # The form is value + i*slope; it is zero at i = -value/slope.
             value = a * d + b * d0 + c
-            cuts.update(i for i in (-(value // slope), -value // slope + 1) if 0 < i < count)
-    return cuts
+            cuts += -(value // slope), -value // slope + 1
+    return {i for i in cuts if 0 < i < count}
 
 
 def row_pieces(

@@ -23,7 +23,7 @@ from noetherline import cli, linear_system, pieces, singularities
 from noetherline.cli import classify_record, main
 from noetherline.invariants import ImageKind, kobayashi_params
 from noetherline.linear_system import support_pattern
-from noetherline.pieces import CSV_CLASSIFY_HEADER, Piece, write_csv, write_json, write_text
+from noetherline.pieces import CSV_CLASSIFY_HEADER, write_csv, write_json, write_text
 from noetherline.singularities import SingularityKind, row_pieces
 from noetherline.toric import BundleParams, CrossCheckError
 from oracles import (
@@ -328,7 +328,7 @@ def test_the_invariants_module_is_the_package_attribute(monkeypatch):
         list(cli._classify_records(8, 8, None))
 
 
-def test_classify_derives_each_piece_at_its_anchors_only(monkeypatch, capsys):
+def test_classify_derives_each_cell_at_its_anchors_only(monkeypatch, capsys):
     calls = []
     original = cli.classify_general_member
 
@@ -342,22 +342,30 @@ def test_classify_derives_each_piece_at_its_anchors_only(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "classify", "2000", "2003")
     assert code == 0
     rows = len(out.splitlines()) - 1
-    # The anchors of a piece [lo, hi) of a band: its first two rows and its last.
+    # The anchors of a cell: the first two rows and the last of its first and
+    # last pieces [lo, hi), and the first row of its second.
+    by_cell = {}
+    for d in range(2000, 2004):
+        for lo, hi in row_pieces((d, 0), (0, 1), 3 * d // 2 + 1):
+            by_cell.setdefault(singularities.cell(d, lo), []).append((d, lo, hi))
     anchors = {
         BundleParams(d, k)
-        for d in range(2000, 2004)
-        for lo, hi in row_pieces((d, 0), (0, 1), 3 * d // 2 + 1)
-        for k in {lo, lo + 1, hi - 1} if k < hi
+        for seen in by_cell.values()
+        for n, (d, lo, hi) in enumerate(seen) if n in (0, 1, len(seen) - 1)
+        for k in ({lo} if 0 < n < len(seen) - 1 else {lo, lo + 1, hi - 1}) if k < hi
     }
     assert len(calls) == len(set(calls))
     assert set(calls) <= anchors
     assert 50 * len(anchors) < rows
 
 
-@pytest.mark.parametrize("band, budget", [("10 111", 185), ("2000 2000", 20), ("3 109", 250)])
+@pytest.mark.parametrize("band, budget", [
+    ("10 111", 41), ("2000 2000", 20), ("3 109", 47), ("0 1000", 52),
+])
 def test_classify_anchor_budget(monkeypatch, capsys, band, budget):
-    """The 9,333 rows of `classify 10 111`, the 3,001 of d = 2000 and the
-    9,068 of `classify 3 109` cost at most `budget` derivations."""
+    """The 9,333 rows of `classify 10 111`, the 3,001 of d = 2000, the
+    9,068 of `classify 3 109` and the 751,501 of `classify 0 1000` cost at
+    most `budget` derivations."""
     calls = []
     original = cli.classify_general_member
 
@@ -534,22 +542,25 @@ K3_STEPS = [((2, 1), (6, 1)), ((1, 3), (4, 3)), ((1, 3), (5, 6)), ((-7, 2), (1, 
 @pytest.mark.parametrize("k3s", K3_STEPS)
 @pytest.mark.parametrize("start, count", [((20, 6), 25), ((20, 29), 1), ((20, 12), 2), ((9, 4), 10)])
 def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
-    """A piece whose K3 changes as an integer is written as the per-row
-    writers write the rows that `advance` makes from its first two rows.  A
-    K3 that changes as a fraction fails the piece's cross-check: every row
-    of the family lies on the Noether line, where K3 = 4d - 6."""
+    """A piece built by the map of a cell fit through its first two rows,
+    whose K3 changes as an integer, is written as the per-row writers write
+    the rows that `advance` makes from those two rows.  A K3 that changes as
+    a fraction fails the map's cross-check: every row of the family lies on
+    the Noether line, where K3 = 4d - 6."""
     p0 = BundleParams(*start)
     p1 = BundleParams(p0.d, p0.d0 + 1)
     first, second = classify_record(p0), classify_record(p1)
     for record, (num, den) in zip((first, second), k3s):
         record["K3"] = {"num": num, "den": den}
+    anchors = {p0: first, p1: second}
     if k3s[0][1] != 1 or k3s[1][1] != 1:
-        with pytest.raises(CrossCheckError, match="K3 changes within one piece"):
-            Piece.from_rows(first, second, p0, p1, count)
+        with pytest.raises(CrossCheckError, match="K3 changes within one cell"):
+            pieces.row_map([start, (p1.d, p1.d0)], anchors.__getitem__)
         return
     row = advance(first, second, p0, p1)
     rows = [row(i) for i in range(count)]
-    piece = Piece.from_rows(first, second, p0, p1, count)
+    _, build = pieces.row_map([start, (p1.d, p1.d0)], anchors.__getitem__)
+    piece = build(start, (0, 1), count)
     assert list(piece_rows([piece])) == rows
     for fmt, write in WRITERS.items():
         assert "".join(write([piece])) == classify_output(fmt, rows), fmt
@@ -625,18 +636,18 @@ def _constant_den_doubled(piece):
     (_constant_den_doubled, (0, 300, 40)),
 ], ids=["d0", "image", "K3_num", "pg", "K3 den"])
 def test_the_cross_check_reads_what_the_writers_write(monkeypatch, spoil, band):
-    """A piece whose marks or columns are wrong at its last row fails its
-    cross-check: the check reads the values that the templates are filled
-    with, not a second advance of the piece's steps."""
-    original = Piece.from_rows
+    """A piece that its cell's map builds with marks or columns wrong at its
+    last row fails the last-row check: the check reads the values that the
+    templates are filled with, not a second evaluation of the map."""
+    original = pieces.Piece
 
     def spoiled(*args):
         piece = original(*args)
         spoil(piece)
         return piece
 
-    monkeypatch.setattr(Piece, "from_rows", staticmethod(spoiled))
-    with pytest.raises(CrossCheckError):
+    monkeypatch.setattr(pieces, "Piece", spoiled)
+    with pytest.raises(CrossCheckError, match="the advanced last row differs"):
         list(cli._classify_records(*band))
 
 

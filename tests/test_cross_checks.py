@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import noetherline
-from noetherline import cli
+from noetherline import cli, pieces
 from noetherline.singularities import cell
-from noetherline.toric import CrossCheckError
+from noetherline.toric import BundleParams, CrossCheckError
 from oracles import classify_output, classify_rows, monomials_output, monomials_record
 
 # One derivation of each cross-check replaced by a wrong one: (module of the
@@ -56,6 +56,12 @@ BROKEN = [
      "lambda p, f=classify_record: {k: v + (k == 'pg' and p.d == 40) if type(v) is int else v"
      " for k, v in f(p).items()}",
      "list(_classify_records(30, 40, None))"),
+    # pg one higher at X(40;40) only: the map of the ray d0 = d, fit to its
+    # rows at d = 30 and d = 31, misses its anchor at d = 40.
+    ("cli", "classify_record",
+     "lambda p, f=classify_record: {k: v + (k == 'pg' and (p.d, p.d0) == (40, 40)) if type(v) is int"
+     " else v for k, v in f(p).items()}",
+     "list(_classify_records(30, 40, None))"),
     # The piece of rows 31 to 34 of d = 35, inside the terminal points cell,
     # merged with the row d0 = d after it: its last row leaves the cell.
     ("cli", "row_pieces",
@@ -66,7 +72,7 @@ BROKEN = [
 
 SCRIPT = """
 import importlib, sys
-from noetherline.toric import CrossCheckError
+from noetherline.toric import BundleParams, CrossCheckError
 name = sys.argv[1]
 module = importlib.import_module(name if name == "oracles" else "noetherline." + name)
 setattr(module, sys.argv[2], eval(sys.argv[3], vars(module)))
@@ -80,7 +86,7 @@ except CrossCheckError as exc:
 @pytest.mark.parametrize(
     "module, attribute, replacement, call", BROKEN,
     ids=[f"{m}.{a}" + "-swapped" * ("f(m)[32:33]" in r) + "-leaves-its-cell" * ("(35, 0)" in r)
-         for m, a, r, _ in BROKEN],
+         + "-on-a-ray" * ("(40, 40)" in r) for m, a, r, _ in BROKEN],
 )
 def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
     paths = (Path(noetherline.__file__).parents[1], Path(__file__).parent)
@@ -145,3 +151,39 @@ def test_no_row_of_a_cell_whose_map_fails_is_written(monkeypatch, tmp_path):
     assert rows[written]["class"] == "terminal_points"
     assert failing not in {cell(r["d"], r["d0"]) for r in rows[:written]}
     assert len({r["class"] for r in rows[:written]}) > 1
+
+
+def test_no_row_of_a_ray_whose_map_fails_is_written(monkeypatch, tmp_path):
+    """pg one higher at X(40;40) only: the map of the ray d0 = d in
+    `classify 30 40`, fit to its rows at d = 30 and d = 31, misses its
+    anchor at d = 40, and `CrossCheckError` is raised before the ray's first
+    row, X(30;30), is written, while the rows before it are."""
+    original = cli.classify_record
+
+    def shifted(params):
+        record = original(params)
+        if (params.d, params.d0) == (40, 40):
+            record["pg"] += 1
+        return record
+
+    monkeypatch.setattr(cli, "classify_record", shifted)
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError, match="differs from the cell's map"):
+        cli.main(["--format", "csv", "--output", str(target), "classify", "30", "40"])
+    rows = list(classify_rows(30, 40, None))
+    text = target.read_text(encoding="utf-8")
+    written = len(text.splitlines()) - 1
+    assert text == classify_output("csv", rows[:written])
+    assert (rows[written]["d"], rows[written]["d0"]) == (30, 30)
+
+
+def test_a_line_cells_map_refuses_a_point_off_its_line():
+    """The map of the ray d0 = d through three of its rows gives the ray's
+    rows, and refuses a row, or a piece that ends, off the ray."""
+    row, build = pieces.row_map([(30, 30), (31, 31), (40, 40)], cli.classify_record)
+    assert row((35, 35)) == cli.classify_record(BundleParams(35, 35))
+    assert build((35, 35), (0, 1), 1).marked == row((35, 35))
+    with pytest.raises(CrossCheckError, match="off the span"):
+        row((35, 36))
+    with pytest.raises(CrossCheckError, match="off the span"):
+        build((35, 35), (0, 1), 2)
