@@ -10,11 +10,12 @@ Every command is one row of `COMMANDS`: a record builder, which computes
 the command's record from the parsed arguments, and a text renderer, which
 reads only that record, or, for the listings classify and monomials, a
 writer per format.  One emitter, `emit`, writes a record as indented JSON,
-as a flat `field,value` CSV listing (`pieces.csv_lines`) or as the
-renderer's text.  Indented JSON comes from this module's own writer,
-`_json_text`, which writes the same bytes as the standard library's
-`json.dumps` with an indent of 2 without that encoder's pure-Python path,
-and writes a list of dicts of one shape from one template (`_json_listing`).
+as a flat CSV listing, one `field,value` line per leaf (the csv module's
+line where a cell needs quoting), or as the renderer's text.  Indented JSON
+comes from this module's own writer, `_json_text`, which writes the same
+bytes as the standard library's `json.dumps` with an indent of 2 without
+that encoder's pure-Python path, and writes a list of dicts of one shape
+from one template (`_json_listing`).
 
 monomials is written a block, the monomials of one (a5, a2), at a time
 (`_monomial_rows`): each is checked against the cached
@@ -55,8 +56,8 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
-import itertools
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -74,7 +75,7 @@ from .invariants import (
 )
 from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
 from .linear_system import family_dimension, normal_form_support
-from .pieces import RUN, csv_line, csv_lines, row_map, write_csv, write_json, write_text
+from .pieces import RUN, _rational_text, csv_line, row_map, write_csv, write_json, write_text
 from .singularities import (
     EmptyFamilyError,
     cell,
@@ -105,10 +106,6 @@ def _frac(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _unfrac(q: dict) -> Fraction:
-    return Fraction(q["num"], q["den"])
-
-
 def _scalar(value) -> str:
     if value is None:
         return ""
@@ -125,9 +122,15 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
-def _flatten(prefix: str, value, rows: list[list[str]]) -> list[list[str]]:
-    """Append a [field, value] row per scalar leaf of a dict or list;
-    only nested dicts and lists recurse."""
+# A character that the csv module quotes (some versions: a carriage return)
+# or, before Python 3.11, refuses to write unescaped (NUL).
+_CSV_SPECIAL = re.compile('[,"\r\n\0]').search
+
+
+def _flatten(prefix: str, value, lines: list[str]) -> list[str]:
+    """Append the csv line `field,value` of each scalar leaf of a dict or
+    list; only nested dicts and lists recurse.  A line whose field or value
+    holds a character in `_CSV_SPECIAL` is the csv module's (`csv_line`)."""
     is_dict = isinstance(value, dict)
     for key, sub in value.items() if is_dict else enumerate(value):
         if is_dict:
@@ -135,10 +138,12 @@ def _flatten(prefix: str, value, rows: list[list[str]]) -> list[list[str]]:
         else:
             field = f"{prefix}[{key}]"
         if isinstance(sub, (dict, list)):
-            _flatten(field, sub, rows)
+            _flatten(field, sub, lines)
         else:
-            rows.append([field, _scalar(sub)])
-    return rows
+            text = _scalar(sub)
+            lines.append(csv_line([field, text]) if _CSV_SPECIAL(field) or _CSV_SPECIAL(text)
+                         else f"{field},{text}\n")
+    return lines
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -219,11 +224,11 @@ def _json_listing(items: list, indent: str) -> str | None:
 
 def emit(fmt: str, record, render) -> Iterable[str]:
     """The lines of a record: indented json, a flat `field,value` csv
-    listing or the text that `render` makes of it."""
+    listing (`_flatten`) or the text that `render` makes of it."""
     if fmt == "json":
         return (_json_text(record) + "\n",)
     if fmt == "csv":
-        return itertools.chain((csv_line(["field", "value"]),), csv_lines(_flatten("", record, [])))
+        return ("".join(_flatten("", record, ["field,value\n"])),)
     return render(record)
 
 
@@ -486,7 +491,7 @@ def _inspect_text(record: dict):
     else:
         yield (
             f"invariants: pg = {inv['pg']}, q1 = {inv['q1']}, q2 = {inv['q2']}, "
-            f"chi_O = {inv['chi_O']}, K3 = {_unfrac(inv['K3'])}\n"
+            f"chi_O = {inv['chi_O']}, K3 = {_rational_text(inv['K3'])}\n"
         )
         flags = (inv["K_ample"], inv["K_nef"], inv["on_noether_line"], inv["mds"])
         yield (
@@ -524,7 +529,7 @@ def _flip_text(record: dict):
         f"pg = {record['pg']}, P2 = {record['P2']}, chi_O = {record['chi_O']}\n"
     )
     yield f"basket: {', '.join(q['label'] for q in record['basket'])}\n"
-    yield f"K3+ = {_unfrac(record['K3_plus'])}\n"
+    yield f"K3+ = {_rational_text(record['K3_plus'])}\n"
     cone = (DivisorClass(c["a"], c["b"]) for c in record["nef_cone_Fplus"])
     yield f"nef cone of the flipped bundle: {', '.join(map(str, cone))}\n"
 
@@ -556,8 +561,8 @@ def _bundle_text(record: dict):
             f"chi(omega_X) = {record['chi_omega_X']}\n"
         )
         yield (
-            f"K3 = {_unfrac(record['K3'])}, "
-            f"gap above the Noether bound = {_unfrac(record['noether_gap'])}\n"
+            f"K3 = {_rational_text(record['K3'])}, "
+            f"gap above the Noether bound = {_rational_text(record['noether_gap'])}\n"
         )
 
 
@@ -645,7 +650,7 @@ def _nef_text(record: dict):
         f"nef = {_yesno(record['nef'])}, ample = {_yesno(record['ample'])}\n"
     )
     for name, value in record["curves"].items():
-        yield f"  degree on {name}: {_unfrac(value)}\n"
+        yield f"  degree on {name}: {_rational_text(value)}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from typing import Iterable
 from .toric import BundleParams, CrossCheckError
 
 __all__ = [
-    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "csv_lines", "row_map", "write_csv",
-    "write_json", "write_text",
+    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "row_map", "write_csv", "write_json",
+    "write_text",
 ]
 
 CSV_CLASSIFY_HEADER = [
@@ -167,56 +167,6 @@ def _rows(template: str, columns) -> Iterable[str]:
         yield run
 
 
-def csv_lines(rows: Iterable) -> Iterable[str]:
-    """The csv module's text of `rows`, a run at a time: each run is one `%`
-    template where that is proven to write the same text (`_csv_template`)
-    and `csv_line` of each row otherwise.  Runs start at `_CSV_FIRST_RUN`
-    rows and double after each templated run, up to `RUN`; a run that needs
-    `csv_line` starts the doubling again, so a quoted cell costs a short
-    run, and a listing of one shape is written `RUN` rows at a time.  A
-    shorter run (a short listing, or the last rows of one) is written by
-    `csv_line`."""
-    rows = iter(rows)
-    size = _CSV_FIRST_RUN
-    while run := list(itertools.islice(rows, size)):
-        text = _csv_template(run)
-        if text is None:
-            yield "".join(map(csv_line, run))
-            size = _CSV_FIRST_RUN
-        else:
-            yield text
-            size = min(2 * size, RUN)
-
-
-# The rows of a first run, and the fewest that a template writes: below
-# that, a template and its checks cost more than the rows they would write,
-# and a run that fails its checks costs up to twice `csv_line` of its rows.
-_CSV_FIRST_RUN = 24
-
-
-def _csv_template(run: list) -> str | None:
-    """The csv module's text of `run`, as one `%s` template over all of its
-    cells, or None where that is not proven to be the same text.  It is
-    when the run has `_CSV_FIRST_RUN` rows or more, every row has the
-    same two or more cells, each an exact int or str, and the text has one
-    comma between cells, one newline per row and no quote, carriage return
-    or NUL: then no cell holds a character that the csv module quotes (a
-    carriage return only in some versions) or, before Python 3.11, refuses,
-    and no row is a lone "" that it quotes.  `%s` writes an exact int as the
-    csv module does, by `str`."""
-    n, width = len(run), len(run[0])
-    if n < _CSV_FIRST_RUN or width < 2 or set(map(len, run)) != {width}:
-        return None
-    cells = tuple(itertools.chain.from_iterable(run))
-    if not set(map(type, cells)) <= {int, str}:
-        return None
-    text = (("%s," * (width - 1) + "%s\n") * n) % cells
-    if (text.count("\n") == n and text.count(",") == n * (width - 1)
-            and '"' not in text and "\r" not in text and "\0" not in text):
-        return text
-    return None
-
-
 def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:
     return [none if v is None else yes if v else no
             for v in (record["K_ample"], record["K_nef"], record["noether"], record["mds"])]
@@ -265,8 +215,9 @@ _TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
 _TEXT_COLUMNS = {"d": 0, "d0": 1, "e": 2, "count": 4, "pg": 5, "K3_num": 6, "image": 7}
 
 
-def _k3_text(num, den) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+def _rational_text(q: dict) -> str:
+    """A rational {num, den} in lowest terms as p/q, or p where q = 1."""
+    return str(q["num"]) if q["den"] == 1 else f"{q['num']}/{q['den']}"
 
 
 def _text_cells(record: dict) -> list[str]:
@@ -277,7 +228,7 @@ def _text_cells(record: dict) -> list[str]:
         str(record["d"]), str(record["d0"]), str(record["e"]), record["class"],
         "-" if count is None else str(count),
         "-" if pg is None else str(pg),
-        "-" if k3 is None else _k3_text(k3["num"], k3["den"]),
+        "-" if k3 is None else _rational_text(k3),
         record["image"] or "-",
         *_flags(record, "yes", "no", "-"),
     ]

@@ -7,8 +7,8 @@ decides existence), the weight bookkeeping of the dissident-point chart, the
 degree arithmetic of the toric model that no command reports (the canonical
 class of the bundle, its twists, the Gorenstein degree data, the Noether-type
 inequality, the split presentation and the relative dualising sheaf), the
-monomial count and genus of a weighted hypersurface, and the parameter
-strategy of the property tests."""
+monomial count and genus of a weighted hypersurface, the flat csv listing
+of a record, and the parameter strategy of the property tests."""
 
 import csv
 import io
@@ -219,6 +219,32 @@ def monomials_output(fmt: str, record: dict):
         yield f"degree {record['degree']}: {record['count']} monomials, ring rank {record['ring_rank']}\n"
         for row in record["monomials"]:
             yield f"  {row['label']}\n"
+
+
+def flat_csv(record) -> str:
+    """The flat `field,value` csv listing of a record, under its header: a
+    row per scalar leaf, found by a recursive walk, written by the csv
+    module.  A dict's key follows its prefix after a dot (the key alone
+    where the prefix is empty), a list's index in brackets; a leaf is
+    written as true, false, "" for None, or its str."""
+    rows = [["field", "value"]]
+
+    def walk(prefix: str, value) -> None:
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                walk(f"{prefix}.{key}" if prefix else key, sub)
+        elif isinstance(value, list):
+            for i, sub in enumerate(value):
+                walk(f"{prefix}[{i}]", sub)
+        else:
+            text = ("" if value is None else "true" if value is True
+                    else "false" if value is False else str(value))
+            rows.append([prefix, text])
+
+    walk("", record)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def reid_plurigenus(k3, chi_o: int, m: int, basket=()) -> Fraction:

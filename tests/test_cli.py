@@ -27,8 +27,8 @@ from noetherline.pieces import CSV_CLASSIFY_HEADER, write_csv, write_json, write
 from noetherline.singularities import SingularityKind, row_pieces
 from noetherline.toric import BundleParams, CrossCheckError
 from oracles import (
-    advance, bundle_params, classify_output, classify_rows, monomials_output, monomials_record,
-    piece_rows,
+    advance, bundle_params, classify_output, classify_rows, flat_csv, monomials_output,
+    monomials_record, piece_rows,
 )
 
 
@@ -908,50 +908,50 @@ def test_json_templates_match_the_standard_library(items):
         assert _emitted_json(value) == expected
 
 
-# Cells as a listing holds them, and cells the csv module quotes or writes
+# --- flat csv listings: cli's writer against the csv module -----------------
+
+# Text as a record holds it, and text that the csv module quotes or writes
 # in its own way.
-_CSV_CELLS = (
-    _PERCENT_TEXT | _INTS | st.booleans() | st.none()
-    | st.sampled_from(["", ",", '"', "\r", "\n", "a,b", "x\ny", "\x00", "\ud800", "\xe9"])
-)
+_CSV_TEXT = _PERCENT_TEXT | st.sampled_from(
+    ["", ",", '"', '""', "\r", "\n", "a,b", "x\ny", "\x00", "\ud800", "\xe9"])
+_CSV_RECORDS = st.dictionaries(_CSV_TEXT, st.recursive(
+    _CSV_TEXT | _INTS | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_CSV_TEXT, inner, max_size=4),
+    max_leaves=30,
+), max_size=6)
 
 
-@st.composite
-def _csv_listings(draw):
-    """Rows of str and int cells of one width, some changed: a cell the csv
-    module quotes or writes otherwise (bool, None), or another width."""
-    width = draw(st.integers(1, 5))
-    kinds = draw(st.lists(st.sampled_from([int, str]), min_size=width, max_size=width))
-    rows = []
-    for _ in range(draw(st.integers(0, 90))):
-        row = [draw(_INTS if kind is int else st.text(st.sampled_from("abx.[]0_ "))) for kind in kinds]
-        if draw(st.integers(0, 9)) == 0:
-            row[draw(st.integers(0, width - 1))] = draw(_CSV_CELLS)
-        if draw(st.integers(0, 19)) == 0:
-            row = draw(st.lists(_CSV_CELLS, max_size=4))
-        rows.append(draw(st.sampled_from([row, tuple(row)])))
-    return rows
+def _emitted_csv(record) -> str:
+    return "".join(cli.emit("csv", record, None))
 
 
-@given(_csv_listings())
-@example([["a", ""]] * 30)
-@example([[""]] * 30)
-@example([[]] * 30)
-@example([["k", 1]] * 40 + [["k", "a,b"]] + [["k", 2]] * 600)
-@example([("x", True)] * 30)
-@example([("x", None)] * 30)
-@example([["a%s", "%d"]] * 30 + [["a", "b", "c"], ["d"]] + [["a", "b"]] * 30)
-@example([["a", 'b"c']] * 30)
-@example([["a", "b\rc"], ["\x00", 1]] * 15)
-def test_csv_templates_match_the_csv_module(rows):
-    # A run of rows is one `%` template only where that is proven to be the
-    # csv module's text; every other run is written a row at a time.
-    assert "".join(pieces.csv_lines(rows)) == "".join(map(pieces.csv_line, rows))
+@given(_CSV_RECORDS)
+@example({"a": [""] * 30, "": ""})
+@example({"k": [1] * 40 + ["a,b"] + [2] * 600})
+@example({"x": [True] * 30, "y": [None] * 30, "1": [1, True, 0, False]})
+@example({"a%s": ["%d"] * 30, "b": {"c": [["a", "b", "c"], ["d"]]}, "%": [["a", "b"]] * 30})
+@example({"a": ['b"c'] * 30, '"': '""'})
+@example({"a": ["b\rc"] * 15, "\x00": [1] * 15, "x\ny": "\ud800\xe9"})
+def test_csv_listing_matches_the_csv_module(record):
+    # A line of the listing is `field,value` unless its field or value
+    # holds a character that the csv module quotes or refuses.
+    assert _emitted_csv(record) == flat_csv(record)
 
 
-@settings(max_examples=40, deadline=None)
-@given(bundle_params(d_max=200), st.integers(-20, 20), st.integers(-20, 20))
-def test_json_of_every_record_builder_matches_the_standard_library(params, a, b):
+def test_a_quoted_cell_costs_only_its_own_line(monkeypatch, capsys):
+    # The three basket labels of `inspect 2 1` come last, after 280 plain lines.
+    calls, line = [], pieces.csv_line
+    for module in (cli, pieces):
+        monkeypatch.setattr(module, "csv_line", lambda row: calls.append(row) or line(row))
+    code, out, _ = run_cli(capsys, "--format", "csv", "inspect", "2", "1")
+    quoted = [text for text in out.split("\n") if '"' in text]
+    assert code == 0
+    assert len(calls) == len(quoted) == 4
+
+
+def _builder_records(params, a, b) -> list:
+    """The records of classify, inspect and nef at (d, d0), and of moduli and
+    kobayashi where they have one."""
     d, d0 = params.d, params.d0
     records = [
         cli.classify_record(params),
@@ -963,8 +963,21 @@ def test_json_of_every_record_builder_matches_the_standard_library(params, a, b)
     blowup = kobayashi_params(params)
     if blowup[0] >= blowup[1] >= 0:
         records.append(cli.kobayashi_record(*blowup))
-    for record in records:
+    return records
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_params(d_max=200), st.integers(-20, 20), st.integers(-20, 20))
+def test_json_of_every_record_builder_matches_the_standard_library(params, a, b):
+    for record in _builder_records(params, a, b):
         assert _emitted_json(record) == json.dumps(record, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_params(d_max=200), st.integers(-20, 20), st.integers(-20, 20))
+def test_csv_of_every_record_builder_matches_the_oracle(params, a, b):
+    for record in _builder_records(params, a, b):
+        assert _emitted_csv(record) == flat_csv(record)
 
 
 def test_json_of_fixed_records_matches_the_standard_library(capsys):

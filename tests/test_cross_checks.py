@@ -1,6 +1,7 @@
 """Every cross-check between two derivations raises `CrossCheckError`, also
 under `python -O`, which strips `assert` statements."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -187,3 +188,12 @@ def test_a_line_cells_map_refuses_a_point_off_its_line():
         row((35, 36))
     with pytest.raises(CrossCheckError, match="off the span"):
         build((35, 35), (0, 1), 2)
+
+
+def test_the_library_holds_no_assert():
+    # A cross-check that is an `assert` would be gone under `python -O`.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(noetherline.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
