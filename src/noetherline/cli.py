@@ -30,7 +30,7 @@ every field is affine in (d, d0) on a cell.  Every piece is built by its
 cell's integer affine row map (`pieces.row_map`), fit before the cell's
 first piece at its anchors, the only rows `classify_record` derives: the
 first two rows and the last of the cell's first and last pieces, and the
-first row of its second, kept by a first walk over two lines or more.  Rows
+first row of its second, all kept by a first walk of every sweep.  Rows
 between a cell's anchors are not derived: `classify 10 111` derives 38 of
 9,333 rows.  A failing check raises CrossCheckError before any row of the
 cell or piece is written.  `pieces` writes each format from one `%`
@@ -265,58 +265,56 @@ def classify_record(params: BundleParams) -> dict:
     return record
 
 
-def _segment_records(start: tuple[int, int], step: tuple[int, int], count: int, maps=None):
-    """The pieces of the rows start + i*step, 0 <= i < count (`row_pieces`),
-    each built by its cell's map (`row_map`): the one in `maps`, fit before
-    the cell's first piece, whose pieces of two rows or more must end in the
-    cell, or, on the only line of its cells, one fit at the piece's first two
-    rows and last.  The last row of a piece as written must be the map's,
-    and `order_test` runs on the first row of every other support pattern it
-    crosses."""
-    (d, d0), (sd, sd0) = start, step
-    breaks = None  # the line's support breaks, once a piece has inner rows
-    for lo, hi in row_pieces(start, step, count):
-        n = hi - lo - 1  # the index of the last row
-        first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
-        row, build = maps[key := cell(*first)]() if maps else row_map(
-            [first, (first[0] + sd, first[1] + sd0), last][:n + 1], classify_record)
-        piece = build(first, step, hi - lo)
-        if n:
-            if maps and cell(*last) != key:
-                raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
-            if piece.row(n) != row(last):
-                raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (*first, *last))
-            # The patterns that start after row lo + 1, but for the one that
-            # holds on the last row.
-            breaks = support_breaks(start, step, count) if breaks is None else breaks
-            inner = breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)]
-            for i in inner[:-1]:
-                order_test(BundleParams(d + i * sd, d0 + i * sd0))
-        yield piece
+def _walk(lines):
+    """The pieces of each line (start, step, count) of `lines()`, cut by
+    `row_pieces`.  A first walk derives nothing and keeps each cell's first,
+    second and last piece; the second fits a cell's map (`row_map`) at its
+    first piece, at its anchors in those pieces, and builds each piece by it:
+    a piece of two rows or more must end in its cell, its last row as written
+    must be the map's, and `order_test` runs on the first row of every other
+    support pattern it crosses."""
+    kept = {}  # a cell's first, second and last piece: (start, step, lo, hi)
+    for start, step, count in lines():
+        for lo, hi in row_pieces(start, step, count):
+            seen = kept.setdefault(cell(start[0] + lo * step[0], start[1] + lo * step[1]), [])
+            seen[min(len(seen), 2):] = [(start, step, lo, hi)]
+    anchors = {key: [(x + i * sx, y + i * sy) for k, ((x, y), (sx, sy), lo, hi) in enumerate(seen)
+                     for i in ((lo,) if k == 1 < len(seen) - 1 else (lo, lo + 1, hi - 1)) if i < hi]
+               for key, seen in kept.items()}
+    maps = {}
+    for start, step, count in lines():
+        (d, d0), (sd, sd0) = start, step
+        breaks = None  # the line's support breaks, once a piece has inner rows
+        for lo, hi in row_pieces(start, step, count):
+            n = hi - lo - 1  # the index of the last row
+            first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
+            if (key := cell(*first)) not in maps:
+                maps[key] = row_map(anchors[key], classify_record)
+            row, build = maps[key]
+            piece = build(first, step, hi - lo)
+            if n:
+                if cell(*last) != key:
+                    raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
+                if piece.row(n) != row(last):
+                    raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (*first, *last))
+                # The patterns that start after row lo + 1, but for the one that
+                # holds on the last row.
+                breaks = support_breaks(start, step, count) if breaks is None else breaks
+                inner = breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)]
+                for i in inner[:-1]:
+                    order_test(BundleParams(d + i * sd, d0 + i * sd0))
+            yield piece
 
 
 def _classify_records(d_min: int, d_max: int, d0: int | None):
-    """The sweep's pieces in order: the band of each d over d0 or, with
-    --d0, the band of that d0 over d.  Over two lines or more, a first walk
-    derives nothing and keeps each cell's first, second and last piece; the
-    cell's map is fit at the first two rows and the last of its first and
-    last pieces and the first row of its second."""
+    """The sweep's pieces in order (`_walk`): the band of each d over d0 or,
+    with --d0, the band of that d0 over d."""
     if d0 is None:
         lines = lambda: (((d, 0), (0, 1), 3 * d // 2 + 1) for d in range(d_min, d_max + 1))
     else:
         least = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
         lines = lambda: [((least, d0), (1, 0), max(0, d_max + 1 - least))] * (d0 >= 0)
-    kept = {}  # a cell's first, second and last piece: (start, step, lo, hi)
-    for start, step, count in lines() if d0 is None and d_min < d_max else ():
-        for lo, hi in row_pieces(start, step, count):
-            seen = kept.setdefault(cell(start[0] + lo * step[0], start[1] + lo * step[1]), [])
-            seen[min(len(seen), 2):] = [(start, step, lo, hi)]
-    maps = {key: functools.cache(functools.partial(row_map, [
-        (d + i * sd, k + i * sk) for n, ((d, k), (sd, sk), lo, hi) in enumerate(seen)
-        for i in ((lo,) if n == 1 < len(seen) - 1 else (lo, lo + 1, hi - 1)) if i < hi
-    ], classify_record)) for key, seen in kept.items()}
-    for line in lines():
-        yield from _segment_records(*line, maps)
+    return _walk(lines)
 
 
 def _classify_sweep(args):
@@ -738,7 +736,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.output:
+    if args.output is None:
         try:
             sys.stdout.writelines(body)
         except BrokenPipeError:

@@ -412,7 +412,7 @@ def segments(draw):
 def test_band_walk_matches_the_per_row_oracle(segment):
     (d, d0), (sd, sd0), count = segment
     expected = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    assert list(piece_rows(cli._segment_records(*segment))) == expected
+    assert list(piece_rows(cli._walk(lambda: [segment]))) == expected
 
 
 @pytest.mark.parametrize("band", [(0, 40, None), (2, 9, 3), (0, 12, 1), (5, 3, None), (0, 9, 14), (0, 4, -1)])
@@ -480,6 +480,24 @@ def test_every_field_is_affine_on_each_cell():
             assert _affine(points, values), (points[0], key)
 
 
+@pytest.mark.parametrize("direction", [(1, 1), (8, 7), (4, 1)], ids=["d0=d", "8d0=7d", "4d0=d"])
+def test_a_ray_cells_map_gives_its_rows_past_its_anchors(direction):
+    """The map of a ray cell through three of its derived rows, at 4, 5 and
+    9 steps from the origin, gives the ray's rows up to 60 steps past the
+    first, refuses a point one step off the ray, and builds a piece of 60
+    rows along it.  On d0 = d and 4*d0 = d the lattice step across the ray
+    is found modulo 1; only on 8*d0 = 7*d is 8 inverted modulo 7."""
+    ux, uy = direction
+    points = [(t * ux, t * uy) for t in range(4, 65)]
+    assert len({singularities.cell(*p) for p in points}) == 1
+    row, build = pieces.row_map([points[0], points[1], points[5]], classify_record)
+    rows = [classify_record(BundleParams(*p)) for p in points]
+    assert [row(p) for p in points] == rows
+    with pytest.raises(CrossCheckError, match="off the span"):
+        row((points[0][0], points[0][1] + 1))
+    assert list(piece_rows([build(points[0], direction, 60)])) == rows[:60]
+
+
 # The ends of multi-line bands: d <= 4, where the strips of the forms
 # d, d0 in {0..3} meet, and multiples of 8, where the ray 8*d0 = 7*d has
 # rows; a band spans at most 24 lines, so that the per-row walk stays short.
@@ -519,7 +537,7 @@ WRITERS = {"csv": write_csv, "json": write_json, "text": write_text}
 def test_piece_writers_match_the_per_row_writers(segment):
     (d, d0), (sd, sd0), count = segment
     records = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    pieces = list(cli._segment_records(*segment))
+    pieces = list(cli._walk(lambda: [segment]))
     for fmt, write in WRITERS.items():
         assert "".join(write(pieces)) == classify_output(fmt, records), fmt
 
@@ -589,6 +607,27 @@ def test_no_row_of_a_failing_piece_is_written(monkeypatch, tmp_path, band, start
     d_min, d_max, *d0 = map(int, band.replace("--d0", "").split())
     rows = list(classify_rows(d_min, d_max, *d0 or [None]))
     assert target.read_text() == classify_output("csv", rows[: earlier + lo])
+
+
+def test_a_one_line_piece_that_leaves_its_cell_is_refused(monkeypatch, tmp_path):
+    """On the one line of `--d0 10` from X(7;10), the piece that ends at
+    X(39;10) merged with the zero row X(40;10) of 4*d0 = d after it leaves
+    its cell: `CrossCheckError`, and only the rows before the piece, d = 7
+    to 11, are written."""
+    original = cli.row_pieces
+
+    def merged(start, step, count):
+        pieces = original(start, step, count)
+        if start == (7, 10):
+            i = next(i for i, (lo, hi) in enumerate(pieces) if 7 + hi - 1 == 39)
+            pieces[i:i + 2] = [(pieces[i][0], pieces[i + 1][1])]
+        return pieces
+
+    monkeypatch.setattr(cli, "row_pieces", merged)
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError, match="the piece leaves its cell"):
+        main(["--format", "csv", "--output", str(target), "classify", "7", "46", "--d0", "10"])
+    assert target.read_text() == classify_output("csv", list(classify_rows(7, 46, 10))[:5])
 
 
 def test_every_support_pattern_of_a_piece_gets_the_order_test(monkeypatch, tmp_path):
@@ -1216,12 +1255,14 @@ def _cli_process(*argv, **kwargs):
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path):
-    target = tmp_path / "missing" / "rows.csv"
-    proc = _cli_process("--output", str(target), "classify", "0", "3")
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    assert err.decode().startswith("error: ") and b"Traceback" not in err
-    assert not target.parent.exists()
+    # A path in a missing directory, and the empty path.
+    for target in (str(tmp_path / "missing" / "rows.csv"), ""):
+        proc = _cli_process("--output", target, "classify", "0", "3", stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, target
+        assert out == b""
+        assert err.decode().startswith("error: ") and err.count(b"\n") == 1 and b"Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_usage_error_leaves_the_output_file_alone(tmp_path, capsys):
