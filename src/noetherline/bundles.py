@@ -16,7 +16,6 @@ individual h^0 or h^1 there.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,30 +30,22 @@ __all__ = [
 class FibrationData:
     """Base genus and characteristic-sheaf degrees of a fibration.
 
-    ``split_E1`` optionally records a splitting of E1 into two line bundles;
-    it is meaningful over genus 0 only, where every bundle splits.
+    Formal data with a negative degree is accepted for arithmetic;
+    `semipositive` says whether it can come from an actual fibration.
     """
 
     genus_b: int
     deg_E1: int
     deg_E2: int
-    split_E1: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.genus_b < 0:
             raise ValueError("genus must be nonnegative")
-        if self.split_E1 is not None:
-            if self.genus_b != 0:
-                raise ValueError("a splitting of E1 is meaningful over genus 0 only")
-            if sum(self.split_E1) != self.deg_E1:
-                raise ValueError("split degrees must sum to deg E1")
-        if self.deg_E1 < 0 or self.deg_E2 < 0:
-            # Semipositivity holds for an actual fibration; formal data is
-            # still accepted for arithmetic.
-            warnings.warn(
-                "negative characteristic-sheaf degree violates semipositivity",
-                stacklevel=2,
-            )
+
+    @property
+    def semipositive(self) -> bool:
+        """Both degrees nonnegative, as semipositivity demands of a fibration."""
+        return self.deg_E1 >= 0 and self.deg_E2 >= 0
 
     @property
     def deg_E5(self) -> int:

@@ -59,7 +59,6 @@ import functools
 import os
 import re
 import sys
-import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
@@ -343,7 +342,6 @@ def flip_record(d: int) -> dict:
 
 def inspect_record(params: BundleParams) -> dict:
     cls = classify_general_member(params)
-    matrix = weight_matrix(params)
     record: dict = {
         "params": {"d": params.d, "d0": params.d0, "e": params.e},
         "classification": {
@@ -352,7 +350,7 @@ def inspect_record(params: BundleParams) -> dict:
             "product": cls.product,
             "description": cls.describe(),
         },
-        "weight_matrix": [list(matrix.base_row), list(matrix.fibre_row)],
+        "weight_matrix": [list(row) for row in weight_matrix(params)],
     }
     if not cls.exists:
         return record
@@ -379,10 +377,10 @@ def inspect_record(params: BundleParams) -> dict:
         "mds": inv.mori_dream_general,
         "degenerate_note": img.note if degenerate else None,
     }
-    locus = base_locus(params)
+    family, canonical = base_locus(params)
     record["base_locus"] = {
-        "family": locus.family_base.name.lower() if locus.family_base else None,
-        "canonical": locus.canonical_base.name.lower() if locus.canonical_base else None,
+        "family": family.name.lower() if family else None,
+        "canonical": canonical.name.lower() if canonical else None,
     }
     profile = coefficient_profile(params)
     record["family_dimension"] = family_dimension(params, profile)
@@ -416,12 +414,9 @@ def kobayashi_record(a: int, e: int) -> dict:
 
 
 def bundle_record(b: int, e1: int, e2: int) -> dict:
-    # A library warning, as a diagnostic that every call prints.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data = FibrationData(b, e1, e2)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    data = FibrationData(b, e1, e2)
+    if not data.semipositive:
+        print("warning: negative characteristic-sheaf degree violates semipositivity", file=sys.stderr)
     record = {
         "b": data.genus_b,
         "deg_E1": data.deg_E1,
@@ -746,7 +741,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(body)
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {args.output!r}: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 

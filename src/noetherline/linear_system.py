@@ -31,7 +31,6 @@ from .toric import coefficient_form, fibre_blocks, h0_class, member_class
 
 __all__ = [
     "FibreMonomial",
-    "BaseLocus",
     "Z_SQUARED",
     "Y_FIFTH",
     "PROFILE_FORMS",
@@ -177,24 +176,14 @@ def normal_form_support(params: BundleParams) -> tuple[FibreMonomial, ...]:
     return (*kept, Y_FIFTH, Z_SQUARED)
 
 
-@dataclass(frozen=True)
-class BaseLocus:
-    """Base loci of the member family and of the canonical system.
-
-    ``family_base`` is None when |10(H - d*F)| is base point free (d0 >= d)
-    and S0 otherwise.  ``canonical_base`` is GAMMA whenever min(d, d0) >= 3;
-    for smaller parameters the canonical system degenerates and no single
-    base curve is reported.
-    """
-
-    family_base: SpecialCurve | None
-    canonical_base: SpecialCurve | None
-
-
-def base_locus(params: BundleParams) -> BaseLocus:
+def base_locus(params: BundleParams) -> tuple[SpecialCurve | None, SpecialCurve | None]:
+    """The base loci (family, canonical) of the member family and the canonical
+    system.  The family's is None when |10(H - d*F)| is base point free
+    (d0 >= d) and S0 otherwise; the canonical one is GAMMA if min(d, d0) >= 3,
+    and below that the system degenerates and no base curve is reported."""
     family = None if params.d0 >= params.d else SpecialCurve.S0
     canonical = SpecialCurve.GAMMA if min(params.d, params.d0) >= 3 else None
-    return BaseLocus(family, canonical)
+    return family, canonical
 
 
 def family_dimension(

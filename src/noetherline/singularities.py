@@ -59,7 +59,6 @@ from .toric import BundleParams, CrossCheckError
 
 __all__ = [
     "EmptyFamilyError",
-    "LocalMonomial",
     "SingularityKind",
     "SingularityClassification",
     "local_support_at_s0",
@@ -77,24 +76,12 @@ class EmptyFamilyError(ValueError):
     """No member of the family has canonical singularities (4*d0 < d)."""
 
 
-@dataclass(frozen=True, slots=True)
-class LocalMonomial:
-    """Exponents of x^p y^q z^s in the local coordinates along S0."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self) -> None:
-        if min(self.x, self.y, self.z) < 0:
-            raise ValueError("exponents must be nonnegative")
-
-
 #: The local image x^a1 y^a2 of the monomial of each form of
 #: `DEGREE_TEN_FORMS`, and the monomials z^2 and y^5 of every normalized
-#: equation.
-_LOCAL_IMAGES = tuple(LocalMonomial(mono.a1, mono.a2, 0) for mono, _, _ in DEGREE_TEN_FORMS)
-_ALWAYS_PRESENT = (LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0))
+#: equation.  A local monomial x^p y^q z^s is the tuple (p, q, s); each is
+#: read off a `FibreMonomial`, so no exponent is negative.
+_LOCAL_IMAGES = tuple((mono.a1, mono.a2, 0) for mono, _, _ in DEGREE_TEN_FORMS)
+_ALWAYS_PRESENT = ((0, 0, 2), (0, 5, 0))
 
 # The local support of each sign pattern met so far, with the verdict of the
 # order test on it.  The plane 0 <= d0 <= 3d/2 has exactly 8 patterns, one
@@ -103,11 +90,12 @@ _ALWAYS_PRESENT = (LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0))
 # above it and the test is >= 0, so a ray has the pattern of the gap above
 # it, and the origin's all-true pattern is that of d <= d0 <= 3d/2, where
 # every form is nonnegative.
-_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], tuple[frozenset[LocalMonomial], bool]] = {}
+_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], tuple[frozenset[tuple[int, int, int]], bool]] = {}
 
 
-def local_support_at_s0(params: BundleParams) -> frozenset[LocalMonomial]:
-    """Local monomial support of a general member near the section S0.
+def local_support_at_s0(params: BundleParams) -> frozenset[tuple[int, int, int]]:
+    """Local monomial support of a general member near the section S0, each
+    monomial x^p y^q z^s as its exponents (p, q, s).
 
     A global x0^a0 x1^a1 y^a2 of the normal-form support contributes x^a1 y^a2,
     z^2 and y^5 contribute themselves.  Rows with the same sign pattern share
@@ -179,7 +167,7 @@ def order_test(params: BundleParams) -> bool:
     if entry is None:
         support = local_support_at_s0(params)
         entry = _SUPPORT_BY_PATTERN[pattern] = (
-            support, any(m.x + m.y + 2 * m.z < 4 for m in support)
+            support, any(p + q + 2 * s < 4 for p, q, s in support)
         )
     if entry[1] != (4 * params.d0 >= params.d):
         raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")

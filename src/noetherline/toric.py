@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 __all__ = [
     "COORDINATES",
@@ -42,7 +42,6 @@ __all__ = [
     "CrossCheckError",
     "BundleParams",
     "DivisorClass",
-    "WeightMatrix",
     "SpecialCurve",
     "weight_matrix",
     "coordinate_divisor_class",
@@ -142,36 +141,11 @@ H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """2 x 6 bidegree matrix of the homogeneous coordinates.
-
-    The fibre row is always (0, 0, 1, 1, 2, 5); the base row carries the
-    twists and varies with the presentation of the bundle.
-    """
-
-    base_row: tuple[int, int, int, int, int, int]
-
-    labels: ClassVar[tuple[str, ...]] = COORDINATES
-    fibre_row: ClassVar[tuple[int, ...]] = FIBRE_ROW
-
-    def __post_init__(self) -> None:
-        if len(self.base_row) != 6:
-            raise ValueError("base row must have six entries")
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.base_row, self.fibre_row)
-
-    def column(self, label: str) -> tuple[int, int]:
-        i = self.labels.index(label)
-        return (self.base_row[i], self.fibre_row[i])
-
-
-def weight_matrix(params: BundleParams) -> WeightMatrix:
-    """The normalized weight matrix of the bundle selected by ``params``."""
+def weight_matrix(params: BundleParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The normalized weight matrix of ``params``, as its rows over `COORDINATES`:
+    the base row (1, 1, d - d0, d0 - 2d, 0, 0) and `FIBRE_ROW`."""
     d, d0 = params.d, params.d0
-    return WeightMatrix((1, 1, d - d0, d0 - 2 * d, 0, 0))
+    return (1, 1, d - d0, d0 - 2 * d, 0, 0), FIBRE_ROW
 
 
 def coordinate_divisor_class(coord: str, params: BundleParams) -> DivisorClass:
@@ -250,10 +224,6 @@ class SpecialCurve(Enum):
     S5 = ("x0", "x1", "y")
     GAMMA = ("x0", "x1")
 
-    @property
-    def divisors(self) -> tuple[str, ...]:
-        return self.value
-
 
 def curve_intersection(
     c: DivisorClass, curve: SpecialCurve, params: BundleParams
@@ -266,7 +236,7 @@ def curve_intersection(
     in the singular locus pick up their indices as denominators,
     S2 -> (a*d + b)/2 and S5 -> (a*d + b)/5.
     """
-    factors = [coordinate_divisor_class(label, params) for label in curve.divisors]
+    factors = [coordinate_divisor_class(label, params) for label in curve.value]
     if curve is SpecialCurve.GAMMA:
         factors.append(member_class(params))
     return quartic_intersection(c, factors[0], factors[1], factors[2], params)

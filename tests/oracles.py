@@ -25,8 +25,8 @@ from noetherline.cli import classify_record
 from noetherline.invariants import canonical_image, canonical_ring_rank
 from noetherline.linear_system import FibreMonomial
 from noetherline.pieces import CSV_CLASSIFY_HEADER, csv_line
-from noetherline.singularities import LocalMonomial, SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, WeightMatrix, fibre_exponents
+from noetherline.singularities import SingularityClassification, SingularityKind
+from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, fibre_exponents
 
 
 @st.composite
@@ -299,11 +299,12 @@ Z_GETS_TWO = (1, 2, 0)
 
 
 def weight_below_one_exists(
-    support: frozenset[LocalMonomial] | set[LocalMonomial],
+    support: frozenset[tuple[int, int, int]] | set[tuple[int, int, int]],
     system: WeightSystem,
     assignment: tuple[int, int, int],
 ) -> bool:
-    """Does some support monomial have weight < 1 under the assigned weights?
+    """Does some support monomial x^p y^q z^s, given as (p, q, s), have
+    weight < 1 under the assigned weights?
 
     ``assignment[k]`` is the index of the weight carried by the k-th local
     coordinate (x, y, z).  The comparison is exact: weight < 1 iff the
@@ -311,10 +312,10 @@ def weight_below_one_exists(
     """
     w = system.weights
     wx, wy, wz = w[assignment[0]], w[assignment[1]], w[assignment[2]]
-    return any(m.x * wx + m.y * wy + m.z * wz < system.r for m in support)
+    return any(x * wx + y * wy + z * wz < system.r for x, y, z in support)
 
 
-def duval_test(support: frozenset[LocalMonomial] | set[LocalMonomial]) -> bool:
+def duval_test(support: frozenset[tuple[int, int, int]] | set[tuple[int, int, int]]) -> bool:
     """Monomial-support criterion for a rational double point.
 
     True iff for each of the four weight systems and each of the six
@@ -396,13 +397,14 @@ def canonical_class_F(params: BundleParams) -> DivisorClass:
     return DivisorClass(-9, 10 * params.d - 2)
 
 
-def twist(matrix: WeightMatrix, t: int) -> WeightMatrix:
+def twist(matrix: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Re-present the bundle after twisting its algebra by O(-t) on the base.
 
-    Adds t times the fibre row to the base row; the underlying variety is
-    unchanged.
+    Adds t times the fibre row to the base row of the (base, fibre) rows; the
+    underlying variety is unchanged.
     """
-    return WeightMatrix(tuple(b + t * w for b, w in zip(matrix.base_row, matrix.fibre_row)))
+    base, fibre = matrix
+    return tuple(b + t * w for b, w in zip(base, fibre)), fibre
 
 
 def tautological_class(params: BundleParams) -> DivisorClass:
@@ -412,7 +414,7 @@ def tautological_class(params: BundleParams) -> DivisorClass:
 
 def gorenstein_data(params: BundleParams) -> FibrationData:
     """The degrees of the toric model: genus 0, deg E1 = 3d, deg E2 = 2d."""
-    return FibrationData(0, 3 * params.d, 2 * params.d, split_E1=(params.d0, 3 * params.d - params.d0))
+    return FibrationData(0, 3 * params.d, 2 * params.d)
 
 
 @dataclass(frozen=True)
@@ -445,8 +447,9 @@ def noether_check(data: FibrationData, pg: int, q1: int, q2: int) -> NoetherChec
 
 def split_bundle_weight_matrix(
     d0: int, d1: int, d2: int, d5: int
-) -> WeightMatrix:
-    """Weight matrix of the bundle of a split algebra over the line.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Weight matrix of the bundle of a split algebra over the line, as its
+    (base, fibre) rows.
 
     The generators of weights (1, 1, 2, 5) twisted by degrees
     (d0, d1, d2, d5) give base row (1, 1, -d0, -d1, -d2, -d5).  When
@@ -454,7 +457,7 @@ def split_bundle_weight_matrix(
     normalized matrix: twisting by t = d (adding d times the fibre row)
     recovers it.
     """
-    return WeightMatrix((1, 1, -d0, -d1, -d2, -d5))
+    return (1, 1, -d0, -d1, -d2, -d5), (0, 0, 1, 1, 2, 5)
 
 
 def twist_degrees(

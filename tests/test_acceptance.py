@@ -23,7 +23,6 @@ from noetherline.invariants import (
 )
 from noetherline.linear_system import enumerate_monomials
 from noetherline.singularities import (
-    LocalMonomial,
     SingularityKind,
     classify_general_member,
     local_support_at_s0,
@@ -136,7 +135,7 @@ def test_criterion_5_monomial_oracles():
 
 
 def test_criterion_6_du_val_weight_test():
-    z2, y5, x3 = LocalMonomial(0, 0, 2), LocalMonomial(0, 5, 0), LocalMonomial(3, 0, 0)
+    z2, y5, x3 = (0, 0, 2), (0, 5, 0), (3, 0, 0)  # x^p y^q z^s as (p, q, s)
     # exhaustive 24-case evaluation, independent of duval_test
     checks = 0
     for system in DU_VAL_SYSTEMS:
@@ -144,8 +143,8 @@ def test_criterion_6_du_val_weight_test():
             checks += 1
             weights = [Fraction(system.weights[i], system.r) for i in assignment]
             assert any(
-                m.x * weights[0] + m.y * weights[1] + m.z * weights[2] < 1
-                for m in (z2, y5, x3)
+                x * weights[0] + y * weights[1] + z * weights[2] < 1
+                for x, y, z in (z2, y5, x3)
             )
     assert checks == 24
     assert duval_test({z2, y5, x3})

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -33,18 +34,17 @@ def test_deg_e5_is_derived():
 
 
 def test_split_validation():
-    assert FibrationData(0, 7, 5, split_E1=(3, 4)).split_E1 == (3, 4)
-    with pytest.raises(ValueError):
-        FibrationData(0, 7, 5, split_E1=(3, 5))
-    with pytest.raises(ValueError):
-        FibrationData(1, 7, 5, split_E1=(3, 4))
     with pytest.raises(ValueError):
         FibrationData(-1, 7, 5)
 
 
-def test_semipositivity_warns_but_accepts():
-    with pytest.warns(UserWarning, match="semipositivity"):
+def test_semipositivity_is_data_not_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         data = FibrationData(0, -1, 4)
+    assert not data.semipositive
+    assert not FibrationData(0, 1, -1).semipositive
+    assert FibrationData(0, 0, 0).semipositive
     assert data.deg_E5 == 3
 
 
@@ -121,7 +121,7 @@ def test_split_matrix_bridges_to_normalized_matrix():
 
 
 def test_split_matrix_product_case():
-    assert split_bundle_weight_matrix(0, 0, 0, 0).rows == (
+    assert split_bundle_weight_matrix(0, 0, 0, 0) == (
         (1, 1, 0, 0, 0, 0),
         (0, 0, 1, 1, 2, 5),
     )

@@ -1261,7 +1261,8 @@ def test_unwritable_output_is_a_usage_error(tmp_path):
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 2, target
         assert out == b""
-        assert err.decode().startswith("error: ") and err.count(b"\n") == 1 and b"Traceback" not in err
+        assert err.decode().startswith(f"error: cannot write {target!r}: ")
+        assert err.count(b"\n") == 1 and b"Traceback" not in err
     assert not (tmp_path / "missing").exists()
 
 

@@ -197,3 +197,15 @@ def test_the_library_holds_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_library_imports_no_warnings():
+    # A diagnostic is data that the CLI prints, not a Python warning.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(noetherline.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                          else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                          else [])
+             if name.partition(".")[0] == "warnings"]
+    assert found == []

@@ -232,12 +232,13 @@ def test_support_always_contains_z2_and_y5():
 
 
 def test_base_locus():
-    assert base_locus(BundleParams(5, 5)).family_base is None
-    assert base_locus(BundleParams(8, 7)).family_base is SpecialCurve.S0
-    assert base_locus(BundleParams(2, 1)).family_base is SpecialCurve.S0
-    assert base_locus(BundleParams(5, 5)).canonical_base is SpecialCurve.GAMMA
-    assert base_locus(BundleParams(2, 3)).canonical_base is None
-    assert base_locus(BundleParams(8, 2)).canonical_base is None
+    # (family, canonical) at each point.
+    S0, GAMMA = SpecialCurve.S0, SpecialCurve.GAMMA
+    assert base_locus(BundleParams(5, 5)) == (None, GAMMA)
+    assert base_locus(BundleParams(8, 7)) == (S0, GAMMA)
+    assert base_locus(BundleParams(2, 1)) == (S0, None)
+    assert base_locus(BundleParams(2, 3)) == (None, None)
+    assert base_locus(BundleParams(8, 2)) == (S0, None)
 
 
 def test_family_dimension_product_case():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 
 from noetherline.singularities import (
-    LocalMonomial,
     SingularityClassification,
     SingularityKind,
     classify_general_member,
@@ -24,9 +23,10 @@ from oracles import (
     weight_below_one_exists,
 )
 
-Z2 = LocalMonomial(0, 0, 2)
-Y5 = LocalMonomial(0, 5, 0)
-X3 = LocalMonomial(3, 0, 0)
+# Local monomials x^p y^q z^s as their exponents (p, q, s).
+Z2 = (0, 0, 2)
+Y5 = (0, 5, 0)
+X3 = (3, 0, 0)
 
 
 def test_weight_systems_are_the_four_fixed_ones():
@@ -47,12 +47,12 @@ def test_local_support_contains_z2_y5_x3_in_curve_range():
 
 
 def test_local_support_at_8_7_contains_x():
-    assert LocalMonomial(1, 0, 0) in local_support_at_s0(BundleParams(8, 7))
+    assert (1, 0, 0) in local_support_at_s0(BundleParams(8, 7))
 
 
 def test_local_support_below_quarter_has_no_small_monomial():
     support = local_support_at_s0(BundleParams(9, 2))  # 4*d0 = 8 < 9 = d
-    assert all(m.x + m.y >= 4 for m in support if m.z == 0)
+    assert all(x + y >= 4 for x, y, z in support if z == 0)
 
 
 # --- weighted order test -------------------------------------------------------
@@ -64,7 +64,7 @@ def test_weight_below_one_examples():
         assert weight_below_one_exists(support, DU_VAL_SYSTEMS[1], assignment)
     # system (2,1,1)/4 with the weight 2 on z: z^2 and y^5 both have weight >= 1
     assert not weight_below_one_exists({Z2, Y5}, DU_VAL_SYSTEMS[2], (1, 2, 0))
-    constant = {LocalMonomial(0, 0, 0)}
+    constant = {(0, 0, 0)}
     for system in DU_VAL_SYSTEMS:
         for assignment in permutations((0, 1, 2)):
             assert weight_below_one_exists(constant, system, assignment)
@@ -78,8 +78,8 @@ def brute_duval(support):
             checks += 1
             weights = [Fraction(system.weights[i], system.r) for i in assignment]
             if not any(
-                m.x * weights[0] + m.y * weights[1] + m.z * weights[2] < 1
-                for m in support
+                x * weights[0] + y * weights[1] + z * weights[2] < 1
+                for x, y, z in support
             ):
                 return False, checks
     return True, checks
@@ -90,7 +90,7 @@ def test_duval_examples_and_exhaustive_oracle():
     assert ok and checks == 24
     assert duval_test({Z2, Y5, X3})
     assert not duval_test({Z2, Y5})
-    assert duval_test({LocalMonomial(1, 0, 0)})
+    assert duval_test({(1, 0, 0)})
 
 
 # --- classification -----------------------------------------------------------

@@ -47,26 +47,28 @@ def test_params_reject_negative_e_with_swap_hint():
 
 
 def test_weight_matrix_examples():
-    assert weight_matrix(BundleParams(2, 3)).rows == (
+    assert weight_matrix(BundleParams(2, 3)) == (
         (1, 1, -1, -1, 0, 0),
         (0, 0, 1, 1, 2, 5),
     )
-    assert weight_matrix(BundleParams(0, 0)).rows == (
+    assert weight_matrix(BundleParams(0, 0)) == (
         (1, 1, 0, 0, 0, 0),
         (0, 0, 1, 1, 2, 5),
     )
-    assert weight_matrix(BundleParams(8, 7)).rows == (
+    assert weight_matrix(BundleParams(8, 7)) == (
         (1, 1, 1, -9, 0, 0),
         (0, 0, 1, 1, 2, 5),
     )
 
 
 def test_weight_matrix_columns():
-    matrix = weight_matrix(BundleParams(8, 7))
-    assert matrix.column("x1") == (-9, 1)
-    assert matrix.column("z") == (0, 5)
-    with pytest.raises(ValueError):
-        matrix.column("w")
+    # Two rows of six entries, one column per coordinate label.
+    base, fibre = weight_matrix(BundleParams(8, 7))
+    assert len(base) == len(fibre) == len(COORDINATES)
+    columns = dict(zip(COORDINATES, zip(base, fibre)))
+    assert columns["x1"] == (-9, 1)
+    assert columns["z"] == (0, 5)
+    assert "w" not in columns
 
 
 # --- divisor classes ------------------------------------------------------
