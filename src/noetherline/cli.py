@@ -710,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _discard_stdout() -> None:
-    """Point standard output at the null device after its reader went away,
+    """Point standard output at the null device after a write to it failed,
     so that no later flush, the interpreter's last one included, fails."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
@@ -734,8 +734,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.output is None:
         try:
             sys.stdout.writelines(body)
+            sys.stdout.flush()
         except BrokenPipeError:
             _discard_stdout()
+        except OSError as exc:
+            print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+            _discard_stdout()
+            return 2
         return code
     try:
         with open(args.output, "w", encoding="utf-8") as handle:

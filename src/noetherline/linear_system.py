@@ -5,10 +5,10 @@ A fibre monomial x0^a0 x1^a1 y^a2 z^a5 of weighted degree m = a0 + a1 +
 binary form in t0, t1 of degree (2*a1 - a0)*d + (a0 - a1)*d0, whatever a2 and
 a5 are (`toric.coefficient_form`).  A negative degree forces the coefficient
 to vanish identically, so a general member contains exactly the monomials of
-nonnegative coefficient degree.  `coefficient_profile` lists the monomials of
-a degree as (monomial, coefficient degree) pairs; for degree ten it reads
-each degree off `PROFILE_FORMS`, the form A*d + B*d0 of each of the 49
-monomials, read once at import.
+nonnegative coefficient degree.  `coefficient_profile` lists the degree-ten
+monomials as (monomial, coefficient degree) pairs; it reads each degree off
+`PROFILE_FORMS`, the form A*d + B*d0 of each of the 49 monomials, read once
+at import.
 
 For the degree-ten family the equation is normalized: the coefficients of
 z^2 and y^5 are nonzero constants scaled to one, and completing the square in
@@ -126,17 +126,12 @@ def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
     return coefficient_form(monomial.a0, monomial.a1, params.d, params.d0)
 
 
-def _forms(m: int) -> tuple[tuple[FibreMonomial, int, int], ...]:
-    """Every degree-m monomial in enumeration order, with its coefficient
-    degree A*d + B*d0 as (A, B), the form at (1, 0) and (0, 1)."""
-    return tuple([
-        (mono, coefficient_form(mono.a0, mono.a1, 1, 0), coefficient_form(mono.a0, mono.a1, 0, 1))
-        for mono in enumerate_monomials(m)
-    ])
-
-
-#: The forms of the 49 degree-ten monomials, z included (`_forms`).
-PROFILE_FORMS = _forms(10)
+#: The 49 degree-ten monomials, z included, in enumeration order, each with
+#: its coefficient degree A*d + B*d0 as (A, B), the form at (1, 0) and (0, 1).
+PROFILE_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple([
+    (mono, coefficient_form(mono.a0, mono.a1, 1, 0), coefficient_form(mono.a0, mono.a1, 0, 1))
+    for mono in enumerate_monomials(10)
+])
 
 #: The z-free degree-ten monomials other than y^5, with their forms.
 DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
@@ -144,15 +139,12 @@ DEGREE_TEN_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple(
 )
 
 
-def coefficient_profile(
-    params: BundleParams, m: int = 10
-) -> tuple[tuple[FibreMonomial, int], ...]:
-    """Every degree-m monomial paired with its coefficient degree, as
+def coefficient_profile(params: BundleParams) -> tuple[tuple[FibreMonomial, int], ...]:
+    """Every degree-ten monomial paired with its coefficient degree, as
     (monomial, degree) in enumeration order: each degree is its form of
-    `PROFILE_FORMS` at params for m = 10."""
+    `PROFILE_FORMS` at params."""
     d, d0 = params.d, params.d0
-    forms = PROFILE_FORMS if m == 10 else _forms(m)
-    return tuple([(mono, a * d + b * d0) for mono, a, b in forms])
+    return tuple([(mono, a * d + b * d0) for mono, a, b in PROFILE_FORMS])
 
 
 def support_pattern(params: BundleParams) -> tuple[bool, ...]:
@@ -186,17 +178,13 @@ def base_locus(params: BundleParams) -> tuple[SpecialCurve | None, SpecialCurve 
     return family, canonical
 
 
-def family_dimension(
-    params: BundleParams, profile: tuple[tuple[FibreMonomial, int], ...] | None = None
-) -> int:
+def family_dimension(params: BundleParams, profile: tuple[tuple[FibreMonomial, int], ...]) -> int:
     """Projective dimension of the degree-ten family.
 
-    Sums the coefficient spaces over the profile and cross-checks against the
-    section count `h0_class` of 10(H - d*F), the same form summed its own way.
-    ``profile``, if given, is ``coefficient_profile(params)`` of the caller.
+    Sums the coefficient spaces over ``profile``, the caller's
+    ``coefficient_profile(params)``, and cross-checks against the section
+    count `h0_class` of 10(H - d*F), the same form summed its own way.
     """
-    if profile is None:
-        profile = coefficient_profile(params)
     total = sum(max(0, degree + 1) for _, degree in profile)
     sections = h0_class(member_class(params), params)
     if total != sections:

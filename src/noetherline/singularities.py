@@ -1,9 +1,9 @@
 """Singularities of the general member along the base section.
 
 Near the section S0, where only t0, t1, x0 are nonzero, the member has local
-fibre coordinates x = x1/x0, y = y/x0^2, z = z/x0^5, and its equation has
-local monomial support obtained from the global normal-form support (a global
-x0^a0 x1^a1 y^a2 contributes x^a1 y^a2).
+fibre coordinates x = x1/x0, y = y/x0^2, z = z/x0^5, and the local monomial
+support of its equation is the normal-form support read in them (a global
+x0^a0 x1^a1 y^a2 z^a5 is x^a1 y^a2 z^a5).
 
 Whether the family has a member with canonical singularities is decided
 by one weighted order test along S0: under the (2,1,1)/4 system with the
@@ -28,14 +28,14 @@ t^10 and the chart z'^2 + y'^5 + x'^3 is a compound Du Val point, so the
 dissident points are canonical.  The test suite checks that weight
 bookkeeping.
 
-The classification is one derivation per model.  The local support is a
-filter on the signs of the integer forms of `linear_system.DEGREE_TEN_FORMS`,
-and the support depends on the sign pattern alone, so `local_support_at_s0`
-returns one shared frozenset per pattern.  Existence is the weighted order
-test on that support, cross-checked against 4*d0 >= d (`order_test`); its
-verdict is a function of the pattern too, derived once and kept next to the
-support.  The remaining cases read the values of the forms 8*d0 - 7*d (of
-x0^9 x1) and 4*d0 - d (of x0^7 x1^3).
+The classification is one derivation per model.  The local support is
+`linear_system.normal_form_support` read in the local coordinates, so it is
+a filter on the signs of the integer forms of
+`linear_system.DEGREE_TEN_FORMS` (`support_pattern`).  Existence is the
+weighted order test on that support, cross-checked against 4*d0 >= d
+(`order_test`); its verdict depends on the sign pattern alone, so it is
+derived once per pattern and kept.  The remaining cases read the values of
+the forms 8*d0 - 7*d (of x0^9 x1) and 4*d0 - d (of x0^7 x1^3).
 
 Every field of a classify row (the classification above and the invariants
 of `invariants.invariants`) reads the signs of a few integer forms: the class
@@ -46,15 +46,17 @@ in (d, d0) on a cell.  `row_pieces` cuts a line of the plane into its
 intersections with the cells; a sweep derives a few anchor rows of each
 cell and writes every piece of the cell from its affine map.
 The support forms change no field: `support_breaks` gives the rows where
-the support pattern changes, so that the order test runs inside pieces.
+the support pattern changes, cut by the same `_zeros`, so that the order
+test runs inside pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
-from .linear_system import DEGREE_TEN_FORMS, support_pattern
+from .linear_system import DEGREE_TEN_FORMS, normal_form_support, support_pattern
 from .toric import BundleParams, CrossCheckError
 
 __all__ = [
@@ -76,37 +78,20 @@ class EmptyFamilyError(ValueError):
     """No member of the family has canonical singularities (4*d0 < d)."""
 
 
-#: The local image x^a1 y^a2 of the monomial of each form of
-#: `DEGREE_TEN_FORMS`, and the monomials z^2 and y^5 of every normalized
-#: equation.  A local monomial x^p y^q z^s is the tuple (p, q, s); each is
-#: read off a `FibreMonomial`, so no exponent is negative.
-_LOCAL_IMAGES = tuple((mono.a1, mono.a2, 0) for mono, _, _ in DEGREE_TEN_FORMS)
-_ALWAYS_PRESENT = ((0, 0, 2), (0, 5, 0))
-
-# The local support of each sign pattern met so far, with the verdict of the
-# order test on it.  The plane 0 <= d0 <= 3d/2 has exactly 8 patterns, one
-# per gap that the slopes d0/d in {0, 1/4, 1/2, 2/3, 3/4, 5/6, 7/8, 1}, where
-# forms vanish, leave in [0, 3/2]: every form zero on such a ray is positive
-# above it and the test is >= 0, so a ray has the pattern of the gap above
-# it, and the origin's all-true pattern is that of d <= d0 <= 3d/2, where
-# every form is nonnegative.
-_SUPPORT_BY_PATTERN: dict[tuple[bool, ...], tuple[frozenset[tuple[int, int, int]], bool]] = {}
+# The verdict of the order test on each sign pattern met so far.  The plane
+# 0 <= d0 <= 3d/2 has exactly 8 patterns, one per gap that the slopes d0/d in
+# {0, 1/4, 1/2, 2/3, 3/4, 5/6, 7/8, 1}, where forms vanish, leave in [0, 3/2]:
+# every form zero on such a ray is positive above it and the test is >= 0, so
+# a ray has the pattern of the gap above it, and the origin's all-true pattern
+# is that of d <= d0 <= 3d/2, where every form is nonnegative.
+_VERDICTS: dict[tuple[bool, ...], bool] = {}
 
 
 def local_support_at_s0(params: BundleParams) -> frozenset[tuple[int, int, int]]:
     """Local monomial support of a general member near the section S0, each
-    monomial x^p y^q z^s as its exponents (p, q, s).
-
-    A global x0^a0 x1^a1 y^a2 of the normal-form support contributes x^a1 y^a2,
-    z^2 and y^5 contribute themselves.  Rows with the same sign pattern share
-    one frozenset once `order_test` has met the pattern.
-    """
-    pattern = support_pattern(params)
-    entry = _SUPPORT_BY_PATTERN.get(pattern)
-    if entry is not None:
-        return entry[0]
-    kept = (m for m, sign in zip(_LOCAL_IMAGES, pattern) if sign)
-    return frozenset((*kept, *_ALWAYS_PRESENT))
+    monomial x^p y^q z^s as (p, q, s): `normal_form_support` in the local
+    coordinates, where x0^a0 x1^a1 y^a2 z^a5 is x^a1 y^a2 z^a5."""
+    return frozenset((m.a1, m.a2, m.a5) for m in normal_form_support(params))
 
 
 class SingularityKind(str, Enum):
@@ -158,20 +143,18 @@ def order_test(params: BundleParams) -> bool:
     """Whether the family of params has a member with canonical singularities,
     by the weighted order test on the local support: the (2,1,1)/4 system
     with the weight 2 on z asks for a support monomial x^p y^q z^s with
-    p + q + 2*s below four.  The verdict is derived once per sign pattern and is
-    cross-checked against the closed form 4*d0 >= d at every call; a
-    disagreement raises `CrossCheckError`.
+    p + q + 2*s below four.  The verdict is derived once per sign pattern of
+    the support (`_VERDICTS`) and is cross-checked against the closed form
+    4*d0 >= d at every call; a disagreement raises `CrossCheckError`.
     """
     pattern = support_pattern(params)
-    entry = _SUPPORT_BY_PATTERN.get(pattern)
-    if entry is None:
+    verdict = _VERDICTS.get(pattern)
+    if verdict is None:
         support = local_support_at_s0(params)
-        entry = _SUPPORT_BY_PATTERN[pattern] = (
-            support, any(p + q + 2 * s < 4 for p, q, s in support)
-        )
-    if entry[1] != (4 * params.d0 >= params.d):
+        verdict = _VERDICTS[pattern] = any(p + q + 2 * s < 4 for p, q, s in support)
+    if verdict != (4 * params.d0 >= params.d):
         raise CrossCheckError(f"{params.label()}: the order test disagrees with 4*d0 >= d")
-    return entry[1]
+    return verdict
 
 
 def classify_general_member(params: BundleParams) -> SingularityClassification:
@@ -256,18 +239,16 @@ def row_pieces(
     return list(zip(bounds, bounds[1:]))
 
 
+#: The forms A*d + B*d0 of `DEGREE_TEN_FORMS`, one per ray (gcd(A, B) = 1), as
+#: 2*(A*d + B*d0) + 1: never zero at a row and positive exactly where the form
+#: is nonnegative, so `_zeros` cuts each once, where that sign flips.
+_SUPPORT_FORMS = frozenset(
+    (2 * a // g, 2 * b // g, 1) for _, a, b in DEGREE_TEN_FORMS for g in [gcd(a, b)]
+)
+
+
 def support_breaks(start: tuple[int, int], step: tuple[int, int], count: int) -> list[int]:
     """The rows 0 < i < count of the rows start + i*step where the sign
     pattern of the support forms (`linear_system.support_pattern`) changes,
     ascending."""
-    (d, d0), (sd, sd0) = start, step
-    breaks = set()
-    for _, a, b in DEGREE_TEN_FORMS:
-        slope = a * sd + b * sd0
-        if slope:
-            # The first row i on the other side of value + i*slope >= 0.
-            value = a * d + b * d0
-            i = -(value // slope) if slope > 0 else -value // slope + 1
-            if 0 < i < count:
-                breaks.add(i)
-    return sorted(breaks)
+    return sorted(_zeros(_SUPPORT_FORMS, start, step, count))

@@ -643,7 +643,7 @@ def test_every_support_pattern_of_a_piece_gets_the_order_test(monkeypatch, tmp_p
     assert pattern not in {support_pattern(BundleParams(d, k)) for k in anchors}
     assert 4 * row >= d  # so the flipped verdict says no member exists
     before = classify_output("csv", list(classify_rows(d, d, None))[:lo])
-    monkeypatch.setattr(singularities, "_SUPPORT_BY_PATTERN", {pattern: (frozenset(), False)})
+    monkeypatch.setattr(singularities, "_VERDICTS", {pattern: False})
     target = tmp_path / "rows.csv"
     with pytest.raises(CrossCheckError, match=re.escape(BundleParams(d, row).label())):
         main(["--format", "csv", "--output", str(target), "classify", str(d), str(d)])
@@ -1120,6 +1120,9 @@ class _LargestWrite:
         for text in lines:
             self.write(text)
 
+    def flush(self):
+        pass
+
 
 def test_a_long_listing_is_never_one_write(monkeypatch):
     # `monomials 300` is 11 MB as text and 54 MB as JSON.
@@ -1274,6 +1277,19 @@ def test_usage_error_leaves_the_output_file_alone(tmp_path, capsys):
     assert main(["--output", str(target), "flip", "5"]) == 2
     assert target.read_text(encoding="utf-8") == "kept\n"
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [("inspect", "8", "7"), ("classify", "0", "100")])
+def test_a_full_standard_output_is_a_usage_error(argv):
+    # A record that fails at the last flush and a listing that fails while
+    # rows are written: one error line, exit 2, no traceback.
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(*argv, stdout=full)
+        err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 2
+    assert err.startswith(b"error: cannot write to standard output: ")
+    assert err.count(b"\n") == 1 and b"Traceback" not in err
 
 
 @pytest.mark.parametrize("band", [("0", "3"), ("0", "100")])

@@ -22,7 +22,7 @@ BROKEN = [
     ("singularities", "local_support_at_s0", "lambda params: frozenset()",
      "classify_general_member(BundleParams(8, 7))"),
     ("linear_system", "h0_class", "lambda c, params: 0",
-     "family_dimension(BundleParams(8, 7))"),
+     "family_dimension(BundleParams(8, 7), coefficient_profile(BundleParams(8, 7)))"),
     ("invariants", "curve_intersection", "lambda c, curve, params: 0",
      "flip_analysis(2)"),
     ("invariants", "_FLIP_DATA", "{2: (((2, 1),), Fraction(9, 4))}",
@@ -40,8 +40,7 @@ BROKEN = [
      "list(__import__('noetherline.cli').cli._classify_records(8, 8, None))"),
     # The order test's verdict on the pattern of X(20;10), which only the
     # inside of the piece of rows 6 to 17 of d = 20 crosses, flipped.
-    ("singularities", "_SUPPORT_BY_PATTERN",
-     "{support_pattern(BundleParams(20, 10)): (frozenset(), False)}",
+    ("singularities", "_VERDICTS", "{support_pattern(BundleParams(20, 10)): False}",
      "list(__import__('noetherline.cli').cli._classify_records(20, 20, None))"),
     # The monomials of degree 12 with x0^6 x1^2 y^2 dropped, then with the
     # last monomial of the block of y^2, x1^8 y^2, and the first of the next

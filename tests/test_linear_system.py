@@ -155,17 +155,19 @@ def test_coefficient_degree_is_base_weight_less_degree_times_d(params, a0, a1, a
 
 
 def test_profile_closed_forms_agree():
-    # For z-free monomials the coefficient degree has two closed forms,
-    # -a0(d - d0) - a1(d0 - 2d) and ((a0 + a1)d + (a1 - a0)e)/2.
+    # The degree-ten profile is `coefficient_degree` per monomial, and for
+    # z-free monomials of every degree the coefficient degree has two closed
+    # forms, -a0(d - d0) - a1(d0 - 2d) and ((a0 + a1)d + (a1 - a0)e)/2.
     for d in range(0, 12):
         for d0 in range(0, 3 * d // 2 + 1):
             params = BundleParams(d, d0)
             e = params.e
+            assert coefficient_profile(params) == tuple(
+                (mono, coefficient_degree(mono, params)) for mono in enumerate_monomials(10)
+            )
             for m in (5, 10, 13):
-                profile = coefficient_profile(params, m)
-                assert [mono for mono, _ in profile] == list(enumerate_monomials(m))
-                for mono, deg in profile:
-                    assert deg == coefficient_degree(mono, params)
+                for mono in enumerate_monomials(m):
+                    deg = coefficient_degree(mono, params)
                     if mono.a5:
                         continue
                     assert deg == -mono.a0 * (d - d0) - mono.a1 * (d0 - 2 * d)
@@ -242,7 +244,7 @@ def test_base_locus():
 
 
 def test_family_dimension_product_case():
-    assert family_dimension(BundleParams(0, 0)) == 48
+    assert family_dimension(BundleParams(0, 0), coefficient_profile(BundleParams(0, 0))) == 48
 
 
 def test_family_dimension_matches_section_count():
@@ -250,7 +252,6 @@ def test_family_dimension_matches_section_count():
         for d0 in range(0, 3 * d // 2 + 1):
             params = BundleParams(d, d0)
             sections = h0_class(DivisorClass(10, -10 * d), params)
-            assert family_dimension(params) == sections - 1
             assert family_dimension(params, coefficient_profile(params)) == sections - 1
 
 

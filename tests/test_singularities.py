@@ -2,13 +2,18 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from noetherline.linear_system import support_pattern
 from noetherline.singularities import (
     SingularityClassification,
     SingularityKind,
+    cell,
     classify_general_member,
     local_support_at_s0,
+    row_pieces,
+    support_breaks,
 )
 from noetherline.toric import BundleParams
 
@@ -187,3 +192,38 @@ def test_crepant_chart_examples():
     assert not result
     assert result.offenders == (ChartMonomial(0, 3, 0, 0),)
     assert crepant_chart_check(set()).exact
+
+
+# --- crossing routines ---------------------------------------------------------
+
+
+@st.composite
+def lines(draw):
+    """A line (start, step, count) of the domain 0 <= d0 <= 3d/2, d <= 3000:
+    at most 400 rows along d0 at one d, or along d at one d0."""
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 3000))
+        d0 = draw(st.integers(0, 3 * d // 2))
+        return (d, d0), (0, 1), draw(st.integers(1, min(400, 3 * d // 2 + 1 - d0)))
+    d0 = draw(st.integers(0, 4500))
+    d = draw(st.integers(-(-2 * d0 // 3), 3000))
+    return (d, d0), (1, 0), draw(st.integers(1, min(400, 3001 - d)))
+
+
+@given(lines())
+@example(((0, 0), (0, 1), 1))
+@example(((20, 0), (0, 1), 31))
+@example(((0, 0), (1, 0), 400))
+@example(((7, 10), (1, 0), 40))
+def test_crossing_routines_are_their_per_row_definitions(line):
+    # `row_pieces` cuts the line into the maximal runs of rows of one cell,
+    # and `support_breaks` gives the rows whose support pattern differs from
+    # the row before.
+    start, step, count = line
+    rows = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(count)]
+    cells = [cell(*row) for row in rows]
+    bounds = [0, *(i for i in range(1, count) if cells[i] != cells[i - 1]), count]
+    assert row_pieces(start, step, count) == list(zip(bounds, bounds[1:]))
+    patterns = [support_pattern(BundleParams(*row)) for row in rows]
+    breaks = [i for i in range(1, count) if patterns[i] != patterns[i - 1]]
+    assert support_breaks(start, step, count) == breaks
