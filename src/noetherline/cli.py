@@ -30,12 +30,12 @@ every field is affine in (d, d0) on a cell.  Every piece is built by its
 cell's integer affine row map (`pieces.row_map`), fit before the cell's
 first piece at its anchors, the only rows `classify_record` derives: the
 first two rows and the last of the cell's first and last pieces, and the
-first row of its second, all kept by a first walk of every sweep.  Rows
-between a cell's anchors are not derived: `classify 10 111` derives 38 of
-9,333 rows.  A failing check raises CrossCheckError before any row of the
-cell or piece is written.  `pieces` writes each format from one `%`
-template per piece, at most 256 rows to a string; csv and compact JSON
-stream, and the text table sizes its columns in a first pass.
+first row of its second.  A plan (`_plan`) finds them on 37 lines at most,
+with the rows of the order test, and each piece then costs the same.  A
+failing check raises CrossCheckError before any row of the cell or piece is
+written.  `pieces` writes each format from one `%` template per piece, at
+most 256 rows to a string; csv and compact JSON stream, and the text table
+sizes its columns in a first pass.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
@@ -64,37 +64,15 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
-from .invariants import (
-    canonical_ring_rank,
-    flip_analysis,
-    invariants,
-    kobayashi_params,
-    kobayashi_translate,
-    moduli_components,
-)
+from .invariants import canonical_ring_rank, flip_analysis, invariants, kobayashi_params
+from .invariants import kobayashi_translate, moduli_components
 from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
-from .linear_system import family_dimension, normal_form_support
+from .linear_system import family_dimension, normal_form_support, support_pattern
 from .pieces import RUN, _rational_text, csv_line, row_map, write_csv, write_json, write_text
-from .singularities import (
-    EmptyFamilyError,
-    cell,
-    classify_general_member,
-    order_test,
-    row_pieces,
-    support_breaks,
-)
-from .toric import (
-    BundleParams,
-    CrossCheckError,
-    DivisorClass,
-    SpecialCurve,
-    curve_intersection,
-    coordinate_divisor_class,
-    is_ample,
-    is_nef,
-    quartic_intersection,
-    weight_matrix,
-)
+from .singularities import EmptyFamilyError, cell, classify_general_member, order_test, row_pieces
+from .singularities import support_breaks
+from .toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, curve_intersection
+from .toric import coordinate_divisor_class, is_ample, is_nef, quartic_intersection, weight_matrix
 
 __all__ = ["main", "run"]
 
@@ -264,56 +242,68 @@ def classify_record(params: BundleParams) -> dict:
     return record
 
 
-def _walk(lines):
-    """The pieces of each line (start, step, count) of `lines()`, cut by
-    `row_pieces`.  A first walk derives nothing and keeps each cell's first,
-    second and last piece; the second fits a cell's map (`row_map`) at its
-    first piece, at its anchors in those pieces, and builds each piece by it:
-    a piece of two rows or more must end in its cell, its last row as written
-    must be the map's, and `order_test` runs on the first row of every other
-    support pattern it crosses."""
-    kept = {}  # a cell's first, second and last piece: (start, step, lo, hi)
-    for start, step, count in lines():
-        for lo, hi in row_pieces(start, step, count):
-            seen = kept.setdefault(cell(start[0] + lo * step[0], start[1] + lo * step[1]), [])
-            seen[min(len(seen), 2):] = [(start, step, lo, hi)]
-    anchors = {key: [(x + i * sx, y + i * sy) for k, ((x, y), (sx, sy), lo, hi) in enumerate(seen)
-                     for i in ((lo,) if k == 1 < len(seen) - 1 else (lo, lo + 1, hi - 1)) if i < hi]
-               for key, seen in kept.items()}
-    maps = {}
-    for start, step, count in lines():
+def _plan(lines):
+    """The plan of a sweep on `lines`, in order, which hold each cell's first,
+    second and last piece; it derives nothing.  Returns their pieces by
+    start, (lo, hi, cell, rows), `rows` the first inner row of each new
+    (cell, support pattern) pair; and each cell's anchors, the first two rows
+    and the last of its first and last pieces and the first row of its second."""
+    known, kept, tested = {}, {}, set()
+    for start, step, count in lines:
         (d, d0), (sd, sd0) = start, step
-        breaks = None  # the line's support breaks, once a piece has inner rows
+        breaks, known[start] = support_breaks(start, step, count) if count > 3 else [], []
         for lo, hi in row_pieces(start, step, count):
-            n = hi - lo - 1  # the index of the last row
+            key = cell(d + lo * sd, d0 + lo * sd0)
+            seen = kept.setdefault(key, [])
+            seen[min(len(seen), 2):] = [(start, step, lo, hi)]
+            known[start].append((lo, hi, key, rows := []))
+            # The patterns that start after row lo + 1, but for the last row's.
+            for i in breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)][:-1]:
+                if (pair := (key, support_pattern(BundleParams(d + i * sd, d0 + i * sd0)))) not in tested:
+                    tested.add(pair)
+                    rows.append(i)
+    return known, {key: [(x + i * sx, y + i * sy) for k, ((x, y), (sx, sy), lo, hi) in enumerate(seen)
+                         for i in (lo, lo + 1, hi - 1)[:1 if k == 1 < len(seen) - 1 else hi - lo]]
+                   for key, seen in kept.items()}
+
+
+def _walk(lines, planned):
+    """The pieces of `lines`, in order, by the plan of `planned`: a piece of
+    two rows or more must end in its cell, whose map (`row_map`), fit at its
+    anchors before its first piece, builds and checks the piece; the plan's
+    order tests run before the piece is yielded."""
+    known, anchors = _plan(planned)
+    maps = {}
+    for start, step, count in lines:
+        (d, d0), (sd, sd0) = start, step
+        cut = known.get(start) or [(lo, hi, cell(d + lo * sd, d0 + lo * sd0), ())
+                                   for lo, hi in row_pieces(start, step, count)]
+        for lo, hi, key, rows in cut:
             first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
-            if (key := cell(*first)) not in maps:
+            if hi - lo > 1 and cell(*last) != key:
+                raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
+            if key not in maps:
+                if key not in anchors:
+                    raise CrossCheckError("X(%d;%d): the plan misses its cell" % first)
                 maps[key] = row_map(anchors[key], classify_record)
-            row, build = maps[key]
-            piece = build(first, step, hi - lo)
-            if n:
-                if cell(*last) != key:
-                    raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
-                if piece.row(n) != row(last):
-                    raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (*first, *last))
-                # The patterns that start after row lo + 1, but for the one that
-                # holds on the last row.
-                breaks = support_breaks(start, step, count) if breaks is None else breaks
-                inner = breaks[bisect.bisect_right(breaks, lo + 1):bisect.bisect_left(breaks, hi)]
-                for i in inner[:-1]:
-                    order_test(BundleParams(d + i * sd, d0 + i * sd0))
+            piece = maps[key](first, step, hi - lo)
+            for i in rows:
+                order_test(BundleParams(d + i * sd, d0 + i * sd0))
             yield piece
 
 
 def _classify_records(d_min: int, d_max: int, d0: int | None):
-    """The sweep's pieces in order (`_walk`): the band of each d over d0 or,
-    with --d0, the band of that d0 over d."""
+    """The sweep's pieces (`_walk`): the band of each d over d0 or, with --d0,
+    the band of that d0 over d, its own plan.  From d = 13 on, lines d and
+    d + 8 meet the same cells, and every 16 lines the same (cell, support
+    pattern) pairs, so a sweep over d is planned on its first and last lines."""
     if d0 is None:
-        lines = lambda: (((d, 0), (0, 1), 3 * d // 2 + 1) for d in range(d_min, d_max + 1))
-    else:
-        least = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
-        lines = lambda: [((least, d0), (1, 0), max(0, d_max + 1 - least))] * (d0 >= 0)
-    return _walk(lines)
+        ds, head = range(d_min, d_max + 1), max(13, d_min) + 16 - d_min
+        line = lambda d: ((d, 0), (0, 1), 3 * d // 2 + 1)
+        return _walk(map(line, ds), map(line, [*ds[:head], *ds[max(head, len(ds) - 8):]]))
+    least = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
+    lines = [((least, d0), (1, 0), max(0, d_max + 1 - least))] * (d0 >= 0)
+    return _walk(lines, lines)
 
 
 def _classify_sweep(args):

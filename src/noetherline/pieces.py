@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -67,24 +68,15 @@ class Piece:
     def __init__(self, record: dict, count: int, columns: dict):
         self.marked, self.count, self.columns = record, count, columns
 
-    def row(self, i: int) -> dict:
-        """The record of row i as the writers write it: each mark of
-        `marked`, in order, replaced by its column's value at i."""
-        values = iter([column[i] for column in self.columns.values()])
-        fill = lambda v: (next(values) if v == _MARK else v.replace(_MARK, str(next(values)))
-                          if type(v) is str and _MARK in v else v)
-        return {key: {k: fill(x) for k, x in v.items()} if type(v) is dict else fill(v)
-                for key, v in self.marked.items()}
-
 
 def row_map(anchors: list, derive):
     """The row map of a cell through `anchors`, its rows (d, d0), as `derive`
     gives them: each changing int, K3's numerator too, as c + a*d + b*d0 with
     int a, b, c, an image label as its prefix and e.  Three anchors not on one
     line fix it, or two on one line with no step across it, or one; every
-    anchor must be its row (CrossCheckError).  Returns `row`, the record at
-    (d, d0), and `piece`, the `Piece` of `count` rows from `start` by `step`;
-    both refuse a point off the span of the anchors."""
+    anchor must be its row, field by field (CrossCheckError).  Returns
+    `piece`, which builds the `Piece` of `count` rows from `start` by `step`
+    and refuses a piece with an end off the span of the anchors."""
     points = list(dict.fromkeys(anchors))
     rows = [derive(BundleParams(*p)) for p in points]
     template, (x0, y0), affine = rows[0], points[0], []
@@ -104,7 +96,7 @@ def row_map(anchors: list, derive):
         dx2, dy2, second, third = x2 - x0, y2 - y0, rows[1], rows[k]
         det = dx1 * dy2 - dx2 * dy1
         for key, v0 in template.items():
-            v1, v2, name, wrap = second[key], third[key], key, _same
+            v1, v2, name, wrap = second[key], third[key], key, None
             if v0 == v1 == v2:
                 continue
             if key == "K3" and v0 and v1 and v2 and v0["den"] == v1["den"] == v2["den"] == 1:
@@ -119,34 +111,38 @@ def row_map(anchors: list, derive):
             a = ((v1 - v0) * dy2 - (v2 - v0) * dy1) // det
             b = (dx1 * (v2 - v0) - dx2 * (v1 - v0)) // det
             affine.append((key, name, v0 - a * x0 - b * y0, a, b, wrap))
-
-    def span(p: tuple) -> tuple:
-        if not on_span(p):
-            raise CrossCheckError("X(%d;%d): off the span of its cell's anchors" % p)
-        return p
-
-    def row(p: tuple) -> dict:
-        d, d0 = span(p)
-        return template | {key: wrap(c + a * d + b * d0) for key, _, c, a, b, wrap in affine}
+    changing = {key for key, *_ in affine}
+    # The class is a str, constant on a cell, so there is always a constant field.
+    constant = operator.itemgetter(*[key for key in template if key not in changing])
+    fixed = constant(template)
+    for (x, y), record in zip(points, rows):
+        if constant(record) != fixed or any(record[key] != (wrap(v) if wrap else v)
+                                            for key, _, c, a, b, wrap in affine for v in [c + a * x + b * y]):
+            raise CrossCheckError(f"X({x0};{y0}): a derived row of its cell differs from the cell's map")
 
     def piece(start: tuple, step: tuple, count: int) -> Piece:
-        (d, d0), (sd, sd0) = span(start), step
-        span((d + (count - 1) * sd, d0 + (count - 1) * sd0))
-        marked, columns = template.copy(), {}
+        """The piece, refused (CrossCheckError) unless its last row as the
+        writers write it is the map's, field by field: each column's value
+        there, and each entry of the marked record, which holds the value of
+        every field that does not change along the piece."""
+        (d, d0), (sd, sd0), n = start, step, count - 1
+        x, y = d + n * sd, d0 + n * sd0
+        if not (on_span(start) and on_span((x, y))):
+            raise CrossCheckError("X(%d;%d) to X(%d;%d): off the span of its cell's anchors" % (d, d0, x, y))
+        marked, columns, last = template.copy(), {}, []
         for key, name, c, a, b, wrap in affine:
-            v, s = c + a * d + b * d0, (a * sd + b * sd0) * (count > 1)
-            marked[key] = wrap(_MARK if s else v)
-            if s:
-                columns[name] = range(v, v + count * s, s)
-        return Piece(marked, count, columns)
+            v = c + a * d + b * d0
+            if n and (s := a * sd + b * sd0):
+                columns[name], v = range(v, v + count * s, s), _MARK
+                last.append(c + a * x + b * y)
+            marked[key] = wrap(v) if wrap else v
+        values = list(marked.values())
+        built = Piece(marked, count, columns)
+        if list(built.marked.values()) != values or [v[n] for v in built.columns.values()] != last:
+            raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (d, d0, x, y))
+        return built
 
-    if any(row(p) != record for p, record in zip(points, rows)):
-        raise CrossCheckError(f"X({x0};{y0}): a derived row of its cell differs from the cell's map")
-    return row, piece
-
-
-def _same(v):
-    return v
+    return piece
 
 
 #: The rows joined into one string: a piece can be a whole line of

@@ -41,10 +41,11 @@ Every field of a classify row (the classification above and the invariants
 of `invariants.invariants`) reads the signs of a few integer forms: the class
 and its count read `CLASS_FORMS`, and the invariants, which a row has only
 where 4*d0 >= d, read `INVARIANT_FORMS`.  Those signs cut the plane into
-convex cells (`cell`; 21 meet d < 160), and each field is constant or affine
-in (d, d0) on a cell.  `row_pieces` cuts a line of the plane into its
-intersections with the cells; a sweep derives a few anchor rows of each
-cell and writes every piece of the cell from its affine map.
+21 convex cells (`cell`), and each field is constant or affine in (d, d0) on
+a cell.  14 cells end by d = 12, and from d = 13 on, the lines d and d + 8
+meet the same cells in the same order, 7 at most.  `row_pieces` cuts a line
+of the plane into its intersections with the cells; a sweep derives a few
+anchor rows of each cell and writes every piece of the cell from its map.
 The support forms change no field: `support_breaks` gives the rows where
 the support pattern changes, cut by the same `_zeros`, so that the order
 test runs inside pieces.
@@ -200,9 +201,12 @@ INVARIANT_FORMS: tuple[tuple[int, int, int], ...] = (
 )
 
 
+_CELL_FORMS = CLASS_FORMS + INVARIANT_FORMS
+
+
 def cell(d: int, d0: int) -> tuple[int, ...]:
     """The cell of (d, d0): the signs of `CLASS_FORMS` and, if 4*d0 >= d, `INVARIANT_FORMS`."""
-    forms = CLASS_FORMS + INVARIANT_FORMS if 4 * d0 >= d else CLASS_FORMS
+    forms = _CELL_FORMS if 4 * d0 >= d else CLASS_FORMS
     return tuple([((v := a * d + b * d0 + c) > 0) - (v < 0) for a, b, c in forms])
 
 
@@ -228,13 +232,12 @@ def row_pieces(
     each piece, and so has each form of `INVARIANT_FORMS` on each piece where
     the member exists; a row where such a form is zero is a piece of its
     own.  The support forms do not cut: `support_breaks` walks them."""
+    if count < 2:  # no row to cut at
+        return [(0, 1)] * count
     (d, d0), (sd, sd0) = start, step
     existence, slope = 4 * d0 - d, 4 * sd0 - sd  # 4*d0 - d on row i: existence + i*slope
     cuts = {0, count, *_zeros(CLASS_FORMS, start, step, count)}
-    cuts.update(
-        i for i in _zeros(INVARIANT_FORMS, start, step, count)
-        if existence + i * slope >= 0 or existence + (i - 1) * slope >= 0
-    )
+    cuts.update(i for i in _zeros(INVARIANT_FORMS, start, step, count) if existence + i * slope >= 0)
     bounds = sorted(cuts)
     return list(zip(bounds, bounds[1:]))
 

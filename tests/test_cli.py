@@ -380,6 +380,49 @@ def test_classify_anchor_budget(monkeypatch, capsys, band, budget):
     assert len(calls) <= budget < len(out.splitlines()) - 1
 
 
+def test_classify_works_per_cell_not_per_piece(monkeypatch):
+    """The walk of `classify 0 1000` runs the order test once per (cell,
+    support pattern) pair at most, and calls `singularities.cell` at most
+    twice per piece, its plan included."""
+    cells, tested = [], []
+    monkeypatch.setattr(cli, "cell", lambda d, d0: cells.append(d) or singularities.cell(d, d0))
+    monkeypatch.setattr(cli, "order_test", lambda p: tested.append(p) or singularities.order_test(p))
+    count = sum(1 for _ in cli._classify_records(0, 1000, None))
+    pairs = [(singularities.cell(p.d, p.d0), support_pattern(p)) for p in tested]
+    assert 0 < len(pairs) == len(set(pairs))
+    assert len(cells) <= 2 * count
+
+
+def test_the_plan_holds_every_first_second_and_last_piece():
+    """The premise of the plan of a sweep over d (`cli._classify_records`),
+    on every line up to the CLI's bound: from d = 13 on, lines d and d + 8
+    meet the same cells in the same order, and every 16 lines in a row
+    cross the same (cell, support pattern) pairs at the rows where the order
+    test runs, the first inner row of each."""
+    cells, pairs = {}, {}
+    for d in range(13, 10001):
+        known, _ = cli._plan([((d, 0), (0, 1), 3 * d // 2 + 1)])
+        cells[d] = [key for _, _, key, _ in known[d, 0]]
+        pairs[d] = {(key, support_pattern(BundleParams(d, i))) for _, _, key, rows in known[d, 0] for i in rows}
+    assert all(cells[d] == cells[d + 8] for d in range(13, 9993))
+    every = set().union(*pairs.values())
+    assert every and all(set().union(*(pairs[d + k] for k in range(16))) == every for d in range(13, 9986))
+
+
+@pytest.mark.parametrize("d_min, d_max", [(0, 300), (29, 200)])
+def test_a_sweeps_plan_is_the_plan_of_all_its_lines(monkeypatch, d_min, d_max):
+    """The lines a sweep over d is planned on give the anchors and the order
+    tests that all its lines give."""
+    walks = []
+    monkeypatch.setattr(cli, "_walk", lambda lines, planned: walks.append((list(lines), list(planned))))
+    cli._classify_records(d_min, d_max, None)
+    [(lines, planned)] = walks
+    (known, anchors), (every_known, every_anchor) = cli._plan(planned), cli._plan(lines)
+    assert len(planned) < len(lines) and anchors == every_anchor
+    tests = lambda known: [(start, lo, rows) for start, cut in known.items() for lo, _, _, rows in cut if rows]
+    assert tests(known) == tests(every_known)
+
+
 @st.composite
 def segments(draw):
     """(start, step, count) of a run of rows along d0 or along d, its ends
@@ -412,7 +455,7 @@ def segments(draw):
 def test_band_walk_matches_the_per_row_oracle(segment):
     (d, d0), (sd, sd0), count = segment
     expected = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    assert list(piece_rows(cli._walk(lambda: [segment]))) == expected
+    assert list(piece_rows(cli._walk([segment], [segment]))) == expected
 
 
 @pytest.mark.parametrize("band", [(0, 40, None), (2, 9, 3), (0, 12, 1), (5, 3, None), (0, 9, 14), (0, 4, -1)])
@@ -490,11 +533,11 @@ def test_a_ray_cells_map_gives_its_rows_past_its_anchors(direction):
     ux, uy = direction
     points = [(t * ux, t * uy) for t in range(4, 65)]
     assert len({singularities.cell(*p) for p in points}) == 1
-    row, build = pieces.row_map([points[0], points[1], points[5]], classify_record)
+    build = pieces.row_map([points[0], points[1], points[5]], classify_record)
     rows = [classify_record(BundleParams(*p)) for p in points]
-    assert [row(p) for p in points] == rows
+    assert [build(p, direction, 1).marked for p in points] == rows
     with pytest.raises(CrossCheckError, match="off the span"):
-        row((points[0][0], points[0][1] + 1))
+        build((points[0][0], points[0][1] + 1), direction, 1)
     assert list(piece_rows([build(points[0], direction, 60)])) == rows[:60]
 
 
@@ -537,7 +580,7 @@ WRITERS = {"csv": write_csv, "json": write_json, "text": write_text}
 def test_piece_writers_match_the_per_row_writers(segment):
     (d, d0), (sd, sd0), count = segment
     records = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    pieces = list(cli._walk(lambda: [segment]))
+    pieces = list(cli._walk([segment], [segment]))
     for fmt, write in WRITERS.items():
         assert "".join(write(pieces)) == classify_output(fmt, records), fmt
 
@@ -577,7 +620,7 @@ def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
         return
     row = advance(first, second, p0, p1)
     rows = [row(i) for i in range(count)]
-    _, build = pieces.row_map([start, (p1.d, p1.d0)], anchors.__getitem__)
+    build = pieces.row_map([start, (p1.d, p1.d0)], anchors.__getitem__)
     piece = build(start, (0, 1), count)
     assert list(piece_rows([piece])) == rows
     for fmt, write in WRITERS.items():
@@ -587,6 +630,7 @@ def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
 @pytest.mark.parametrize("band, start, step, count, earlier", [
     ("7 9", (8, 0), (0, 1), 13, 11),  # a flag changes between the two pieces
     ("0 12 --d0 12", (8, 12), (1, 0), 5, 0),  # only the advanced last row differs
+    ("0 40", (30, 0), (0, 1), 46, 675),  # a line the plan does not cut leaves its cell
 ])
 def test_no_row_of_a_failing_piece_is_written(monkeypatch, tmp_path, band, start, step, count, earlier):
     """The last two pieces of the segment from `start`, merged, fail their
@@ -628,6 +672,16 @@ def test_a_one_line_piece_that_leaves_its_cell_is_refused(monkeypatch, tmp_path)
     with pytest.raises(CrossCheckError, match="the piece leaves its cell"):
         main(["--format", "csv", "--output", str(target), "classify", "7", "46", "--d0", "10"])
     assert target.read_text() == classify_output("csv", list(classify_rows(7, 46, 10))[:5])
+
+
+def test_a_cell_the_plan_misses_is_refused(monkeypatch, tmp_path):
+    """A cell met only on d = 60, a line that the plan of `classify 0 100`
+    does not cut: `CrossCheckError`, and only the rows before it are written."""
+    monkeypatch.setattr(cli, "cell", lambda d, d0: singularities.cell(d, d0) + (d == 60,))
+    target = tmp_path / "rows.csv"
+    with pytest.raises(CrossCheckError, match="the plan misses its cell"):
+        main(["--format", "csv", "--output", str(target), "classify", "0", "100"])
+    assert target.read_text() == classify_output("csv", list(classify_rows(0, 59, None)))
 
 
 def test_every_support_pattern_of_a_piece_gets_the_order_test(monkeypatch, tmp_path):

@@ -68,7 +68,47 @@ BROKEN = [
      "lambda start, step, count, f=row_pieces: [(lo, hi + (start == (35, 0) and hi == 35))"
      " for lo, hi in f(start, step, count) if start != (35, 0) or lo != 35]",
      "list(_classify_records(30, 40, None))"),
+    # The same on d = 30 of `classify 0 40`, a line that the plan, its lines
+    # 0 to 28 and 33 to 40, does not cut: its last two pieces merged.
+    ("cli", "row_pieces",
+     "lambda start, step, count, f=row_pieces: [*f(start, step, count)[:-2], (f(start, step, count)[-2][0], count)]"
+     " if start == (30, 0) else f(start, step, count)",
+     "list(_classify_records(0, 40, None))"),
+    # A cell met only on d = 60, which the plan of `classify 0 100` does not cut.
+    ("cli", "cell", "lambda d, d0, f=cell: f(d, d0) + (d == 60,)", "list(_classify_records(0, 100, None))"),
+    # The last planned anchor of each cell one row on: that of the cell
+    # without a member moves to X(40;10), which has one.
+    ("cli", "_plan",
+     "lambda lines, f=_plan: (lambda known, anchors: (known, {key: [*points[:-1], (points[-1][0],"
+     " points[-1][1] + 1)] for key, points in anchors.items()}))(*f(lines))",
+     "list(_classify_records(30, 40, None))"),
+    # Every piece of `classify 0 40` with its columns one higher on its last
+    # row, then with a flag of its marked record changed: the last row as
+    # the writers write it is not the map's.
+    ("pieces", "Piece",
+     "lambda marked, count, columns, f=Piece: f(marked, count,"
+     " {name: [*values[:-1], values[-1] + 1] for name, values in columns.items()})",
+     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
+    ("pieces", "Piece",
+     "lambda marked, count, columns, f=Piece: f(marked.update(K_nef=None) or marked, count, columns)",
+     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
+    # The order test's verdict flipped on the pattern of X(2600;1800), which
+    # only inner rows of the one canonical curve piece of the band cross,
+    # and on that of X(100;60), which the plan of `classify 100 300` tests
+    # on the line d = 100 alone, once for its cell.
+    ("singularities", "_VERDICTS", "{support_pattern(BundleParams(2600, 1800)): False}",
+     "list(__import__('noetherline.cli').cli._classify_records(1550, 6549, 1800))"),
+    ("singularities", "_VERDICTS", "{support_pattern(BundleParams(100, 60)): False}",
+     "list(__import__('noetherline.cli').cli._classify_records(100, 300, None))"),
 ]
+
+# The id of each row after its module and attribute, by a text of its
+# replacement.
+SUFFIXES = {
+    "f(m)[32:33]": "-swapped", "(35, 0)": "-leaves-its-cell", "(30, 0)": "-leaves-its-cell-off-the-plan", "(40, 40)": "-on-a-ray",
+    "columns.items()": "-last-column", "marked.update": "-marked", "(2600, 1800)": "-on-a-band",
+    "(100, 60)": "-once-per-cell",
+}
 
 SCRIPT = """
 import importlib, sys
@@ -85,8 +125,7 @@ except CrossCheckError as exc:
 
 @pytest.mark.parametrize(
     "module, attribute, replacement, call", BROKEN,
-    ids=[f"{m}.{a}" + "-swapped" * ("f(m)[32:33]" in r) + "-leaves-its-cell" * ("(35, 0)" in r)
-         + "-on-a-ray" * ("(40, 40)" in r) for m, a, r, _ in BROKEN],
+    ids=[f"{m}.{a}" + "".join(s for text, s in SUFFIXES.items() if text in r) for m, a, r, _ in BROKEN],
 )
 def test_cross_check_raises_under_optimization(module, attribute, replacement, call):
     paths = (Path(noetherline.__file__).parents[1], Path(__file__).parent)
@@ -180,11 +219,10 @@ def test_no_row_of_a_ray_whose_map_fails_is_written(monkeypatch, tmp_path):
 def test_a_line_cells_map_refuses_a_point_off_its_line():
     """The map of the ray d0 = d through three of its rows gives the ray's
     rows, and refuses a row, or a piece that ends, off the ray."""
-    row, build = pieces.row_map([(30, 30), (31, 31), (40, 40)], cli.classify_record)
-    assert row((35, 35)) == cli.classify_record(BundleParams(35, 35))
-    assert build((35, 35), (0, 1), 1).marked == row((35, 35))
+    build = pieces.row_map([(30, 30), (31, 31), (40, 40)], cli.classify_record)
+    assert build((35, 35), (0, 1), 1).marked == cli.classify_record(BundleParams(35, 35))
     with pytest.raises(CrossCheckError, match="off the span"):
-        row((35, 36))
+        build((35, 36), (0, 1), 1)
     with pytest.raises(CrossCheckError, match="off the span"):
         build((35, 35), (0, 1), 2)
 
