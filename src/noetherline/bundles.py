@@ -21,7 +21,6 @@ from fractions import Fraction
 
 __all__ = [
     "FibrationData",
-    "ChiInvariants",
     "chi_invariants",
 ]
 
@@ -62,16 +61,9 @@ class FibrationData:
         return self.N >= 0
 
 
-@dataclass(frozen=True)
-class ChiInvariants:
-    chi_OB: int
-    chi_E1: int
-    chi_omega_X: int
-    K3: Fraction
-
-
-def chi_invariants(data: FibrationData) -> ChiInvariants:
-    """Euler characteristics and canonical volume from the degree data.
+def chi_invariants(data: FibrationData) -> tuple[int, int, int, Fraction]:
+    """Euler characteristics and canonical volume from the degree data, as
+    (chi(O_B), chi(E1), chi(omega_X), K^3).
 
     chi(O_B) = 1 - b, chi(E1) = deg E1 + 2(1 - b) by Riemann-Roch on the
     base, chi(omega_X) = chi(E1) - 5 chi(O_B), and
@@ -83,4 +75,4 @@ def chi_invariants(data: FibrationData) -> ChiInvariants:
     chi_e1 = data.deg_E1 + 2 * chi_ob
     chi_omega = chi_e1 - 5 * chi_ob
     k3 = Fraction(4, 3) * chi_omega - 2 * chi_ob + Fraction(data.N, 6)
-    return ChiInvariants(chi_ob, chi_e1, chi_omega, k3)
+    return chi_ob, chi_e1, chi_omega, k3

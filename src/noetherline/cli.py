@@ -64,8 +64,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
-from .invariants import canonical_ring_rank, flip_analysis, invariants, kobayashi_params
-from .invariants import kobayashi_translate, moduli_components
+from .invariants import ImageKind, canonical_ring_rank, flip_analysis, invariants
+from .invariants import kobayashi_params, kobayashi_translate, moduli_components
 from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
 from .linear_system import family_dimension, normal_form_support, support_pattern
 from .pieces import RUN, _rational_text, csv_line, row_map, write_csv, write_json, write_text
@@ -225,10 +225,11 @@ def classify_record(params: BundleParams) -> dict:
     }
     if cls.exists:
         inv = invariants(params, cls)
+        kind, e, _, _ = inv.canonical_image
         record.update(
             pg=inv.pg,
             K3=_frac(inv.K3),
-            image=inv.canonical_image.label(),
+            image=kind.label(e),
             K_ample=inv.K_ample,
             K_nef=inv.K_nef,
             noether=inv.on_noether_line,
@@ -324,7 +325,7 @@ def flip_record(d: int) -> dict:
         "pg": rec.pg,
         "P2": rec.P2,
         "chi_O": rec.chi_O,
-        "basket": [{"r": q.r, "b": q.b, "label": q.label()} for q in rec.basket],
+        "basket": [{"r": r, "b": b, "label": f"1/{r}(1,-1,{b})"} for r, b in rec.basket],
         "K3_plus": _frac(rec.K3_plus),
         "nef_cone_Fplus": [{"a": c.a, "b": c.b} for c in rec.nef_cone_Fplus],
     }
@@ -345,8 +346,7 @@ def inspect_record(params: BundleParams) -> dict:
     if not cls.exists:
         return record
     inv = invariants(params, cls)
-    img = inv.canonical_image
-    degenerate = min(params.d, params.d0) <= 1
+    kind, e, embedding, note = inv.canonical_image
     record["invariants"] = {
         "pg": inv.pg,
         "q1": inv.q1,
@@ -355,17 +355,17 @@ def inspect_record(params: BundleParams) -> dict:
         "K3": _frac(inv.K3),
         "e": inv.e,
         "image": {
-            "kind": img.kind.value,
-            "e": img.e,
-            "embedding": list(img.embedding) if img.embedding else None,
-            "label": img.label(),
-            "note": img.note,
+            "kind": kind.value,
+            "e": e,
+            "embedding": list(embedding) if embedding else None,
+            "label": kind.label(e),
+            "note": note,
         },
         "on_noether_line": inv.on_noether_line,
         "K_ample": inv.K_ample,
         "K_nef": inv.K_nef,
         "mds": inv.mori_dream_general,
-        "degenerate_note": img.note if degenerate else None,
+        "degenerate_note": note if kind is ImageKind.DEGENERATE else None,
     }
     family, canonical = base_locus(params)
     record["base_locus"] = {
@@ -388,12 +388,11 @@ def inspect_record(params: BundleParams) -> dict:
 
 
 def moduli_record(pg: int) -> dict:
-    info = moduli_components(pg)
-    second = info.second_component
+    d, components, second = moduli_components(pg)
     return {
-        "pg": info.pg,
-        "d": info.d,
-        "components": info.components,
+        "pg": pg,
+        "d": d,
+        "components": components,
         "second": {"d": second.d, "d0": second.d0} if second else None,
     }
 
@@ -416,12 +415,12 @@ def bundle_record(b: int, e1: int, e2: int) -> dict:
         "exists": data.exists,
     }
     if data.exists:
-        chi = chi_invariants(data)
+        chi_ob, chi_e1, chi_omega, k3 = chi_invariants(data)
         record.update(
-            chi_OB=chi.chi_OB,
-            chi_E1=chi.chi_E1,
-            chi_omega_X=chi.chi_omega_X,
-            K3=_frac(chi.K3),
+            chi_OB=chi_ob,
+            chi_E1=chi_e1,
+            chi_omega_X=chi_omega,
+            K3=_frac(k3),
             noether_gap=_frac(Fraction(data.N, 6)),
         )
     return record
@@ -596,7 +595,7 @@ def _monomial_rows(record: dict, head: str, sep: str | None, middle: str, end: s
         rows += head, (close + head).join(labels), close
         i = j + 1
         a2, a5 = (a2 + 1, a5) if rest >= 2 else (0, a5 + 1)
-    if monos and a5 != m // 5 + 1:
+    if a5 != m // 5 + 1:
         raise CrossCheckError(f"monomials {m}: the listing ends before its last block, y^{a2} z^{a5}")
     yield "".join(rows)
 
@@ -615,15 +614,14 @@ def _monomials_csv(record: dict) -> Iterable[str]:
 
 def _monomials_json(record: dict) -> Iterable[str]:
     """The record's text with an empty listing, filled, its first comma the
-    listing's opening bracket.  A label needs no escape (see `_monomials_csv`)."""
+    listing's opening bracket: every degree lists x0^m, so the listing is
+    never empty.  A label needs no escape (see `_monomials_csv`)."""
     head, foot = _json_text({**record, "monomials": []}).rsplit("[]", 1)
     rows = _monomial_rows(record, ',\n    {\n      "a0": ', ',\n      "a1": ',
                           ',\n      "a2": {a2},\n      "a5": {a5},\n      "label": "', '"\n    }')
-    first = next(rows)
-    yield head + ("[" + first[1:] if first else "[]" + foot + "\n")
-    if first:
-        yield from rows
-        yield "\n  ]" + foot + "\n"
+    yield head + "[" + next(rows)[1:]
+    yield from rows
+    yield "\n  ]" + foot + "\n"
 
 
 def _nef_text(record: dict):

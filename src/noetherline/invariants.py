@@ -2,9 +2,11 @@
 
 For every nonempty family with d >= 1 the general member has p_g = 3d - 2,
 q1 = q2 = 0 and K^3 = 4d - 6, so 3*K^3 = 4*p_g - 10: it sits on the Noether
-line (X(0;0), a product, has p_g = 0 and K^3 = -6 and does not).  Nothing is
-hard-coded: p_g counts sections of the restricted canonical class, K^3 is an
-intersection product, and the closed forms are oracles in the test suite.
+line (X(0;0), a product, has p_g = 0 and K^3 = -6 and does not).  p_g counts
+sections of the restricted canonical class and K^3 is an intersection
+product; their closed forms are oracles in the test suite.  Hard-coded are
+q1 = q2 = 0 and the flips' baskets and volumes (`_FLIP_DATA`), each volume
+checked against orbifold Riemann-Roch with P2 counted.
 
 The canonical image is the Hirzebruch surface of degree e = 3d - 2*d0,
 embedded by |(d0 - 2) l + delta| once min(d, d0) >= 3; for d0 = 2 the image
@@ -42,12 +44,9 @@ from .toric import (
 
 __all__ = [
     "ImageKind",
-    "CanonicalImage",
     "InvariantSet",
     "canonical_image",
-    "QuotientSingularity",
     "FlipRecord",
-    "ModuliComponents",
     "invariants",
     "plurigenus",
     "basket_normalize",
@@ -78,23 +77,6 @@ class ImageKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class CanonicalImage:
-    """Image of the canonical map: a Hirzebruch surface, a cone, or degenerate.
-
-    ``embedding`` holds the coefficients (m, n) of the very ample system
-    m*l + n*delta when the image is an embedded Hirzebruch surface.
-    """
-
-    kind: ImageKind
-    e: int | None = None
-    embedding: tuple[int, int] | None = None
-    note: str = ""
-
-    def label(self) -> str:
-        return self.kind.label(self.e)
-
-
-@dataclass(frozen=True)
 class InvariantSet:
     pg: int
     q1: int
@@ -102,15 +84,21 @@ class InvariantSet:
     chi_O: int
     K3: Fraction
     e: int
-    canonical_image: CanonicalImage
+    canonical_image: tuple[ImageKind, int | None, tuple[int, int] | None, str]
     on_noether_line: bool
     K_ample: bool
     K_nef: bool
     mori_dream_general: bool
 
 
-def canonical_image(params: BundleParams) -> CanonicalImage:
-    """The image of the canonical map of X(d;d0), read off min(d, d0), d0 and e."""
+def canonical_image(
+    params: BundleParams,
+) -> tuple[ImageKind, int | None, tuple[int, int] | None, str]:
+    """The image of the canonical map of X(d;d0), read off min(d, d0), d0 and
+    e, as (kind, e, embedding, note): a Hirzebruch surface, a cone or
+    degenerate; its degree e (None when degenerate); the coefficients (m, n)
+    of the very ample system m*l + n*delta that embeds a Hirzebruch surface,
+    else None; and a note, "" where there is none."""
     d, d0 = params.d, params.d0
     if min(d, d0) <= 1:
         if (d, d0) == (0, 0):
@@ -119,23 +107,15 @@ def canonical_image(params: BundleParams) -> CanonicalImage:
             note = "Kodaira dimension 0; the canonical system is a single fibre"
         else:
             note = "canonical class negative on the section S0; see the flip analysis"
-        return CanonicalImage(ImageKind.DEGENERATE, note=note)
+        return ImageKind.DEGENERATE, None, None, note
     if d0 == 2:
-        return CanonicalImage(
-            ImageKind.CONE,
-            e=params.e,
-            note=f"cone over a rational normal curve of degree {params.e}; "
-            "S0 contracts to the vertex",
-        )
+        note = f"cone over a rational normal curve of degree {params.e}; S0 contracts to the vertex"
+        return ImageKind.CONE, params.e, None, note
     if (d, d0) == (2, 3):
-        return CanonicalImage(
-            ImageKind.HIRZEBRUCH,
-            e=0,
-            note="canonical model is a complete intersection of a quadric and "
-            "a degree-10 hypersurface in P(1,1,1,1,2,5); the base curve of "
-            "|K| contracts to a node",
-        )
-    return CanonicalImage(ImageKind.HIRZEBRUCH, e=params.e, embedding=(d0 - 2, 1))
+        note = ("canonical model is a complete intersection of a quadric and a degree-10 "
+                "hypersurface in P(1,1,1,1,2,5); the base curve of |K| contracts to a node")
+        return ImageKind.HIRZEBRUCH, 0, None, note
+    return ImageKind.HIRZEBRUCH, params.e, (d0 - 2, 1), ""
 
 
 def invariants(
@@ -193,26 +173,6 @@ def plurigenus(params: BundleParams, m: int) -> int:
     return total - correction
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
-    """Isolated quotient point of type (1, -1, b)/r."""
-
-    r: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.r < 2 or not 1 <= self.b <= self.r - 1 or gcd(self.b, self.r) != 1:
-            raise ValueError(f"invalid quotient type 1/{self.r}(1,-1,{self.b})")
-
-    @property
-    def contribution(self) -> Fraction:
-        """Riemann-Roch correction term b(r - b)/(2r)."""
-        return Fraction(self.b * (self.r - self.b), 2 * self.r)
-
-    def label(self) -> str:
-        return f"1/{self.r}(1,-1,{self.b})"
-
-
 def _pattern_b(residues: list[int], r: int) -> int | None:
     # Read a sorted residue multiset as {1, r-1, b}; the removal is unique.
     rest = list(residues)
@@ -228,8 +188,9 @@ def _pattern_b(residues: list[int], r: int) -> int | None:
     return None
 
 
-def basket_normalize(r: int, weights: tuple[int, int, int]) -> QuotientSingularity:
-    """Normalize a quotient type 1/r(w1, w2, w3) to the form 1/r(1, -1, b).
+def basket_normalize(r: int, weights: tuple[int, int, int]) -> tuple[int, int]:
+    """Normalize a quotient type 1/r(w1, w2, w3) to the form 1/r(1, -1, b),
+    returned as the pair (r, b).
 
     Searches for a unit u mod r with {u*w1, u*w2, u*w3} = {1, r-1, b} as
     multisets.  An input already in the normal form is returned unchanged;
@@ -241,7 +202,7 @@ def basket_normalize(r: int, weights: tuple[int, int, int]) -> QuotientSingulari
     residues = sorted(w % r for w in weights)
     b = _pattern_b(residues, r)
     if b is not None:
-        return QuotientSingularity(r, b)
+        return r, b
     candidates = []
     for u in range(2, r):
         if gcd(u, r) != 1:
@@ -251,14 +212,19 @@ def basket_normalize(r: int, weights: tuple[int, int, int]) -> QuotientSingulari
             candidates.append(b)
     if not candidates:
         raise ValueError(f"1/{r}{tuple(weights)} is not of isolated (1,-1,b) form")
-    return QuotientSingularity(r, min(candidates))
+    return r, min(candidates)
 
 
-def orbifold_rr_K3(
-    p2: int, chi_o: int, basket: Iterable[QuotientSingularity]
-) -> Fraction:
-    """Solve 1/2 K^3 = P2 + 3 chi(O) - sum b(r-b)/(2r) for K^3."""
-    return 2 * (p2 + 3 * chi_o - sum((q.contribution for q in basket), Fraction(0)))
+def orbifold_rr_K3(p2: int, chi_o: int, basket: Iterable[tuple[int, int]]) -> Fraction:
+    """Solve 1/2 K^3 = P2 + 3 chi(O) - sum b(r-b)/(2r) for K^3, the sum over
+    the basket's points 1/r(1,-1,b), given as pairs (r, b); each must have
+    r >= 2, 0 < b < r and gcd(b, r) = 1 (ValueError)."""
+    total = Fraction(0)
+    for r, b in basket:
+        if r < 2 or not 0 < b < r or gcd(b, r) != 1:
+            raise ValueError(f"invalid quotient type 1/{r}(1,-1,{b})")
+        total += Fraction(b * (r - b), 2 * r)
+    return 2 * (p2 + 3 * chi_o - total)
 
 
 @dataclass(frozen=True)
@@ -270,7 +236,7 @@ class FlipRecord:
     pg: int
     P2: int
     chi_O: int
-    basket: tuple[QuotientSingularity, ...]
+    basket: tuple[tuple[int, int], ...]
     K3_plus: Fraction
     nef_cone_Fplus: tuple[DivisorClass, DivisorClass]
 
@@ -288,15 +254,15 @@ def flip_analysis(d: int) -> FlipRecord:
 
     K meets the section S0 negatively (degree d0 - 2 = -1); flipping S0
     yields a model with nef and big canonical class, nef cone spanned by
-    H - F and H - d*F, the stored basket of quotient points, and the stored
-    volume.  The record is gated on the orbifold Riemann-Roch identity with
-    P2 computed independently by monomial counting.
+    H - F and H - d*F, the stored basket of quotient points 1/r(1,-1,b) as
+    pairs (r, b), and the stored volume.  The record is gated on the
+    orbifold Riemann-Roch identity with P2 computed independently by
+    monomial counting.
     """
     if d not in _FLIP_DATA:
         raise ValueError(f"flip analysis applies to d in (2, 3, 4), got {d}")
     params = BundleParams(d, 1)
-    raw_basket, k3_plus = _FLIP_DATA[d]
-    basket = tuple(QuotientSingularity(r, b) for r, b in raw_basket)
+    basket, k3_plus = _FLIP_DATA[d]
     k_dot_s0 = curve_intersection(_K, SpecialCurve.S0, params)
     if k_dot_s0 != -1:
         raise CrossCheckError(f"{params.label()}: K.S0 = {k_dot_s0}, not d0 - 2 = -1")
@@ -347,16 +313,10 @@ def kobayashi_params(params: BundleParams) -> tuple[int, int]:
     return (2 * params.d - params.d0, params.e)
 
 
-@dataclass(frozen=True)
-class ModuliComponents:
-    pg: int
-    d: int
-    components: int
-    second_component: BundleParams | None
-
-
-def moduli_components(pg: int) -> ModuliComponents:
-    """Connected components of the smooth locus for a given geometric genus.
+def moduli_components(pg: int) -> tuple[int, int, BundleParams | None]:
+    """Connected components of the smooth locus for a given geometric genus,
+    as (d, components, second): second is a model of the second component,
+    None when there is only one.
 
     Requires pg = 3d - 2 with d >= 3.  There are two components exactly when
     8 divides d; the second one contains the smooth models X(d; 7d/8).
@@ -365,8 +325,8 @@ def moduli_components(pg: int) -> ModuliComponents:
         raise ValueError(f"pg = {pg} is not of the form 3d - 2 with d >= 3")
     d = (pg + 2) // 3
     if d % 8 == 0:
-        return ModuliComponents(pg, d, 2, BundleParams(d, 7 * d // 8))
-    return ModuliComponents(pg, d, 1, None)
+        return d, 2, BundleParams(d, 7 * d // 8)
+    return d, 1, None
 
 
 def deformation_feasible(params: BundleParams) -> bool:

@@ -55,18 +55,19 @@ _MARK = "\ue000"
 
 
 class Piece:
-    """`count` classify rows on which every field is constant or affine in
-    the row index i.  `marked` is the record of row 0 with each int that
+    """Classify rows on which every field is constant or affine in the row
+    index i.  `marked` is the record of row 0 with each int that
     changes from row to row replaced by `_MARK`; `columns` holds the values
     of those ints, one sequence per mark, in the order of the marks.  A
     column is named after its csv column: an int field, K3_num, or image,
     whose values are e's: an image label that changes is its kind's prefix
-    and the row's e."""
+    and the row's e.  A piece has as many rows as a column has values, one
+    row where it has no column (`_rows`)."""
 
-    __slots__ = ("marked", "columns", "count")
+    __slots__ = ("marked", "columns")
 
-    def __init__(self, record: dict, count: int, columns: dict):
-        self.marked, self.count, self.columns = record, count, columns
+    def __init__(self, record: dict, columns: dict):
+        self.marked, self.columns = record, columns
 
 
 def row_map(anchors: list, derive):
@@ -137,7 +138,7 @@ def row_map(anchors: list, derive):
                 last.append(c + a * x + b * y)
             marked[key] = wrap(v) if wrap else v
         values = list(marked.values())
-        built = Piece(marked, count, columns)
+        built = Piece(marked, columns)
         if list(built.marked.values()) != values or [v[n] for v in built.columns.values()] != last:
             raise CrossCheckError("X(%d;%d) to X(%d;%d): the advanced last row differs" % (d, d0, x, y))
         return built

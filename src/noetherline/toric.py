@@ -36,8 +36,6 @@ from typing import Iterator
 
 __all__ = [
     "COORDINATES",
-    "H",
-    "F",
     "NormalizationError",
     "CrossCheckError",
     "BundleParams",
@@ -111,20 +109,6 @@ class DivisorClass:
     a: int
     b: int
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
-
-    def __mul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(n * self.a, n * self.b)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         terms = []
         for coeff, symbol in ((self.a, "H"), (self.b, "F")):
@@ -135,10 +119,6 @@ class DivisorClass:
             body = symbol if mag == 1 else f"{mag}{symbol}"
             terms.append(f"{sign}{body}" if not terms else f"{sign} {body}")
         return " ".join(terms) if terms else "0"
-
-
-H = DivisorClass(1, 0)
-F = DivisorClass(0, 1)
 
 
 def weight_matrix(params: BundleParams) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -91,10 +91,10 @@ def advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
             num = v0["num"] * (den // v0["den"])
             k3 = (num, v1["num"] * (den // v1["den"]) - num, den)
         elif key == "image" and v0 and v1:
-            img0, img1 = canonical_image(p0), canonical_image(p1)
-            if img0.kind is not img1.kind:
+            (kind0, e0, _, _), (kind1, e1, _, _) = canonical_image(p0), canonical_image(p1)
+            if kind0 is not kind1:
                 raise CrossCheckError(f"{p0.label()}, {p1.label()}: two image kinds in one piece")
-            image = (img0.kind.label, img0.e, img1.e - img0.e)
+            image = (kind0.label, e0, e1 - e0)
         else:
             raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
 
@@ -122,7 +122,8 @@ def piece_rows(pieces):
     and the image label its prefix and the row's e."""
     for piece in pieces:
         marked, columns = piece.marked, piece.columns
-        for i in range(piece.count):
+        count, = {len(values) for values in columns.values()} or {1}
+        for i in range(count):
             record = dict(marked)
             for key in ("d", "d0", "e", "count", "pg"):
                 if key in columns:
@@ -432,17 +433,17 @@ def noether_check(data: FibrationData, pg: int, q1: int, q2: int) -> NoetherChec
     supplied invariants must satisfy q1 = b and chi(omega_X) = pg - q2 + q1 - 1;
     then lhs - rhs = N/6 identically and equality holds iff N = 0.
     """
-    chi = chi_invariants(data)
+    _, _, chi_omega, k3 = chi_invariants(data)
     if q1 != data.genus_b:
         raise ValueError(f"q1 = {q1} must equal the base genus {data.genus_b}")
-    if pg - q2 + q1 - 1 != chi.chi_omega_X:
+    if pg - q2 + q1 - 1 != chi_omega:
         raise ValueError(
             f"inconsistent invariants: pg - q2 + q1 - 1 = {pg - q2 + q1 - 1} "
-            f"but chi(omega_X) = {chi.chi_omega_X}"
+            f"but chi(omega_X) = {chi_omega}"
         )
     rhs = Fraction(4 * (pg - q2) - 10 * (1 - q1), 3)
-    gap = chi.K3 - rhs
-    return NoetherCheck(chi.K3, rhs, gap, gap == 0)
+    gap = k3 - rhs
+    return NoetherCheck(k3, rhs, gap, gap == 0)
 
 
 def split_bundle_weight_matrix(
@@ -501,7 +502,8 @@ def relative_canonical_class(params: BundleParams) -> DivisorClass:
     d, d0 = params.d, params.d0
     dual = relative_dualising_degree((1, 1, 2, 5), (d0 - d, 2 * d - d0, 0, 0))
     cls = DivisorClass(dual.taut_twist, -dual.taut_twist * d + dual.base_twist)
-    if cls != canonical_class_F(params) - DivisorClass(0, -2):
+    canonical = canonical_class_F(params)
+    if cls != DivisorClass(canonical.a, canonical.b + 2):
         raise CrossCheckError(f"{params.label()}: K_X/P1 = {cls} is not K_X + 2F")
     return cls
 

@@ -12,6 +12,7 @@ from math import ceil
 
 from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.invariants import (
+    ImageKind,
     canonical_ring_rank,
     flip_analysis,
     invariants,
@@ -92,7 +93,7 @@ def test_criterion_3_paper_point_values():
     params = BundleParams(8, 2)
     assert classify_general_member(params).kind is SingularityKind.CANONICAL_CURVE
     inv = invariants(params)
-    assert inv.canonical_image.kind.value == "cone"
+    assert inv.canonical_image[:3] == (ImageKind.CONE, 20, None)
     assert inv.pg == 22
 
     inv = invariants(BundleParams(2, 3))
@@ -116,7 +117,7 @@ def test_criterion_4_flip_table():
         assert orbifold_rr_K3(rec.P2, 3 - 3 * d, rec.basket) == k3_plus
         # solving the identity for P2 returns an integer equal to the count
         solved = Fraction(k3_plus, 2) - 3 * (1 - pg) + sum(
-            (q.contribution for q in rec.basket), Fraction(0)
+            (Fraction(b * (r - b), 2 * r) for r, b in rec.basket), Fraction(0)
         )
         assert solved.denominator == 1 and solved == p2
     _report(4, "flip volumes {9/4, 85/14, 301/30} verified via orbifold RR")
@@ -198,10 +199,10 @@ def test_criterion_8_kobayashi_bijection():
 
 def test_criterion_9_bundle_algebra_consistency():
     for params in criterion1_sweep():
-        chi = chi_invariants(FibrationData(0, 3 * params.d, 2 * params.d))
+        _, _, chi_omega, k3 = chi_invariants(FibrationData(0, 3 * params.d, 2 * params.d))
         inv = invariants(params)
-        assert chi.K3 == inv.K3
-        assert chi.chi_omega_X == inv.pg - 1
+        assert k3 == inv.K3
+        assert chi_omega == inv.pg - 1
     grid = 0
     for b in range(0, 4):
         for e1 in range(0, 31):
@@ -209,8 +210,8 @@ def test_criterion_9_bundle_algebra_consistency():
                 data = FibrationData(b, e1, e2)
                 if data.N < 0:
                     continue
-                chi = chi_invariants(data)
-                pg = chi.chi_omega_X + 1 - b
+                _, _, chi_omega, _ = chi_invariants(data)
+                pg = chi_omega + 1 - b
                 check = noether_check(data, pg=pg, q1=b, q2=0)
                 assert check.gap == Fraction(data.N, 6)
                 grid += 1
@@ -219,8 +220,6 @@ def test_criterion_9_bundle_algebra_consistency():
 
 def test_criterion_10_moduli_components():
     for d in range(3, 97):
-        info = moduli_components(3 * d - 2)
-        assert info.components == (2 if d % 8 == 0 else 1)
-        if d % 8 == 0:
-            assert info.second_component == BundleParams(d, 7 * d // 8)
+        expected = (d, 2, BundleParams(d, 7 * d // 8)) if d % 8 == 0 else (d, 1, None)
+        assert moduli_components(3 * d - 2) == expected
     _report(10, "two components exactly when 8 | d, for 3 <= d <= 96")

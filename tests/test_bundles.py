@@ -50,13 +50,10 @@ def test_semipositivity_is_data_not_a_warning():
 
 def test_chi_invariants_examples():
     for d in range(3, 20):
-        chi = chi_invariants(FibrationData(0, 3 * d, 2 * d))
-        assert chi.chi_omega_X == 3 * d - 3
-        assert chi.K3 == 4 * d - 6
-    chi = chi_invariants(FibrationData(1, 10, 10))
-    assert chi.chi_OB == 0 and chi.K3 == 15
-    chi = chi_invariants(FibrationData(0, 0, 0))
-    assert chi.chi_omega_X == -3 and chi.K3 == -6
+        assert chi_invariants(FibrationData(0, 3 * d, 2 * d)) == (1, 3 * d + 2, 3 * d - 3, 4 * d - 6)
+    assert chi_invariants(FibrationData(1, 10, 10)) == (0, 10, 10, 15)
+    assert chi_invariants(FibrationData(0, 0, 0)) == (1, 2, -3, -6)
+    assert chi_invariants(FibrationData(0, 1, 1)) == (1, 3, -2, Fraction(-9, 2))
 
 
 def test_chi_invariants_rejects_negative_n():
@@ -69,21 +66,21 @@ def test_gorenstein_data_reproduces_toric_invariants():
         for d0 in range(max(3, -(-d // 4)), 3 * d // 2 + 1):
             params = BundleParams(d, d0)
             inv = invariants(params)
-            chi = chi_invariants(gorenstein_data(params))
-            assert chi.K3 == inv.K3
-            assert chi.chi_omega_X == inv.pg - 1
+            _, _, chi_omega, k3 = chi_invariants(gorenstein_data(params))
+            assert k3 == inv.K3
+            assert chi_omega == inv.pg - 1
 
 
 def test_noether_equality_iff_gorenstein():
     data = FibrationData(0, 9, 6)  # N = 0
-    chi = chi_invariants(data)
-    check = noether_check(data, pg=chi.chi_omega_X + 1, q1=0, q2=0)
+    _, _, chi_omega, _ = chi_invariants(data)
+    check = noether_check(data, pg=chi_omega + 1, q1=0, q2=0)
     assert check.equality and check.gap == 0
     one = FibrationData(0, 1, 1)  # N = 1
-    check = noether_check(one, pg=chi_invariants(one).chi_omega_X + 1, q1=0, q2=0)
+    check = noether_check(one, pg=chi_invariants(one)[2] + 1, q1=0, q2=0)
     assert check.gap == Fraction(1, 6) and not check.equality
     two = FibrationData(0, 2, 2)  # N = 2
-    check = noether_check(two, pg=chi_invariants(two).chi_omega_X + 1, q1=0, q2=0)
+    check = noether_check(two, pg=chi_invariants(two)[2] + 1, q1=0, q2=0)
     assert check.gap == Fraction(1, 3)
 
 
@@ -94,9 +91,9 @@ def test_noether_gap_on_grid():
                 data = FibrationData(b, e1, e2)
                 if data.N < 0:
                     continue
-                chi = chi_invariants(data)
+                _, _, chi_omega, _ = chi_invariants(data)
                 q2 = 1  # any consistent choice works; the gap is N/6 regardless
-                pg = chi.chi_omega_X + 1 - b + q2
+                pg = chi_omega + 1 - b + q2
                 check = noether_check(data, pg=pg, q1=b, q2=q2)
                 assert check.gap == Fraction(data.N, 6)
                 assert check.equality == (data.N == 0)
@@ -152,4 +149,5 @@ def test_relative_canonical_class_two_path_identity():
             params = BundleParams(d, d0)
             cls = relative_canonical_class(params)
             assert cls == DivisorClass(-9, 10 * d)
-            assert cls == canonical_class_F(params) - DivisorClass(0, -2)
+            canonical = canonical_class_F(params)
+            assert cls == DivisorClass(canonical.a, canonical.b + 2)

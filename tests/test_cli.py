@@ -1118,9 +1118,11 @@ def test_monomials_degree_is_capped_before_enumerating(tmp_path, monkeypatch, ca
     for argv in (["monomials", "301"], ["--output", str(target), "monomials", "301"]):
         assert run_cli(capsys, *argv) == (2, "", "error: need 0 <= m <= 300\n")
     assert not target.exists() and calls == []
-    code, out, _ = run_cli(capsys, "monomials", "300")
-    assert code == 0 and calls == [300]
-    assert out == "degree 300: 0 monomials, ring rank 44853\n"
+    # Within the cap the degree is enumerated once.  Every degree lists
+    # x0^m, so the stub's empty tuple is no enumeration, and is refused.
+    with pytest.raises(CrossCheckError, match="ends before its last block"):
+        main(["monomials", "300"])
+    assert calls == [300]
 
 
 # SHA-256 of the oracle's bytes for the two longest listings, in each

@@ -86,11 +86,11 @@ BROKEN = [
     # row, then with a flag of its marked record changed: the last row as
     # the writers write it is not the map's.
     ("pieces", "Piece",
-     "lambda marked, count, columns, f=Piece: f(marked, count,"
+     "lambda marked, columns, f=Piece: f(marked,"
      " {name: [*values[:-1], values[-1] + 1] for name, values in columns.items()})",
      "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
     ("pieces", "Piece",
-     "lambda marked, count, columns, f=Piece: f(marked.update(K_nef=None) or marked, count, columns)",
+     "lambda marked, columns, f=Piece: f(marked.update(K_nef=None) or marked, columns)",
      "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
     # The order test's verdict flipped on the pattern of X(2600;1800), which
     # only inner rows of the one canonical curve piece of the band cross,

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noetherline.invariants import (
+    FlipRecord,
     ImageKind,
-    QuotientSingularity,
     basket_normalize,
     canonical_ring_rank,
     deformation_feasible,
@@ -40,33 +40,43 @@ def test_invariants_x_8_7():
     assert inv.on_noether_line
     assert inv.K_ample and inv.K_nef
     assert inv.mori_dream_general  # d >= d0
-    assert inv.canonical_image.kind is ImageKind.HIRZEBRUCH
-    assert inv.canonical_image.e == 10
-    assert inv.canonical_image.embedding == (5, 1)
+    assert inv.canonical_image == (ImageKind.HIRZEBRUCH, 10, (5, 1), "")
 
 
 def test_invariants_x_2_3():
     inv = invariants(BundleParams(2, 3))
     assert inv.pg == 4 and inv.K3 == 2
     assert inv.K_nef and not inv.K_ample
-    assert inv.canonical_image.kind is ImageKind.HIRZEBRUCH
-    assert inv.canonical_image.e == 0
-    assert inv.canonical_image.embedding is None  # complete-intersection model
+    assert inv.canonical_image == (  # complete-intersection model, no embedding
+        ImageKind.HIRZEBRUCH, 0, None,
+        "canonical model is a complete intersection of a quadric and a degree-10 "
+        "hypersurface in P(1,1,1,1,2,5); the base curve of |K| contracts to a node",
+    )
 
 
 def test_invariants_x_8_2_cone():
     inv = invariants(BundleParams(8, 2))
     assert inv.pg == 22 and inv.K3 == 26 and inv.e == 20
-    assert inv.canonical_image.kind is ImageKind.CONE
-    assert inv.canonical_image.e == 20
+    assert inv.canonical_image == (
+        ImageKind.CONE, 20, None,
+        "cone over a rational normal curve of degree 20; S0 contracts to the vertex",
+    )
     assert inv.K_nef and not inv.K_ample
 
 
 def test_invariants_degenerate_cases():
-    assert invariants(BundleParams(1, 1)).canonical_image.kind is ImageKind.DEGENERATE
-    assert "Kodaira" in invariants(BundleParams(1, 1)).canonical_image.note
-    assert invariants(BundleParams(0, 0)).canonical_image.kind is ImageKind.DEGENERATE
-    assert invariants(BundleParams(3, 1)).canonical_image.kind is ImageKind.DEGENERATE
+    assert invariants(BundleParams(1, 1)).canonical_image == (
+        ImageKind.DEGENERATE, None, None,
+        "Kodaira dimension 0; the canonical system is a single fibre",
+    )
+    assert invariants(BundleParams(0, 0)).canonical_image == (
+        ImageKind.DEGENERATE, None, None,
+        "product of a line with a fixed degree-10 surface in P(1,1,2,5)",
+    )
+    assert invariants(BundleParams(3, 1)).canonical_image == (
+        ImageKind.DEGENERATE, None, None,
+        "canonical class negative on the section S0; see the flip analysis",
+    )
     assert not invariants(BundleParams(3, 1)).K_nef
 
 
@@ -123,8 +133,7 @@ def test_flipped_plurigenus_matches_reids_orbifold_formula(d, m):
     """After the flip of X(d;1), K is nef: the plurigenera of X(d;1) follow
     Reid's formula with the flipped K^3 and the basket."""
     rec = flip_analysis(d)
-    basket = [(q.r, q.b) for q in rec.basket]
-    assert plurigenus(BundleParams(d, 1), m) == reid_plurigenus(rec.K3_plus, rec.chi_O, m, basket)
+    assert plurigenus(BundleParams(d, 1), m) == reid_plurigenus(rec.K3_plus, rec.chi_O, m, rec.basket)
 
 
 def test_plurigenus_range_and_existence():
@@ -148,20 +157,22 @@ def test_tenth_plurigenus_subtracts_the_relation():
 
 
 def test_quotient_singularity_validation():
-    with pytest.raises(ValueError):
-        QuotientSingularity(4, 2)  # gcd(2, 4) != 1
-    with pytest.raises(ValueError):
-        QuotientSingularity(1, 1)
-    assert QuotientSingularity(4, 3).contribution == Fraction(3, 8)
-    assert QuotientSingularity(2, 1).contribution == Fraction(1, 4)
+    # A basket point 1/r(1,-1,b) is the pair (r, b), which orbifold_rr_K3
+    # checks wherever it stands in the basket.
+    for point in ((4, 2), (1, 1), (3, 0), (3, 3), (3, -1)):  # gcd(2, 4) != 1; r < 2; b out of range
+        with pytest.raises(ValueError, match="invalid quotient type"):
+            orbifold_rr_K3(0, 0, [(2, 1), point])
+    # Each point's contribution b(r - b)/(2r): alone, K^3 = -2 times it.
+    assert orbifold_rr_K3(0, 0, [(4, 3)]) == -2 * Fraction(3, 8)
+    assert orbifold_rr_K3(0, 0, [(2, 1)]) == -2 * Fraction(1, 4)
 
 
 def test_basket_normalize_examples():
-    assert basket_normalize(4, (1, 3, 3)) == QuotientSingularity(4, 3)
-    assert basket_normalize(7, (3, 4, 6)) == QuotientSingularity(7, 2)
-    assert basket_normalize(2, (1, 1, 1)) == QuotientSingularity(2, 1)
-    assert basket_normalize(3, (1, 2, 2)) == QuotientSingularity(3, 2)
-    assert basket_normalize(5, (1, 4, 4)) == QuotientSingularity(5, 4)
+    assert basket_normalize(4, (1, 3, 3)) == (4, 3)
+    assert basket_normalize(7, (3, 4, 6)) == (7, 2)
+    assert basket_normalize(2, (1, 1, 1)) == (2, 1)
+    assert basket_normalize(3, (1, 2, 2)) == (3, 2)
+    assert basket_normalize(5, (1, 4, 4)) == (5, 4)
 
 
 def test_basket_normalize_is_involution_consistent():
@@ -171,7 +182,7 @@ def test_basket_normalize_is_involution_consistent():
         for b in range(1, r):
             if gcd(b, r) != 1:
                 continue
-            assert basket_normalize(r, (1, r - 1, b)) == QuotientSingularity(r, b)
+            assert basket_normalize(r, (1, r - 1, b)) == (r, b)
 
 
 def test_basket_normalize_rejects_non_isolated_types():
@@ -180,12 +191,9 @@ def test_basket_normalize_rejects_non_isolated_types():
 
 
 def test_orbifold_rr_examples():
-    b2 = QuotientSingularity(2, 1)
-    assert orbifold_rr_K3(11, -3, [b2, b2, QuotientSingularity(4, 3)]) == Fraction(9, 4)
-    assert orbifold_rr_K3(22, -6, [b2, QuotientSingularity(7, 2)]) == Fraction(85, 14)
-    assert orbifold_rr_K3(
-        33, -9, [b2, QuotientSingularity(3, 2), QuotientSingularity(5, 4)]
-    ) == Fraction(301, 30)
+    assert orbifold_rr_K3(11, -3, [(2, 1), (2, 1), (4, 3)]) == Fraction(9, 4)
+    assert orbifold_rr_K3(22, -6, [(2, 1), (7, 2)]) == Fraction(85, 14)
+    assert orbifold_rr_K3(33, -9, [(2, 1), (3, 2), (5, 4)]) == Fraction(301, 30)
 
 
 # --- flips -------------------------------------------------------------------------
@@ -199,11 +207,10 @@ def test_flip_records():
     }
     for d, (k3, pg, p2, basket) in expected.items():
         rec = flip_analysis(d)
-        assert rec.K3_plus == k3
-        assert rec.pg == pg and rec.P2 == p2 and rec.chi_O == 1 - pg
-        assert tuple((q.r, q.b) for q in rec.basket) == basket
-        assert rec.K_dot_s0 == -1
-        assert rec.nef_cone_Fplus == (DivisorClass(1, -1), DivisorClass(1, -d))
+        assert rec == FlipRecord(
+            params=BundleParams(d, 1), K_dot_s0=-1, pg=pg, P2=p2, chi_O=1 - pg,
+            basket=basket, K3_plus=k3, nef_cone_Fplus=(DivisorClass(1, -1), DivisorClass(1, -d)),
+        )
         # the volume solves the orbifold Riemann-Roch identity exactly
         assert orbifold_rr_K3(rec.P2, rec.chi_O, rec.basket) == rec.K3_plus
 
@@ -237,17 +244,15 @@ def test_kobayashi_round_trip_and_genus():
 
 
 def test_moduli_components():
-    info = moduli_components(22)
-    assert info.d == 8 and info.components == 2
-    assert info.second_component == BundleParams(8, 7)
-    assert moduli_components(7).components == 1
+    assert moduli_components(22) == (8, 2, BundleParams(8, 7))
+    assert moduli_components(7) == (3, 1, None)
     with pytest.raises(ValueError):
         moduli_components(8)
     with pytest.raises(ValueError):
         moduli_components(4)  # d = 2 < 3
     for d in range(3, 50):
-        expected = 2 if d % 8 == 0 else 1
-        assert moduli_components(3 * d - 2).components == expected
+        expected = (d, 2, BundleParams(d, 7 * d // 8)) if d % 8 == 0 else (d, 1, None)
+        assert moduli_components(3 * d - 2) == expected
 
 
 def test_deformation_feasible():
