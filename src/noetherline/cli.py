@@ -17,11 +17,16 @@ bytes as the standard library's `json.dumps` with an indent of 2 without
 that encoder's pure-Python path, and writes a list of dicts of one shape
 from one template (`_json_listing`).
 
+The library returns values, and this module writes every string a command
+prints: a divisor class (a, b) by `_class_text`, a classification
+(kind, count) from `_DESCRIPTIONS`, a canonical image's label from
+`_IMAGE_LABELS` and a monomial's by `_monomial_label`.
+
 monomials is written a block, the monomials of one (a5, a2), at a time
 (`_monomial_rows`): each is checked against the cached
 `linear_system.enumerate_monomials(m)` tuple (CrossCheckError), then joined
 from the strings that change along it, kept per rest in `_PAIRS`, so no row
-calls `label()` or formats a number.  No long listing is one string.
+calls `_monomial_label` or formats a number.  No long listing is one string.
 
 classify walks each line of its sweep (one d over d0, or the --d0 band over
 d) piece by piece: a piece is a line's intersection with a cell, the rows
@@ -66,13 +71,13 @@ from typing import Iterable
 from .bundles import FibrationData, chi_invariants
 from .invariants import ImageKind, canonical_ring_rank, flip_analysis, invariants
 from .invariants import kobayashi_params, kobayashi_translate, moduli_components
-from .linear_system import _X0, _X1, _Y, _Z, base_locus, coefficient_profile, enumerate_monomials
-from .linear_system import family_dimension, normal_form_support, support_pattern
-from .pieces import RUN, _rational_text, csv_line, row_map, write_csv, write_json, write_text
-from .singularities import EmptyFamilyError, cell, classify_general_member, order_test, row_pieces
-from .singularities import support_breaks
-from .toric import BundleParams, CrossCheckError, DivisorClass, SpecialCurve, curve_intersection
-from .toric import coordinate_divisor_class, is_ample, is_nef, quartic_intersection, weight_matrix
+from .linear_system import base_locus, coefficient_profile, enumerate_monomials, family_dimension
+from .linear_system import normal_form_support, support_pattern
+from .pieces import RUN, csv_line, rational_text, row_map, write_csv, write_json, write_text
+from .singularities import EmptyFamilyError, SingularityKind, cell, classify_general_member
+from .singularities import order_test, row_pieces, support_breaks
+from .toric import BundleParams, CrossCheckError, SpecialCurve, curve_intersection, is_ample, is_nef
+from .toric import weight_matrix
 
 __all__ = ["main", "run"]
 
@@ -212,24 +217,40 @@ def emit(fmt: str, record, render) -> Iterable[str]:
 # ---------------------------------------------------------------------------
 # record builders
 
+# The text of a classification by its kind, formatted with its count.
+_DESCRIPTIONS = {
+    SingularityKind.NOT_EXISTENT: "no member with canonical singularities",
+    SingularityKind.SMOOTH: "smooth",
+    SingularityKind.TERMINAL_POINTS: "{} isolated terminal points on S0",
+    SingularityKind.CANONICAL_CURVE: "canonical singularities along S0, {} dissident points",
+}
+
+# The label of a canonical image by its kind, formatted with its degree e.
+_IMAGE_LABELS = {
+    ImageKind.HIRZEBRUCH: "F{}",
+    ImageKind.CONE: "cone{}",
+    ImageKind.DEGENERATE: "degenerate",
+}
+
+
 def classify_record(params: BundleParams) -> dict:
     """The classify row of one model, derived: its classification, then the
     invariants of an existent member."""
-    cls = classify_general_member(params)
+    kind, count = classify_general_member(params)
     record = {
         "d": params.d,
         "d0": params.d0,
         "e": params.e,
-        "class": cls.kind.value,
-        "count": cls.count,
+        "class": kind.value,
+        "count": count,
     }
-    if cls.exists:
-        inv = invariants(params, cls)
-        kind, e, _, _ = inv.canonical_image
+    if kind is not SingularityKind.NOT_EXISTENT:
+        inv = invariants(params, kind)
+        image, e, _, _ = inv.canonical_image
         record.update(
             pg=inv.pg,
             K3=_frac(inv.K3),
-            image=kind.label(e),
+            image=_IMAGE_LABELS[image].format(e),
             K_ample=inv.K_ample,
             K_nef=inv.K_nef,
             noether=inv.on_noether_line,
@@ -327,26 +348,30 @@ def flip_record(d: int) -> dict:
         "chi_O": rec.chi_O,
         "basket": [{"r": r, "b": b, "label": f"1/{r}(1,-1,{b})"} for r, b in rec.basket],
         "K3_plus": _frac(rec.K3_plus),
-        "nef_cone_Fplus": [{"a": c.a, "b": c.b} for c in rec.nef_cone_Fplus],
+        "nef_cone_Fplus": [{"a": a, "b": b} for a, b in rec.nef_cone_Fplus],
     }
 
 
 def inspect_record(params: BundleParams) -> dict:
-    cls = classify_general_member(params)
+    """The record of one model; X(0;0), the only product of a line with a
+    fixed surface, is smooth."""
+    kind, count = classify_general_member(params)
+    product = params.d == 0
+    description = _DESCRIPTIONS[kind].format(count) + " (product with a fixed surface)" * product
     record: dict = {
         "params": {"d": params.d, "d0": params.d0, "e": params.e},
         "classification": {
-            "kind": cls.kind.value,
-            "count": cls.count,
-            "product": cls.product,
-            "description": cls.describe(),
+            "kind": kind.value,
+            "count": count,
+            "product": product,
+            "description": description,
         },
         "weight_matrix": [list(row) for row in weight_matrix(params)],
     }
-    if not cls.exists:
+    if kind is SingularityKind.NOT_EXISTENT:
         return record
-    inv = invariants(params, cls)
-    kind, e, embedding, note = inv.canonical_image
+    inv = invariants(params, kind)
+    image, e, embedding, note = inv.canonical_image
     record["invariants"] = {
         "pg": inv.pg,
         "q1": inv.q1,
@@ -355,17 +380,17 @@ def inspect_record(params: BundleParams) -> dict:
         "K3": _frac(inv.K3),
         "e": inv.e,
         "image": {
-            "kind": kind.value,
+            "kind": image.value,
             "e": e,
             "embedding": list(embedding) if embedding else None,
-            "label": kind.label(e),
+            "label": _IMAGE_LABELS[image].format(e),
             "note": note,
         },
         "on_noether_line": inv.on_noether_line,
         "K_ample": inv.K_ample,
         "K_nef": inv.K_nef,
         "mds": inv.mori_dream_general,
-        "degenerate_note": note if kind is ImageKind.DEGENERATE else None,
+        "degenerate_note": note if image is ImageKind.DEGENERATE else None,
     }
     family, canonical = base_locus(params)
     record["base_locus"] = {
@@ -377,11 +402,11 @@ def inspect_record(params: BundleParams) -> dict:
     a, e = kobayashi_params(params)
     record["blowup_parameters"] = {"a": a, "e": e, "in_range": e <= params.d}
     record["support"] = [
-        {"a0": m.a0, "a1": m.a1, "a2": m.a2, "a5": m.a5, "label": m.label()}
+        {"a0": m.a0, "a1": m.a1, "a2": m.a2, "a5": m.a5, "label": _monomial_label(m)}
         for m in normal_form_support(params)
     ]
     record["coefficient_profile"] = [
-        {"label": mono.label(), "degree": degree} for mono, degree in profile
+        {"label": _monomial_label(mono), "degree": degree} for mono, degree in profile
     ]
     record["flip"] = flip_record(params.d) if params.d0 == 1 and params.d in (2, 3, 4) else None
     return record
@@ -438,19 +463,14 @@ def monomials_record(m: int) -> dict:
 
 def nef_record(d: int, d0: int, a: int, b: int) -> dict:
     params = BundleParams(d, d0)
-    cls = DivisorClass(a, b)
-    # The fibre line is cut out by t0, y and z.
-    t0, y, z = (coordinate_divisor_class(name, params) for name in ("t0", "y", "z"))
-    curves = {"fibre_line": _frac(quartic_intersection(cls, t0, y, z, params))}
-    for curve in SpecialCurve:
-        curves[curve.name.lower()] = _frac(curve_intersection(cls, curve, params))
     return {
         "d": params.d,
         "d0": params.d0,
-        "class": {"a": cls.a, "b": cls.b},
-        "nef": is_nef(cls, params),
-        "ample": is_ample(cls, params),
-        "curves": curves,
+        "class": {"a": a, "b": b},
+        "nef": is_nef((a, b), params),
+        "ample": is_ample((a, b), params),
+        "curves": {curve.name.lower(): _frac(curve_intersection((a, b), curve, params))
+                   for curve in SpecialCurve},
     }
 
 
@@ -473,7 +493,7 @@ def _inspect_text(record: dict):
     else:
         yield (
             f"invariants: pg = {inv['pg']}, q1 = {inv['q1']}, q2 = {inv['q2']}, "
-            f"chi_O = {inv['chi_O']}, K3 = {_rational_text(inv['K3'])}\n"
+            f"chi_O = {inv['chi_O']}, K3 = {rational_text(inv['K3'])}\n"
         )
         flags = (inv["K_ample"], inv["K_nef"], inv["on_noether_line"], inv["mds"])
         yield (
@@ -505,15 +525,26 @@ def _inspect_text(record: dict):
         yield f"flip: see `flip {p['d']}`\n"
 
 
+def _class_text(a: int, b: int) -> str:
+    """The class a*H + b*F as text, e.g. "H - 2F", "-9H + 18F", "F" or "0"."""
+    text = ""
+    for coeff, symbol in ((a, "H"), (b, "F")):
+        if coeff:
+            sign = "-" if coeff < 0 else "+" if text else ""
+            term = symbol if abs(coeff) == 1 else f"{abs(coeff)}{symbol}"
+            text += f" {sign} {term}" if text else sign + term
+    return text or "0"
+
+
 def _flip_text(record: dict):
     yield (
         f"X({record['d']};{record['d0']}): K.S0 = {record['K_dot_s0']}, "
         f"pg = {record['pg']}, P2 = {record['P2']}, chi_O = {record['chi_O']}\n"
     )
     yield f"basket: {', '.join(q['label'] for q in record['basket'])}\n"
-    yield f"K3+ = {_rational_text(record['K3_plus'])}\n"
-    cone = (DivisorClass(c["a"], c["b"]) for c in record["nef_cone_Fplus"])
-    yield f"nef cone of the flipped bundle: {', '.join(map(str, cone))}\n"
+    yield f"K3+ = {rational_text(record['K3_plus'])}\n"
+    cone = (_class_text(**c) for c in record["nef_cone_Fplus"])
+    yield f"nef cone of the flipped bundle: {', '.join(cone)}\n"
 
 
 def _moduli_text(record: dict):
@@ -543,9 +574,39 @@ def _bundle_text(record: dict):
             f"chi(omega_X) = {record['chi_omega_X']}\n"
         )
         yield (
-            f"K3 = {_rational_text(record['K3'])}, "
-            f"gap above the Noether bound = {_rational_text(record['noether_gap'])}\n"
+            f"K3 = {rational_text(record['K3'])}, "
+            f"gap above the Noether bound = {rational_text(record['noether_gap'])}\n"
         )
+
+
+class _Powers(dict):
+    """Power strings of one variable by exponent, each built when first asked for."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, exp: int) -> str:
+        name = self.name
+        text = self[exp] = "" if exp == 0 else f"{name} " if exp == 1 else f"{name}^{exp} "
+        return text
+
+
+_X0, _X1, _Y, _Z = map(_Powers, ("x0", "x1", "y", "z"))
+
+
+def _monomial_label(mono) -> str:
+    """A `FibreMonomial` as text, e.g. "x0^9 x1" or "1" for the empty one.
+
+    Each variable's part comes from its table of power strings ("" for
+    exponent 0, "x0 " for 1, "x0^2 " for 2, ...), which builds an entry the
+    first time its exponent is asked for and keeps it: one string per
+    distinct exponent, never one per monomial.  The four parts are joined and
+    the trailing space dropped."""
+    text = _X0[mono.a0] + _X1[mono.a1] + _Y[mono.a2] + _Z[mono.a5]
+    return text[:-1] or "1"
 
 
 class _BlockPairs(dict):
@@ -625,13 +686,12 @@ def _monomials_json(record: dict) -> Iterable[str]:
 
 
 def _nef_text(record: dict):
-    cls = DivisorClass(record["class"]["a"], record["class"]["b"])
     yield (
-        f"{cls} on the bundle of X({record['d']};{record['d0']}): "
+        f"{_class_text(**record['class'])} on the bundle of X({record['d']};{record['d0']}): "
         f"nef = {_yesno(record['nef'])}, ample = {_yesno(record['ample'])}\n"
     )
     for name, value in record["curves"].items():
-        yield f"  degree on {name}: {_rational_text(value)}\n"
+        yield f"  degree on {name}: {rational_text(value)}\n"
 
 
 # ---------------------------------------------------------------------------

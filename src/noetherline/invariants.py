@@ -26,15 +26,10 @@ from math import gcd
 from typing import Iterable
 
 from .linear_system import coefficient_degree, enumerate_monomials
-from .singularities import (
-    EmptyFamilyError,
-    SingularityClassification,
-    classify_general_member,
-)
+from .singularities import EmptyFamilyError, SingularityKind, classify_general_member, order_test
 from .toric import (
     BundleParams,
     CrossCheckError,
-    DivisorClass,
     SpecialCurve,
     curve_intersection,
     h0_class,
@@ -59,21 +54,13 @@ __all__ = [
     "canonical_ring_rank",
 ]
 
-_K = DivisorClass(1, -2)  # the canonical class of the member, restricted from H - 2F
+_K = (1, -2)  # the canonical class of the member, restricted from H - 2F
 
 
 class ImageKind(str, Enum):
     HIRZEBRUCH = "hirzebruch"
     CONE = "cone"
     DEGENERATE = "degenerate"
-
-    def label(self, e: int | None) -> str:
-        """The label of an image of this kind and degree e."""
-        if self is ImageKind.HIRZEBRUCH:
-            return f"F{e}"
-        if self is ImageKind.CONE:
-            return f"cone{e}"
-        return "degenerate"
 
 
 @dataclass(frozen=True)
@@ -118,21 +105,19 @@ def canonical_image(
     return ImageKind.HIRZEBRUCH, params.e, (d0 - 2, 1), ""
 
 
-def invariants(
-    params: BundleParams, classification: SingularityClassification | None = None
-) -> InvariantSet:
+def invariants(params: BundleParams, kind: SingularityKind | None = None) -> InvariantSet:
     """The invariant set of the general member of a nonempty family.
 
     p_g is computed as the section count of H - 2F and K^3 as the quartic
     product X.(H - 2F)^3, not from their closed forms.  For min(d, d0) <= 1
     the numbers are the formal family values and the canonical image is
     flagged degenerate.  A caller that has already classified the member
-    passes ``classification`` (of the same ``params``), which is then not
-    recomputed.
+    passes ``kind``, the kind of `classify_general_member` (of the same
+    ``params``), which is then not recomputed.
     """
-    if classification is None:
-        classification = classify_general_member(params)
-    if not classification.exists:
+    if kind is None:
+        kind, _ = classify_general_member(params)
+    if kind is SingularityKind.NOT_EXISTENT:
         raise EmptyFamilyError(
             f"{params.label()}: 4*d0 < d, the family has no member with "
             "canonical singularities"
@@ -166,10 +151,10 @@ def plurigenus(params: BundleParams, m: int) -> int:
     """
     if not 1 <= m <= 10:
         raise ValueError(f"plurigenus is defined for 1 <= m <= 10, got {m}")
-    if not classify_general_member(params).exists:
+    if not order_test(params):
         raise EmptyFamilyError(f"{params.label()}: empty family")
-    total = h0_class(DivisorClass(m, -2 * m), params)
-    correction = h0_class(DivisorClass(m - 10, 10 * params.d - 2 * m), params)
+    total = h0_class((m, -2 * m), params)
+    correction = h0_class((m - 10, 10 * params.d - 2 * m), params)
     return total - correction
 
 
@@ -238,7 +223,7 @@ class FlipRecord:
     chi_O: int
     basket: tuple[tuple[int, int], ...]
     K3_plus: Fraction
-    nef_cone_Fplus: tuple[DivisorClass, DivisorClass]
+    nef_cone_Fplus: tuple[tuple[int, int], tuple[int, int]]
 
 
 # Baskets and flipped volumes of the three models with K big but not nef.
@@ -283,7 +268,7 @@ def flip_analysis(d: int) -> FlipRecord:
         chi_O=chi_o,
         basket=basket,
         K3_plus=k3_plus,
-        nef_cone_Fplus=(DivisorClass(1, -1), DivisorClass(1, -d)),
+        nef_cone_Fplus=((1, -1), (1, -d)),
     )
 
 

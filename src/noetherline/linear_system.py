@@ -58,40 +58,6 @@ class FibreMonomial:
         if min(self.a0, self.a1, self.a2, self.a5) < 0:
             raise ValueError("exponents must be nonnegative")
 
-    @property
-    def degree(self) -> int:
-        """Weighted degree a0 + a1 + 2*a2 + 5*a5."""
-        return self.a0 + self.a1 + 2 * self.a2 + 5 * self.a5
-
-    def label(self) -> str:
-        """The monomial as text, e.g. "x0^9 x1" or "1" for the empty one.
-
-        Each variable's part comes from its table of power strings ("" for
-        exponent 0, "x0 " for 1, "x0^2 " for 2, ...), which builds an entry
-        the first time its exponent is asked for and keeps it: one string per
-        distinct exponent, never one per monomial.  The four parts are joined
-        and the trailing space dropped."""
-        text = _X0[self.a0] + _X1[self.a1] + _Y[self.a2] + _Z[self.a5]
-        return text[:-1] or "1"
-
-
-class _Powers(dict):
-    """Power strings of one variable by exponent, each built when first asked for."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        super().__init__()
-        self.name = name
-
-    def __missing__(self, exp: int) -> str:
-        name = self.name
-        text = self[exp] = "" if exp == 0 else f"{name} " if exp == 1 else f"{name}^{exp} "
-        return text
-
-
-_X0, _X1, _Y, _Z = map(_Powers, ("x0", "x1", "y", "z"))
-
 
 Z_SQUARED = FibreMonomial(0, 0, 0, 2)
 Y_FIFTH = FibreMonomial(0, 0, 5, 0)

@@ -33,8 +33,8 @@ from typing import Iterable
 from .toric import BundleParams, CrossCheckError
 
 __all__ = [
-    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "row_map", "write_csv", "write_json",
-    "write_text",
+    "CSV_CLASSIFY_HEADER", "RUN", "Piece", "csv_line", "rational_text", "row_map", "write_csv",
+    "write_json", "write_text",
 ]
 
 CSV_CLASSIFY_HEADER = [
@@ -212,7 +212,7 @@ _TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
 _TEXT_COLUMNS = {"d": 0, "d0": 1, "e": 2, "count": 4, "pg": 5, "K3_num": 6, "image": 7}
 
 
-def _rational_text(q: dict) -> str:
+def rational_text(q: dict) -> str:
     """A rational {num, den} in lowest terms as p/q, or p where q = 1."""
     return str(q["num"]) if q["den"] == 1 else f"{q['num']}/{q['den']}"
 
@@ -225,7 +225,7 @@ def _text_cells(record: dict) -> list[str]:
         str(record["d"]), str(record["d0"]), str(record["e"]), record["class"],
         "-" if count is None else str(count),
         "-" if pg is None else str(pg),
-        "-" if k3 is None else _rational_text(k3),
+        "-" if k3 is None else rational_text(k3),
         record["image"] or "-",
         *_flags(record, "yes", "no", "-"),
     ]

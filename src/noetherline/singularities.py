@@ -53,7 +53,6 @@ test runs inside pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -63,7 +62,6 @@ from .toric import BundleParams, CrossCheckError
 __all__ = [
     "EmptyFamilyError",
     "SingularityKind",
-    "SingularityClassification",
     "local_support_at_s0",
     "order_test",
     "classify_general_member",
@@ -102,44 +100,6 @@ class SingularityKind(str, Enum):
     CANONICAL_CURVE = "canonical_curve"
 
 
-@dataclass(frozen=True)
-class SingularityClassification:
-    """Outcome of the general-member classification.
-
-    ``count`` is the number of terminal points for TERMINAL_POINTS and the
-    number of dissident points for CANONICAL_CURVE; it is None otherwise.
-    ``product`` marks the degenerate d = 0 case, where the member is a
-    product of a line with a fixed surface.
-    """
-
-    kind: SingularityKind
-    count: int | None = None
-    product: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind is SingularityKind.TERMINAL_POINTS:
-            if self.count is None or self.count <= 0:
-                raise ValueError("terminal point count must be positive")
-        elif self.kind is SingularityKind.CANONICAL_CURVE:
-            if self.count is None or self.count < 0:
-                raise ValueError("dissident point count must be nonnegative")
-        elif self.count is not None:
-            raise ValueError(f"{self.kind.value} carries no count")
-
-    @property
-    def exists(self) -> bool:
-        return self.kind is not SingularityKind.NOT_EXISTENT
-
-    def describe(self) -> str:
-        if self.kind is SingularityKind.NOT_EXISTENT:
-            return "no member with canonical singularities"
-        if self.kind is SingularityKind.SMOOTH:
-            return "smooth (product with a fixed surface)" if self.product else "smooth"
-        if self.kind is SingularityKind.TERMINAL_POINTS:
-            return f"{self.count} isolated terminal points on S0"
-        return f"canonical singularities along S0, {self.count} dissident points"
-
-
 def order_test(params: BundleParams) -> bool:
     """Whether the family of params has a member with canonical singularities,
     by the weighted order test on the local support: the (2,1,1)/4 system
@@ -158,24 +118,25 @@ def order_test(params: BundleParams) -> bool:
     return verdict
 
 
-def classify_general_member(params: BundleParams) -> SingularityClassification:
-    """Classify the general member by the support analysis along S0.
+def classify_general_member(params: BundleParams) -> tuple[SingularityKind, int | None]:
+    """Classify the general member by the support analysis along S0, as
+    (kind, count): count is the number of terminal points (positive) for
+    TERMINAL_POINTS, of dissident points (nonnegative) for CANONICAL_CURVE,
+    and None otherwise.
 
     Existence is `order_test`.  The member is smooth iff d0 >= d or
     8*d0 - 7*d = 0; otherwise 8*d0 - 7*d > 0 counts its terminal points and
     4*d0 - d its dissident points.
     """
     if not order_test(params):
-        return SingularityClassification(SingularityKind.NOT_EXISTENT)
+        return SingularityKind.NOT_EXISTENT, None
     d, d0 = params.d, params.d0
-    if d == 0:
-        return SingularityClassification(SingularityKind.SMOOTH, product=True)
     terminal = 8 * d0 - 7 * d
     if d0 >= d or terminal == 0:
-        return SingularityClassification(SingularityKind.SMOOTH)
+        return SingularityKind.SMOOTH, None
     if terminal > 0:
-        return SingularityClassification(SingularityKind.TERMINAL_POINTS, count=terminal)
-    return SingularityClassification(SingularityKind.CANONICAL_CURVE, count=4 * d0 - d)
+        return SingularityKind.TERMINAL_POINTS, terminal
+    return SingularityKind.CANONICAL_CURVE, 4 * d0 - d
 
 
 #: The forms A*d + B*d0 + C, as (A, B, C), whose signs fix a row's class and

@@ -13,7 +13,8 @@ fibre   0     0    1       1        2    5
 
 The divisor class group has rank two.  We use the generators ``F`` (the fibre,
 cut out by t0) and ``H`` (the class of t0^d0 * x0); the tautological sheaf of
-the bundle then has class ``H - d*F``.  All intersection numbers follow from
+the bundle then has class ``H - d*F``.  A class ``a*H + b*F`` is the pair
+``(a, b)`` of its coordinates.  All intersection numbers follow from
 
     H^4 = d/2,    H^3.F = 1/10,    F^2 = 0,
 
@@ -39,7 +40,6 @@ __all__ = [
     "NormalizationError",
     "CrossCheckError",
     "BundleParams",
-    "DivisorClass",
     "SpecialCurve",
     "weight_matrix",
     "coordinate_divisor_class",
@@ -102,25 +102,6 @@ class BundleParams:
         return f"X({self.d};{self.d0})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """The class a*H + b*F in the rank-two divisor class lattice."""
-
-    a: int
-    b: int
-
-    def __str__(self) -> str:
-        terms = []
-        for coeff, symbol in ((self.a, "H"), (self.b, "F")):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else ("+" if terms else "")
-            mag = abs(coeff)
-            body = symbol if mag == 1 else f"{mag}{symbol}"
-            terms.append(f"{sign}{body}" if not terms else f"{sign} {body}")
-        return " ".join(terms) if terms else "0"
-
-
 def weight_matrix(params: BundleParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The normalized weight matrix of ``params``, as its rows over `COORDINATES`:
     the base row (1, 1, d - d0, d0 - 2d, 0, 0) and `FIBRE_ROW`."""
@@ -128,7 +109,7 @@ def weight_matrix(params: BundleParams) -> tuple[tuple[int, ...], tuple[int, ...
     return (1, 1, d - d0, d0 - 2 * d, 0, 0), FIBRE_ROW
 
 
-def coordinate_divisor_class(coord: str, params: BundleParams) -> DivisorClass:
+def coordinate_divisor_class(coord: str, params: BundleParams) -> tuple[int, int]:
     """Class of the torus-invariant divisor cut out by one coordinate.
 
     t0, t1 -> F; x0 -> H - d0*F; x1 -> H + (d0 - 3d)*F; y -> 2(H - d*F);
@@ -136,12 +117,12 @@ def coordinate_divisor_class(coord: str, params: BundleParams) -> DivisorClass:
     """
     d, d0 = params.d, params.d0
     table = {
-        "t0": DivisorClass(0, 1),
-        "t1": DivisorClass(0, 1),
-        "x0": DivisorClass(1, -d0),
-        "x1": DivisorClass(1, d0 - 3 * d),
-        "y": DivisorClass(2, -2 * d),
-        "z": DivisorClass(5, -5 * d),
+        "t0": (0, 1),
+        "t1": (0, 1),
+        "x0": (1, -d0),
+        "x1": (1, d0 - 3 * d),
+        "y": (2, -2 * d),
+        "z": (5, -5 * d),
     }
     try:
         return table[coord]
@@ -149,16 +130,16 @@ def coordinate_divisor_class(coord: str, params: BundleParams) -> DivisorClass:
         raise ValueError(f"unknown coordinate label {coord!r}") from None
 
 
-def member_class(params: BundleParams) -> DivisorClass:
+def member_class(params: BundleParams) -> tuple[int, int]:
     """Class 10(H - d*F) of the degree-ten family of threefolds."""
-    return DivisorClass(10, -10 * params.d)
+    return 10, -10 * params.d
 
 
 def quartic_intersection(
-    c1: DivisorClass,
-    c2: DivisorClass,
-    c3: DivisorClass,
-    c4: DivisorClass,
+    c1: tuple[int, int],
+    c2: tuple[int, int],
+    c3: tuple[int, int],
+    c4: tuple[int, int],
     params: BundleParams,
 ) -> Fraction:
     """Intersection number of four divisor classes, as an exact rational.
@@ -169,36 +150,39 @@ def quartic_intersection(
     in integers scaled by ten, 10 H^4 = 5d and 10 H^3.F = 1, and divided
     once at the end.
     """
-    a1, a2, a3, a4 = c1.a, c2.a, c3.a, c4.a
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = c1, c2, c3, c4
     h4 = a1 * a2 * a3 * a4
-    h3f = c1.b * a2 * a3 * a4 + c2.b * a1 * a3 * a4 + c3.b * a1 * a2 * a4 + c4.b * a1 * a2 * a3
+    h3f = b1 * a2 * a3 * a4 + b2 * a1 * a3 * a4 + b3 * a1 * a2 * a4 + b4 * a1 * a2 * a3
     return Fraction(5 * params.d * h4 + h3f, 10)
 
 
-def is_nef(c: DivisorClass, params: BundleParams) -> bool:
+def is_nef(c: tuple[int, int], params: BundleParams) -> bool:
     """a*H + b*F is nef iff a >= 0 and b >= -a * min(d, d0).
 
     Equivalent to nonnegativity on the torus-invariant test curves: a line of
     a fibre gives a, the section S0 gives b + a*d0, and the index-5 curve
     gives (b + a*d)/5.
     """
-    return c.a >= 0 and c.b >= -c.a * min(params.d, params.d0)
+    a, b = c
+    return a >= 0 and b >= -a * min(params.d, params.d0)
 
 
-def is_ample(c: DivisorClass, params: BundleParams) -> bool:
+def is_ample(c: tuple[int, int], params: BundleParams) -> bool:
     """Ample iff both nef inequalities are strict."""
-    return c.a > 0 and c.b > -c.a * min(params.d, params.d0)
+    a, b = c
+    return a > 0 and b > -a * min(params.d, params.d0)
 
 
 class SpecialCurve(Enum):
     """Distinguished torus-invariant curves, keyed by their defining divisors.
 
-    S0 is the section meeting the singular locus of a general member; S2 and
-    S5 are the index-2 and index-5 singular curves of the ambient bundle;
-    GAMMA is the base curve of the canonical system, cut on the member by the
-    two weight-one coordinate divisors.
+    FIBRE_LINE is a line of a fibre; S0 is the section meeting the singular
+    locus of a general member; S2 and S5 are the index-2 and index-5 singular
+    curves of the ambient bundle; GAMMA is the base curve of the canonical
+    system, cut on the member by the two weight-one coordinate divisors.
     """
 
+    FIBRE_LINE = ("t0", "y", "z")
     S0 = ("x1", "y", "z")
     S2 = ("x0", "x1", "z")
     S5 = ("x0", "x1", "y")
@@ -206,15 +190,15 @@ class SpecialCurve(Enum):
 
 
 def curve_intersection(
-    c: DivisorClass, curve: SpecialCurve, params: BundleParams
+    c: tuple[int, int], curve: SpecialCurve, params: BundleParams
 ) -> Fraction:
     """Degree of a*H + b*F on one of the special curves.
 
     Computed as the quartic product of the class with the curve's defining
     divisors (for GAMMA the third factor is the member class 10(H - d*F)).
-    Closed forms: S0 -> a*d0 + b and GAMMA -> a*d + b, while the two curves
-    in the singular locus pick up their indices as denominators,
-    S2 -> (a*d + b)/2 and S5 -> (a*d + b)/5.
+    Closed forms: FIBRE_LINE -> a, S0 -> a*d0 + b and GAMMA -> a*d + b,
+    while the two curves in the singular locus pick up their indices as
+    denominators, S2 -> (a*d + b)/2 and S5 -> (a*d + b)/5.
     """
     factors = [coordinate_divisor_class(label, params) for label in curve.value]
     if curve is SpecialCurve.GAMMA:
@@ -243,17 +227,17 @@ def coefficient_form(a0: int, a1: int, d: int, d0: int) -> int:
     return (2 * a1 - a0) * d + (a0 - a1) * d0
 
 
-def h0_class(c: DivisorClass, params: BundleParams) -> int:
+def h0_class(c: tuple[int, int], params: BundleParams) -> int:
     """Number of global sections of O(a*H + b*F), by pushforward to the line.
 
     Each fibre monomial of weighted degree a, of `coefficient_form` k, brings
     the max(0, k + a*d + b + 1) binary forms in t0, t1 of degree k + a*d + b;
     there are none for a < 0.  Exact for the pushed-forward split bundle only.
     """
-    d, d0 = params.d, params.d0
-    shift = c.a * d + c.b + 1
+    (a, b), d, d0 = c, params.d, params.d0
+    shift = a * d + b + 1
     total = 0
-    for a0, a1, _, _ in fibre_exponents(c.a):
+    for a0, a1, _, _ in fibre_exponents(a):
         if (n := coefficient_form(a0, a1, d, d0) + shift) > 0:
             total += n
     return total

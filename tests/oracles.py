@@ -21,12 +21,12 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from noetherline.bundles import FibrationData, chi_invariants
-from noetherline.cli import classify_record
+from noetherline.cli import _IMAGE_LABELS, classify_record
 from noetherline.invariants import canonical_image, canonical_ring_rank
 from noetherline.linear_system import FibreMonomial
 from noetherline.pieces import CSV_CLASSIFY_HEADER, csv_line
-from noetherline.singularities import SingularityClassification, SingularityKind
-from noetherline.toric import BundleParams, CrossCheckError, DivisorClass, fibre_exponents
+from noetherline.singularities import SingularityKind
+from noetherline.toric import BundleParams, CrossCheckError, fibre_exponents
 
 
 @st.composite
@@ -41,8 +41,8 @@ def bundle_params(draw, d_max: int = 5000) -> BundleParams:
     return BundleParams(d, draw(st.integers(0, top) | near_edge))
 
 
-def classify_by_e(params: BundleParams) -> SingularityClassification:
-    """The trichotomy phrased in (d, e), e = 3d - 2*d0.
+def classify_by_e(params: BundleParams) -> tuple[SingularityKind, int | None]:
+    """The trichotomy phrased in (d, e), e = 3d - 2*d0, as (kind, count).
 
     Nonempty iff 2e <= 5d; smooth iff e <= d or 4e = 5d; 5d - 4e terminal
     points iff d < e < 5d/4; otherwise a canonical curve with 5d - 2e
@@ -50,18 +50,12 @@ def classify_by_e(params: BundleParams) -> SingularityClassification:
     """
     d, e = params.d, params.e
     if 2 * e > 5 * d:
-        return SingularityClassification(SingularityKind.NOT_EXISTENT)
-    if d == 0:
-        return SingularityClassification(SingularityKind.SMOOTH, product=True)
+        return SingularityKind.NOT_EXISTENT, None
     if e <= d or 4 * e == 5 * d:
-        return SingularityClassification(SingularityKind.SMOOTH)
+        return SingularityKind.SMOOTH, None
     if 4 * e < 5 * d:
-        return SingularityClassification(
-            SingularityKind.TERMINAL_POINTS, count=5 * d - 4 * e
-        )
-    return SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=5 * d - 2 * e
-    )
+        return SingularityKind.TERMINAL_POINTS, 5 * d - 4 * e
+    return SingularityKind.CANONICAL_CURVE, 5 * d - 2 * e
 
 
 def classify_rows(d_min: int, d_max: int, d0: int | None):
@@ -94,7 +88,7 @@ def advance(first: dict, second: dict, p0: BundleParams, p1: BundleParams):
             (kind0, e0, _, _), (kind1, e1, _, _) = canonical_image(p0), canonical_image(p1)
             if kind0 is not kind1:
                 raise CrossCheckError(f"{p0.label()}, {p1.label()}: two image kinds in one piece")
-            image = (kind0.label, e0, e1 - e0)
+            image = (_IMAGE_LABELS[kind0].format, e0, e1 - e0)
         else:
             raise CrossCheckError(f"{p0.label()}, {p1.label()}: {key} changes within one piece")
 
@@ -190,15 +184,16 @@ def classify_output(fmt: str, records) -> str:
 
 def monomials_record(m: int) -> dict:
     """The record of `monomials m` with one dict per monomial, each built
-    with the constructor from `fibre_exponents` and labelled by its own
-    `label()`: the listing that the CLI writes a block at a time."""
+    with the constructor from `fibre_exponents` and labelled by the join loop
+    `monomial_label`: the listing that the CLI writes a block at a time."""
     monos = [FibreMonomial(*exponents) for exponents in fibre_exponents(m)]
     return {
         "degree": m,
         "count": len(monos),
         "ring_rank": canonical_ring_rank(m),
         "monomials": [
-            {"a0": x.a0, "a1": x.a1, "a2": x.a2, "a5": x.a5, "label": x.label()}
+            {"a0": x.a0, "a1": x.a1, "a2": x.a2, "a5": x.a5,
+             "label": monomial_label(x.a0, x.a1, x.a2, x.a5)}
             for x in monos
         ],
     }
@@ -390,12 +385,12 @@ def crepant_chart_check(
 # library's classes and degrees, derived a second way.
 
 
-def canonical_class_F(params: BundleParams) -> DivisorClass:
-    """Canonical class of the ambient bundle: -9H + (10d - 2)F.
+def canonical_class_F(params: BundleParams) -> tuple[int, int]:
+    """Canonical class of the ambient bundle: -9H + (10d - 2)F, as (a, b).
 
     Equals minus the sum of the six coordinate divisor classes.
     """
-    return DivisorClass(-9, 10 * params.d - 2)
+    return -9, 10 * params.d - 2
 
 
 def twist(matrix: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -408,9 +403,9 @@ def twist(matrix: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> tuple[tupl
     return tuple(b + t * w for b, w in zip(base, fibre)), fibre
 
 
-def tautological_class(params: BundleParams) -> DivisorClass:
-    """Class H - d*F of the tautological sheaf O(1) of the bundle."""
-    return DivisorClass(1, -params.d)
+def tautological_class(params: BundleParams) -> tuple[int, int]:
+    """Class H - d*F of the tautological sheaf O(1) of the bundle, as (a, b)."""
+    return 1, -params.d
 
 
 def gorenstein_data(params: BundleParams) -> FibrationData:
@@ -491,7 +486,7 @@ def relative_dualising_degree(
     return DualisingDegrees(-sum(weights), sum(char_degrees))
 
 
-def relative_canonical_class(params: BundleParams) -> DivisorClass:
+def relative_canonical_class(params: BundleParams) -> tuple[int, int]:
     """Relative canonical class of the toric model, as a divisor class.
 
     Computed from the normalized presentation with generator degrees
@@ -501,9 +496,9 @@ def relative_canonical_class(params: BundleParams) -> DivisorClass:
     """
     d, d0 = params.d, params.d0
     dual = relative_dualising_degree((1, 1, 2, 5), (d0 - d, 2 * d - d0, 0, 0))
-    cls = DivisorClass(dual.taut_twist, -dual.taut_twist * d + dual.base_twist)
-    canonical = canonical_class_F(params)
-    if cls != DivisorClass(canonical.a, canonical.b + 2):
+    cls = dual.taut_twist, -dual.taut_twist * d + dual.base_twist
+    a, b = canonical_class_F(params)
+    if cls != (a, b + 2):
         raise CrossCheckError(f"{params.label()}: K_X/P1 = {cls} is not K_X + 2F")
     return cls
 

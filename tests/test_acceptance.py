@@ -30,7 +30,6 @@ from noetherline.singularities import (
 )
 from noetherline.toric import (
     BundleParams,
-    DivisorClass,
     coordinate_divisor_class,
     is_ample,
     is_nef,
@@ -87,11 +86,11 @@ def test_criterion_2_trichotomy_equivalence():
 
 def test_criterion_3_paper_point_values():
     inv = invariants(BundleParams(8, 7))
-    assert classify_general_member(BundleParams(8, 7)).kind is SingularityKind.SMOOTH
+    assert classify_general_member(BundleParams(8, 7)) == (SingularityKind.SMOOTH, None)
     assert inv.pg == 22 and inv.K3 == 26
 
     params = BundleParams(8, 2)
-    assert classify_general_member(params).kind is SingularityKind.CANONICAL_CURVE
+    assert classify_general_member(params) == (SingularityKind.CANONICAL_CURVE, 0)
     inv = invariants(params)
     assert inv.canonical_image[:3] == (ImageKind.CONE, 20, None)
     assert inv.pg == 22
@@ -170,7 +169,7 @@ def test_criterion_7_nef_oracle_equivalence():
         d = rng.randint(0, 20)
         d0 = rng.randint(0, min(20, 3 * d // 2)) if d else 0
         params = BundleParams(d, d0)
-        c = DivisorClass(rng.randint(-50, 50), rng.randint(-50, 50))
+        c = (rng.randint(-50, 50), rng.randint(-50, 50))
         values = [
             quartic_intersection(
                 c,

@@ -228,6 +228,18 @@ def test_nef_output(capsys):
     assert record["curves"]["s5"] == {"num": 3, "den": 5}
 
 
+def test_class_text():
+    # Every branch: a zero, a unit and a larger coefficient of each sign.
+    assert cli._class_text(1, -2) == "H - 2F"
+    assert cli._class_text(-9, 18) == "-9H + 18F"
+    assert cli._class_text(0, 0) == "0"
+    assert cli._class_text(-1, 3) == "-H + 3F"
+    assert cli._class_text(0, 1) == "F"
+    assert cli._class_text(0, -1) == "-F"
+    assert cli._class_text(2, 0) == "2H"
+    assert cli._class_text(1, 1) == "H + F"
+
+
 # --- output plumbing ---------------------------------------------------------------
 
 
@@ -763,7 +775,8 @@ def test_text_table_keeps_no_row_text():
 # and `84` before indented JSON had its own writer; `inspect 12 9` (a flat
 # csv listing with a quoted cell and empty values) and `monomials 147` and
 # `150` (the largest listings the monomials bench writes) before listings
-# were written from templates.
+# were written from templates; `inspect 9 8` (terminal points) and the `nef`
+# classes 0, -H + 3F and F before the library's text moved to the CLI.
 COMMAND_DIGESTS = {
     ("text", "classify 7 9"): (0, "fa5de77f90f31e48b0d36c704fe9e32bcde969d5ee7ec1b1f22e8740412bd7b0"),
     ("json", "classify 7 9"): (0, "bde3da5a67c83ba0895e00e7bd6ce44d77338b4d0c60cebab29e437eca6a6e7c"),
@@ -795,6 +808,9 @@ COMMAND_DIGESTS = {
     ("text", "inspect 5 1"): (3, "42216eeb8e707918aef1b656d0e95834f8e529dd8bdc3a7c62c4590d6bd292f7"),
     ("json", "inspect 5 1"): (3, "0e87ef5461e825ef67b6222f67358eccde65573a86a11db383a87b20a2442c85"),
     ("csv", "inspect 5 1"): (3, "cef0826e90cdc715eba0205c85ea1911e06e9b4cccf561532c96c45756c69a54"),
+    ("text", "inspect 9 8"): (0, "173ef6c2c34a6c9dedf39908e1d86b1fcbb7825e8c528485b583387dc42f0cce"),
+    ("json", "inspect 9 8"): (0, "4b25ca0222e46b15f873a88aec63bcc8fcbf469623d0d5a8257d88b9e5cf4430"),
+    ("csv", "inspect 9 8"): (0, "524c5d226c3adee3622c06e66902aeccafee3b19096aa1232432126af3f82419"),
     ("text", "flip 2"): (0, "a48025f5ce9d495ce91c08a012fc5636a1549c417cd1531d45c7539931cfbbe4"),
     ("json", "flip 2"): (0, "8758cc3af5a5c667c6633e8c3f6db951da2f1a6b309d850831cd6d778dda27a1"),
     ("csv", "flip 2"): (0, "fa395e77f550061209542f823c9815f929dc5924d8a43461d868ae4fbba71612"),
@@ -852,6 +868,15 @@ COMMAND_DIGESTS = {
     ("text", "nef 8 7 1 -9"): (0, "acd39913efc38a265e732c2c1cde83da8c83dcd11e0e5fe3a0879bafbf87d8ea"),
     ("json", "nef 8 7 1 -9"): (0, "e3ee87087cc2bc0761986f0c51fe49a8abd36245d3aaab81ed49c0490a14da20"),
     ("csv", "nef 8 7 1 -9"): (0, "9781fc775dec881d15b4263365a03f3ae860b1cb75d5ef08fd65942f180a139d"),
+    ("text", "nef 5 4 0 0"): (0, "3a70052a1658e76d07059fd1b12ad30750a417a5c0bd761c0143740fd83335f6"),
+    ("json", "nef 5 4 0 0"): (0, "7e6974450f06a48bbe4865b36cc4a84037566cd04696db24e59c47fc877eb385"),
+    ("csv", "nef 5 4 0 0"): (0, "490f662124c305e5fbe1e3a99a464c2d0849a0a6d770ab828d44227a131ebc32"),
+    ("text", "nef 5 4 -1 3"): (0, "0590b7161f59ddde6090fa1665aa69aa14ed56c8811bbf3753258deb70776720"),
+    ("json", "nef 5 4 -1 3"): (0, "e0eb564b201ffb2da493f6e8ea67d745c223b59d1c3f7f6107d65e2e3df47d6e"),
+    ("csv", "nef 5 4 -1 3"): (0, "6608dbb90eedaf4f43ca99ccffba2c188e48d98434da5bf4595a1ed1cb209f3c"),
+    ("text", "nef 5 4 0 1"): (0, "8c343aec6b6e656cd82f78c5a4e925b946d9804b9f7c74ff11843f3488025039"),
+    ("json", "nef 5 4 0 1"): (0, "42180cd4d208dd80bea166874407631d5d1c8de7afed3feefa00b8a379fdf419"),
+    ("csv", "nef 5 4 0 1"): (0, "90719c1d73a16ece0b3b66552ed17c660a27235b48484b8c68851b146bea35da"),
 }
 
 

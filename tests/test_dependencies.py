@@ -25,6 +25,19 @@ def test_the_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # A name that starts with an underscore stays in the module that defines it.
+    found = sorted({
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    })
+    assert found == []
+
+
 def test_the_package_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as handle:

@@ -19,7 +19,7 @@ from noetherline.invariants import (
     plurigenus,
 )
 from noetherline.singularities import EmptyFamilyError
-from noetherline.toric import BundleParams, DivisorClass
+from noetherline.toric import BundleParams
 from oracles import reid_plurigenus, weighted_monomial_count, wps_hypersurface_basics
 
 
@@ -149,7 +149,7 @@ def test_tenth_plurigenus_subtracts_the_relation():
     from noetherline.toric import h0_class
 
     for params in existing_params(8, min_dd0=2):
-        direct = h0_class(DivisorClass(10, -20), params) - max(0, 10 * params.d - 19)
+        direct = h0_class((10, -20), params) - max(0, 10 * params.d - 19)
         assert plurigenus(params, 10) == direct
 
 
@@ -209,7 +209,7 @@ def test_flip_records():
         rec = flip_analysis(d)
         assert rec == FlipRecord(
             params=BundleParams(d, 1), K_dot_s0=-1, pg=pg, P2=p2, chi_O=1 - pg,
-            basket=basket, K3_plus=k3, nef_cone_Fplus=(DivisorClass(1, -1), DivisorClass(1, -d)),
+            basket=basket, K3_plus=k3, nef_cone_Fplus=((1, -1), (1, -d)),
         )
         # the volume solves the orbifold Riemann-Roch identity exactly
         assert orbifold_rr_K3(rec.P2, rec.chi_O, rec.basket) == rec.K3_plus

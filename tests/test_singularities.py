@@ -1,13 +1,12 @@
 from fractions import Fraction
 from itertools import permutations
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from noetherline.cli import inspect_record
 from noetherline.linear_system import support_pattern
 from noetherline.singularities import (
-    SingularityClassification,
     SingularityKind,
     cell,
     classify_general_member,
@@ -102,49 +101,46 @@ def test_duval_examples_and_exhaustive_oracle():
 
 
 def test_classification_point_examples():
-    assert classify_general_member(BundleParams(8, 7)) == SingularityClassification(
-        SingularityKind.SMOOTH
-    )
-    assert classify_general_member(BundleParams(16, 15)) == SingularityClassification(
-        SingularityKind.TERMINAL_POINTS, count=8
-    )
-    assert classify_general_member(BundleParams(3, 1)) == SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=1
-    )
-    assert classify_general_member(BundleParams(5, 1)).kind is SingularityKind.NOT_EXISTENT
-    assert classify_general_member(BundleParams(8, 2)) == SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=0
-    )
+    assert classify_general_member(BundleParams(8, 7)) == (SingularityKind.SMOOTH, None)
+    assert classify_general_member(BundleParams(16, 15)) == (SingularityKind.TERMINAL_POINTS, 8)
+    assert classify_general_member(BundleParams(3, 1)) == (SingularityKind.CANONICAL_CURVE, 1)
+    assert classify_general_member(BundleParams(5, 1)) == (SingularityKind.NOT_EXISTENT, None)
+    assert classify_general_member(BundleParams(8, 2)) == (SingularityKind.CANONICAL_CURVE, 0)
 
 
 def test_product_case_is_smooth_with_flag():
-    cls = classify_general_member(BundleParams(0, 0))
-    assert cls.kind is SingularityKind.SMOOTH and cls.product
-    assert classify_by_e(BundleParams(0, 0)) == cls
-    assert "product" in cls.describe()
+    # X(0;0), the only product, is smooth; the record flags it.
+    assert classify_general_member(BundleParams(0, 0)) == (SingularityKind.SMOOTH, None)
+    assert classify_by_e(BundleParams(0, 0)) == (SingularityKind.SMOOTH, None)
+    for params in (BundleParams(0, 0), BundleParams(8, 7)):
+        classification = inspect_record(params)["classification"]
+        assert classification == {
+            "kind": "smooth",
+            "count": None,
+            "product": params.d == 0,
+            "description": "smooth (product with a fixed surface)" if params.d == 0 else "smooth",
+        }
 
 
 def test_boundary_pins():
     for k in range(1, 13):
-        assert classify_general_member(BundleParams(8 * k, 7 * k)).kind is SingularityKind.SMOOTH
+        assert classify_general_member(BundleParams(8 * k, 7 * k)) == (SingularityKind.SMOOTH, None)
         below = classify_general_member(BundleParams(8 * k, 7 * k - 1))
-        assert below.kind is SingularityKind.CANONICAL_CURVE
+        assert below == (SingularityKind.CANONICAL_CURVE, 4 * (7 * k - 1) - 8 * k)
     # one step above the smooth ray: terminal with exactly 8 points (needs
     # 7k + 1 < 8k, i.e. k >= 2; at k = 1 the step lands on d0 = d, smooth)
-    assert classify_general_member(BundleParams(8, 8)).kind is SingularityKind.SMOOTH
+    assert classify_general_member(BundleParams(8, 8)) == (SingularityKind.SMOOTH, None)
     for k in range(2, 13):
         above = classify_general_member(BundleParams(8 * k, 7 * k + 1))
-        assert above == SingularityClassification(SingularityKind.TERMINAL_POINTS, count=8)
+        assert above == (SingularityKind.TERMINAL_POINTS, 8)
 
 
 def test_integer_boundary_conventions():
     # d0 = d/4 is a canonical curve (0 dissident points) only when 4 | d.
-    assert classify_general_member(BundleParams(12, 3)) == SingularityClassification(
-        SingularityKind.CANONICAL_CURVE, count=0
-    )
-    assert classify_general_member(BundleParams(13, 3)).kind is SingularityKind.NOT_EXISTENT
+    assert classify_general_member(BundleParams(12, 3)) == (SingularityKind.CANONICAL_CURVE, 0)
+    assert classify_general_member(BundleParams(13, 3)) == (SingularityKind.NOT_EXISTENT, None)
     # d0 = 7d/8 is smooth only when 8 | d.
-    assert classify_general_member(BundleParams(9, 8)).kind is SingularityKind.TERMINAL_POINTS
+    assert classify_general_member(BundleParams(9, 8)) == (SingularityKind.TERMINAL_POINTS, 1)
 
 
 def test_trichotomy_equivalence_small_sweep():
@@ -156,30 +152,21 @@ def test_trichotomy_equivalence_small_sweep():
 
 @given(bundle_params())
 def test_kernel_agrees_with_duval_test_and_the_e_oracle(params):
-    cls = classify_general_member(params)
-    assert cls == classify_by_e(params)
-    assert cls.exists == duval_test(local_support_at_s0(params))
+    kind, count = classify_general_member(params)
+    assert (kind, count) == classify_by_e(params)
+    assert (kind is not SingularityKind.NOT_EXISTENT) == duval_test(local_support_at_s0(params))
 
 
 def test_returned_counts_are_in_range():
     for d in range(0, 40):
         for d0 in range(0, 3 * d // 2 + 1):
-            cls = classify_general_member(BundleParams(d, d0))
-            if cls.kind is SingularityKind.TERMINAL_POINTS:
-                assert cls.count > 0
-            elif cls.kind is SingularityKind.CANONICAL_CURVE:
-                assert cls.count >= 0
+            kind, count = classify_general_member(BundleParams(d, d0))
+            if kind is SingularityKind.TERMINAL_POINTS:
+                assert type(count) is int and count > 0
+            elif kind is SingularityKind.CANONICAL_CURVE:
+                assert type(count) is int and count >= 0
             else:
-                assert cls.count is None
-
-
-def test_classification_validation():
-    with pytest.raises(ValueError):
-        SingularityClassification(SingularityKind.TERMINAL_POINTS, count=0)
-    with pytest.raises(ValueError):
-        SingularityClassification(SingularityKind.SMOOTH, count=3)
-    with pytest.raises(ValueError):
-        SingularityClassification(SingularityKind.CANONICAL_CURVE, count=-1)
+                assert count is None
 
 
 # --- crepant chart -------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from noetherline.toric import (
     COORDINATES,
     BundleParams,
-    DivisorClass,
     NormalizationError,
     SpecialCurve,
     coordinate_divisor_class,
@@ -30,9 +29,9 @@ def valid_params(d_max):
 
 
 def _class_sum(classes):
-    """The sum of divisor classes, added componentwise."""
-    classes = list(classes)
-    return DivisorClass(sum(c.a for c in classes), sum(c.b for c in classes))
+    """The sum of divisor classes (a, b), added componentwise."""
+    a, b = zip(*classes)
+    return sum(a), sum(b)
 
 
 # --- parameters and weight matrix ---------------------------------------
@@ -78,17 +77,11 @@ def test_weight_matrix_columns():
 # --- divisor classes ------------------------------------------------------
 
 
-def test_divisor_class_group_operations():
-    assert str(DivisorClass(1, -2)) == "H - 2F"
-    assert str(DivisorClass(-9, 18)) == "-9H + 18F"
-    assert str(DivisorClass(0, 0)) == "0"
-
-
 def test_coordinate_divisor_classes():
     p3 = BundleParams(3, 2)
-    assert coordinate_divisor_class("y", p3) == DivisorClass(2, -6)
-    assert coordinate_divisor_class("t0", p3) == DivisorClass(0, 1)
-    assert coordinate_divisor_class("t0", BundleParams(7, 4)) == DivisorClass(0, 1)
+    assert coordinate_divisor_class("y", p3) == (2, -6)
+    assert coordinate_divisor_class("t0", p3) == (0, 1)
+    assert coordinate_divisor_class("t0", BundleParams(7, 4)) == (0, 1)
     with pytest.raises(ValueError):
         coordinate_divisor_class("t2", p3)
 
@@ -96,31 +89,31 @@ def test_coordinate_divisor_classes():
 def test_coordinate_sum_at_2_3():
     params = BundleParams(2, 3)
     total = _class_sum(coordinate_divisor_class(coord, params) for coord in COORDINATES)
-    canonical = canonical_class_F(params)
-    assert total == DivisorClass(9, -18)
-    assert total == DivisorClass(-canonical.a, -canonical.b)
+    a, b = canonical_class_F(params)
+    assert total == (9, -18)
+    assert total == (-a, -b)
 
 
 def test_canonical_class_examples_and_sum_identity():
-    assert canonical_class_F(BundleParams(2, 1)) == DivisorClass(-9, 18)
-    assert canonical_class_F(BundleParams(0, 0)) == DivisorClass(-9, -2)
+    assert canonical_class_F(BundleParams(2, 1)) == (-9, 18)
+    assert canonical_class_F(BundleParams(0, 0)) == (-9, -2)
     for params in valid_params(25):
-        total = _class_sum(coordinate_divisor_class(coord, params) for coord in COORDINATES)
-        assert canonical_class_F(params) == DivisorClass(-total.a, -total.b)
+        a, b = _class_sum(coordinate_divisor_class(coord, params) for coord in COORDINATES)
+        assert canonical_class_F(params) == (-a, -b)
 
 
 # --- intersection numbers -------------------------------------------------
 
 
 def test_quartic_generators():
-    params, H, F = BundleParams(7, 5), DivisorClass(1, 0), DivisorClass(0, 1)
+    params, H, F = BundleParams(7, 5), (1, 0), (0, 1)
     assert quartic_intersection(H, H, H, F, params) == Fraction(1, 10)
     assert quartic_intersection(F, F, H, H, params) == 0
     assert quartic_intersection(H, H, H, H, params) == Fraction(7, 2)
 
 
 def test_member_times_K_cubed_is_4d_minus_6():
-    K = DivisorClass(1, -2)
+    K = (1, -2)
     for d in range(2, 61):
         params = BundleParams(d, d)
         assert quartic_intersection(member_class(params), K, K, K, params) == 4 * d - 6
@@ -131,7 +124,7 @@ def test_quartic_symmetric_and_multilinear():
     params = BundleParams(5, 3)
     for _ in range(40):
         classes = [
-            DivisorClass(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(5)
+            (rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(5)
         ]
         c1, c2, c3, c4, c5 = classes
         base = quartic_intersection(c1, c2, c3, c4, params)
@@ -145,10 +138,10 @@ def test_quartic_symmetric_and_multilinear():
 
 
 def test_nef_ample_examples():
-    K = DivisorClass(1, -2)
+    K = (1, -2)
     assert is_ample(K, BundleParams(5, 4))
     assert is_nef(K, BundleParams(5, 2)) and not is_ample(K, BundleParams(5, 2))
-    zero = DivisorClass(0, 0)
+    zero = (0, 0)
     params = BundleParams(4, 3)
     assert is_nef(zero, params) and not is_ample(zero, params)
 
@@ -176,7 +169,7 @@ def test_nef_matches_curve_positivity_on_grid():
             params = BundleParams(d, d0)
             for a in range(-4, 5):
                 for b in range(-7, 8):
-                    c = DivisorClass(a, b)
+                    c = (a, b)
                     nef_oracle, ample_oracle = _nef_by_curves(c, params)
                     assert is_nef(c, params) == nef_oracle, (params, c)
                     assert is_ample(c, params) == ample_oracle, (params, c)
@@ -187,9 +180,10 @@ def test_ample_iff_nef_with_strict_inequalities():
     for _ in range(300):
         params = BundleParams(rng.randint(0, 12), 0)
         params = BundleParams(params.d, rng.randint(0, 3 * params.d // 2))
-        c = DivisorClass(rng.randint(-20, 20), rng.randint(-40, 40))
+        c = (rng.randint(-20, 20), rng.randint(-40, 40))
         m = min(params.d, params.d0)
-        assert is_ample(c, params) == (c.a > 0 and c.b > -c.a * m)
+        a, b = c
+        assert is_ample(c, params) == (a > 0 and b > -a * m)
         assert is_ample(c, params) <= is_nef(c, params)
 
 
@@ -197,10 +191,10 @@ def test_ample_iff_nef_with_strict_inequalities():
 
 
 def test_curve_intersection_s0():
-    assert curve_intersection(DivisorClass(1, -2), SpecialCurve.S0, BundleParams(2, 1)) == -1
+    assert curve_intersection((1, -2), SpecialCurve.S0, BundleParams(2, 1)) == -1
     for params in valid_params(12):
         for a, b in ((1, -2), (3, 1), (0, 4)):
-            value = curve_intersection(DivisorClass(a, b), SpecialCurve.S0, params)
+            value = curve_intersection((a, b), SpecialCurve.S0, params)
             assert value == a * params.d0 + b
 
 
@@ -209,7 +203,7 @@ def test_curve_intersection_index_curves():
     # denominators: S2 gives (a*d + b)/2 and S5 gives (a*d + b)/5.
     for params in valid_params(10):
         for a, b in ((1, -2), (2, 3), (1, 0)):
-            c = DivisorClass(a, b)
+            c = (a, b)
             assert curve_intersection(c, SpecialCurve.S2, params) == Fraction(
                 a * params.d + b, 2
             )
@@ -218,8 +212,15 @@ def test_curve_intersection_index_curves():
             )
 
 
+def test_curve_intersection_fibre_line():
+    # A line of a fibre, cut out by t0, y and z, has degree a.
+    for params in valid_params(10):
+        for a, b in ((1, -2), (-3, 7), (0, 4)):
+            assert curve_intersection((a, b), SpecialCurve.FIBRE_LINE, params) == a
+
+
 def test_curve_intersection_gamma():
-    K = DivisorClass(1, -2)
+    K = (1, -2)
     assert curve_intersection(K, SpecialCurve.GAMMA, BundleParams(2, 3)) == 0
     for params in valid_params(10):
         assert curve_intersection(K, SpecialCurve.GAMMA, params) == params.d - 2
@@ -227,7 +228,7 @@ def test_curve_intersection_gamma():
 
 def test_tautological_and_member_classes():
     params = BundleParams(4, 5)
-    assert tautological_class(params) == DivisorClass(1, -4)
+    assert tautological_class(params) == (1, -4)
     assert member_class(params) == _class_sum([tautological_class(params)] * 10)
 
 
@@ -255,10 +256,10 @@ def brute_h0(a, b, d, d0):
 def test_h0_examples():
     for d in range(1, 12):
         for d0 in range(2, 3 * d // 2 + 1):
-            assert h0_class(DivisorClass(1, -2), BundleParams(d, d0)) == 3 * d - 2
-    assert h0_class(DivisorClass(0, 1), BundleParams(6, 4)) == 2
-    assert h0_class(DivisorClass(2, -4), BundleParams(2, 1)) == 11
-    assert h0_class(DivisorClass(-1, 100), BundleParams(3, 3)) == 0
+            assert h0_class((1, -2), BundleParams(d, d0)) == 3 * d - 2
+    assert h0_class((0, 1), BundleParams(6, 4)) == 2
+    assert h0_class((2, -4), BundleParams(2, 1)) == 11
+    assert h0_class((-1, 100), BundleParams(3, 3)) == 0
 
 
 def test_h0_against_brute_lattice_count():
@@ -269,7 +270,7 @@ def test_h0_against_brute_lattice_count():
         a = rng.randint(-1, 10)
         b = rng.randint(-15, 15)
         params = BundleParams(d, d0)
-        assert h0_class(DivisorClass(a, b), params) == brute_h0(a, b, d, d0)
+        assert h0_class((a, b), params) == brute_h0(a, b, d, d0)
     # The degree-ten section count, which `family_dimension` checks against a
     # sum of the same coefficient form, including the edges d0 = 0 and 1.
     for d in range(0, 7):
