@@ -38,16 +38,16 @@ first two rows and the last of the cell's first and last pieces, and the
 first row of its second.  A plan (`_plan`) finds them on 37 lines at most,
 with the rows of the order test, and each piece then costs the same.  A
 failing check raises CrossCheckError before any row of the cell or piece is
-written.  `pieces` writes each format from one `%` template per piece, at
-most 256 rows to a string; csv and compact JSON stream, and the text table
-sizes its columns in a first pass.
+written.  `pieces` writes each format from a piece's encoded record split
+at its marks; every format streams, the text table walking the sweep twice.
 
 Exit codes: 0 success, 2 usage or domain error (an --output file that
 cannot be written included), 3 mathematically empty result (the requested
 family has no member with canonical singularities).  `classify` takes
 0 <= d_min <= d_max <= 10000 and --d0 >= 0, and `monomials` 0 <= m <= 300 (a
-listing costs time and memory like m^3).  Arguments are checked before the
-output file is opened, so a usage error leaves no file behind.
+listing costs time and memory like m^3), and an integer positional at most
+`MAX_DIGITS` digits.  Arguments are checked, and a record built, before the
+output file is opened, so a usage error writes nothing.
 When the reader of standard output goes away (``classify ... | head``),
 writing stops without a traceback and the exit code is the command's own
 (0 for classify).
@@ -290,46 +290,51 @@ def _plan(lines):
 
 
 def _walk(lines, planned):
-    """The pieces of `lines`, in order, by the plan of `planned`: a piece of
-    two rows or more must end in its cell, whose map (`row_map`), fit at its
-    anchors before its first piece, builds and checks the piece; the plan's
-    order tests run before the piece is yielded."""
-    known, anchors = _plan(planned)
-    maps = {}
-    for start, step, count in lines:
-        (d, d0), (sd, sd0) = start, step
-        cut = known.get(start) or [(lo, hi, cell(d + lo * sd, d0 + lo * sd0), ())
-                                   for lo, hi in row_pieces(start, step, count)]
-        for lo, hi, key, rows in cut:
-            first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
-            if hi - lo > 1 and cell(*last) != key:
-                raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
-            if key not in maps:
-                if key not in anchors:
-                    raise CrossCheckError("X(%d;%d): the plan misses its cell" % first)
-                maps[key] = row_map(anchors[key], classify_record)
-            piece = maps[key](first, step, hi - lo)
-            for i in rows:
-                order_test(BundleParams(d + i * sd, d0 + i * sd0))
-            yield piece
+    """The walk of the lines that `lines()` gives by the plan of `planned`: a
+    function whose every call yields their pieces anew, in order, from one
+    plan and one map per cell.  A piece of two rows or more must end in its
+    cell, whose map (`row_map`), fit at its anchors before its first piece,
+    builds and checks the piece; the plan's order tests run before the piece
+    is yielded."""
+    (known, anchors), maps = _plan(planned), {}
+
+    def walk():
+        for start, step, count in lines():
+            (d, d0), (sd, sd0) = start, step
+            cut = known.get(start) or [(lo, hi, cell(d + lo * sd, d0 + lo * sd0), ())
+                                       for lo, hi in row_pieces(start, step, count)]
+            for lo, hi, key, rows in cut:
+                first, last = (d + lo * sd, d0 + lo * sd0), (d + (hi - 1) * sd, d0 + (hi - 1) * sd0)
+                if hi - lo > 1 and cell(*last) != key:
+                    raise CrossCheckError("X(%d;%d) to X(%d;%d): the piece leaves its cell" % (*first, *last))
+                if key not in maps:
+                    if key not in anchors:
+                        raise CrossCheckError("X(%d;%d): the plan misses its cell" % first)
+                    maps[key] = row_map(anchors[key], classify_record)
+                piece = maps[key](first, step, hi - lo)
+                for i in rows:
+                    order_test(BundleParams(d + i * sd, d0 + i * sd0))
+                yield piece
+
+    return walk
 
 
 def _classify_records(d_min: int, d_max: int, d0: int | None):
-    """The sweep's pieces (`_walk`): the band of each d over d0 or, with --d0,
+    """The walk of the sweep (`_walk`): the band of each d over d0 or, with --d0,
     the band of that d0 over d, its own plan.  From d = 13 on, lines d and
     d + 8 meet the same cells, and every 16 lines the same (cell, support
     pattern) pairs, so a sweep over d is planned on its first and last lines."""
     if d0 is None:
         ds, head = range(d_min, d_max + 1), max(13, d_min) + 16 - d_min
         line = lambda d: ((d, 0), (0, 1), 3 * d // 2 + 1)
-        return _walk(map(line, ds), map(line, [*ds[:head], *ds[max(head, len(ds) - 8):]]))
+        return _walk(lambda: map(line, ds), map(line, [*ds[:head], *ds[max(head, len(ds) - 8):]]))
     least = max(d_min, -(-2 * d0 // 3))  # the least d with d0 <= 3d/2
     lines = [((least, d0), (1, 0), max(0, d_max + 1 - least))] * (d0 >= 0)
-    return _walk(lines, lines)
+    return _walk(lambda: lines, lines)
 
 
 def _classify_sweep(args):
-    """The pieces of `classify`, after its range is checked."""
+    """The walk of `classify`, after its range is checked."""
     if not 0 <= args.d_min <= args.d_max <= 10000:
         raise ValueError("need 0 <= d_min <= d_max <= 10000")
     if args.d0 is not None and args.d0 < 0:
@@ -722,10 +727,11 @@ COMMANDS = {
 
 
 def cmd_record(args) -> tuple[int, Iterable[str]]:
-    """The lines of one record; `inspect` of an empty family exits 3."""
+    """The lines of one record, all built before any is written; `inspect`
+    of an empty family exits 3."""
     record = args.build(args)
     empty = record.get("classification", {}).get("kind") == "not_existent"
-    return (3 if empty else 0), emit(args.format, record, args.write)
+    return (3 if empty else 0), list(emit(args.format, record, args.write))
 
 
 def cmd_listing(args) -> tuple[int, Iterable[str]]:
@@ -765,6 +771,12 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+#: The most digits of an integer positional: no int a command prints then
+#: nears the 4,300 digits `str` converts (the longest, `a*d0` in `nef`).
+MAX_DIGITS = 1000
+_TOO_LARGE = 10 ** MAX_DIGITS
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -772,6 +784,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for name in COMMANDS[args.command][1].split():
+            if abs(getattr(args, name)) >= _TOO_LARGE:
+                raise ValueError(f"{name}: more than {MAX_DIGITS} digits, the bound on an integer argument")
         code, body = args.handler(args)
     except EmptyFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,26 +9,25 @@ lies on the Noether line, where K3 = 4d - 6, so a fractional K3 that
 changes within a cell fails its map.  An image label that changes is its
 kind's prefix and the row's e, the degree of a cone or Hirzebruch image.
 
-Each format writes a piece from one `%` template.  The encoder that writes a
-record (the csv module, `json.dumps`) encodes the piece's marked record
-once, and each mark becomes `%d`; each row is then one `%` over the ints
-that change, and a one-row piece, which has none, is its template.  A piece
-can be a whole line, so its rows are written in runs of at most `RUN`.  The
-text table makes two passes over the pieces: the first sizes the columns,
-since every changing cell is an affine int after a fixed prefix and so is
-widest at one end of its piece, and keeps the pieces but no row text; the
-second writes the rows.
+Each format encodes a piece's marked record once (the csv module,
+`json.dumps`, the text cells) and splits the encoding at the marks; a row
+is the fixed parts with the decimal text of the row's changing ints between
+them, from one shared list of `str(i)`, and a one-row piece is its one part.
+A piece can be a whole line, so its rows are written in runs of at most
+`RUN`.  A writer takes a walk, a function that yields the pieces anew at
+each call; the text table calls it twice: the first walk sizes the columns
+from each piece's ends, keeping no piece, the second writes the rows.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import operator
+from itertools import chain, repeat
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .toric import BundleParams, CrossCheckError
 
@@ -47,7 +46,7 @@ CSV_CLASSIFY_HEADER = [
 csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 # A changing int in a piece's marked record: each writer encodes the marked
-# record once and turns the encoded mark into a `%d`.  No string a record
+# record once and splits the encoding at the mark.  No string a record
 # holds (a class, an image label) contains it, and no encoder treats it as
 # special: not NUL, which the csv writer of Python 3.10 takes for its unset
 # escapechar and refuses to write.
@@ -150,18 +149,47 @@ def row_map(anchors: list, derive):
 #: thousands of rows, and a listing hundreds of thousands.
 RUN = 256
 
+#: `str(i)` at index i, up to the largest value asked for, kept for the process:
+#: no legal sweep prints an int past 39,994 (K3 at d = 10000), about 2.5 MiB.
+_DECIMALS: list[str] = []
 
-def _rows(template: str, columns) -> Iterable[str]:
-    """The text of a piece's rows, a run of `RUN` rows at a time:
-    `template` % each row's values, one from each of `columns`.  Rows of one
-    piece differ in d or d0, so a piece without a column is one row, and its
-    template is that row's text."""
+
+def _decimals(values: range) -> list[str]:
+    """The decimal text of a column's values: a slice of `_DECIMALS`, grown
+    first to the largest, or `str` of each where one is negative."""
+    first, last = values[0], values[-1]
+    if first < 0 or last < 0:
+        return list(map(str, values))
+    if (top := max(first, last)) >= (size := len(_DECIMALS)):
+        # Set as a slice: a table that another thread grew meanwhile keeps its length and `str(i)` at i.
+        _DECIMALS[size:top + 1] = map(str, range(size, top + 1))
+    # A column down to 0 stops at -1, which a slice reads as its last index.
+    return _DECIMALS[first:values.stop if values.stop >= 0 else None:values.step]
+
+
+def _rows(parts: list[str], columns: list[range], widths: list[int] | None = None) -> Iterable[str]:
+    """The text of a piece's rows, `RUN` rows at a time: `parts`, its encoded
+    marked record split at the marks, with a row's value of each column, as
+    `_decimals` writes it, between them.  In the text table each column is
+    padded to its width: once, in the next part, where the run's values have
+    one digit count, else value by value.  A piece without a column is one
+    row (rows of a piece differ in d or d0), its one part."""
     if not columns:
-        yield template % ()
+        yield parts[0]
         return
-    rows = map(template.__mod__, zip(*columns))
-    while run := "".join(itertools.islice(rows, RUN)):
-        yield run
+    for k in range(0, len(columns[0]), RUN):
+        fixed, texts = parts.copy(), []
+        for j, column in enumerate(columns):
+            values = column[k:k + RUN]
+            text = _decimals(values)
+            if widths:
+                if values[0] >= 0 <= values[-1] and len(text[0]) == len(text[-1]):
+                    fixed[j + 1] = " " * (widths[j] - len(text[0])) + fixed[j + 1]
+                else:
+                    text = map(str.ljust, text, repeat(widths[j]))
+            texts.append(text)
+        streams = [*chain.from_iterable(zip(map(repeat, fixed), texts)), repeat(fixed[-1])]
+        yield "".join(chain.from_iterable(zip(*streams)))
 
 
 def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:
@@ -169,17 +197,17 @@ def _flags(record: dict, yes: str, no: str, none: str) -> list[str]:
             for v in (record["K_ample"], record["K_nef"], record["noether"], record["mds"])]
 
 
+# The mark as `json.dumps` writes it: escaped, and quoted as a whole value.
 _JSON_MARK = json.dumps(_MARK)
 
 
-def write_json(pieces: Iterable[Piece]) -> Iterable[str]:
-    """One compact JSON object per row, as `json.dumps` writes the record: a
-    changing int is a bare `%d`, and the image label's degree one inside
-    its string."""
-    for piece in pieces:
-        template = (json.dumps(piece.marked).replace("%", "%%").replace(_JSON_MARK, "%d")
-                    .replace(_JSON_MARK[1:-1], "%d"))
-        yield from _rows(template + "\n", piece.columns.values())
+def write_json(walk: Callable[[], Iterable[Piece]]) -> Iterable[str]:
+    """One compact JSON object per row of the pieces that `walk()` gives, as
+    `json.dumps` writes the record: a changing int is bare, and the image
+    label's degree inside its string."""
+    for piece in walk():
+        text = json.dumps(piece.marked).replace(_JSON_MARK, _JSON_MARK[1:-1])
+        yield from _rows((text + "\n").split(_JSON_MARK[1:-1]), list(piece.columns.values()))
 
 
 _NO_K3 = {"num": None, "den": None}
@@ -196,13 +224,14 @@ def _csv_cells(record: dict) -> list:
     ]
 
 
-def write_csv(pieces: Iterable[Piece]) -> Iterable[str]:
-    """The csv header, then the csv module's text of every row."""
+def write_csv(walk: Callable[[], Iterable[Piece]]) -> Iterable[str]:
+    """The csv header, then the csv module's text of every row of the pieces
+    that `walk()` gives."""
     yield csv_line(CSV_CLASSIFY_HEADER)
-    for piece in pieces:
-        template = csv_line(_csv_cells(piece.marked)).replace("%", "%%").replace(_MARK, "%d")
+    for piece in walk():
         columns = piece.columns
-        yield from _rows(template, [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
+        yield from _rows(csv_line(_csv_cells(piece.marked)).split(_MARK),
+                         [columns[k] for k in CSV_CLASSIFY_HEADER if k in columns])
 
 
 _TEXT_HEADER = ["d", "d0", "e", "class", "count", "pg", "K3", "image",
@@ -231,46 +260,34 @@ def _text_cells(record: dict) -> list[str]:
     ]
 
 
-def _text_slots(piece: Piece) -> tuple[list[str], dict]:
-    """The text cells of a piece's marked record, and the values of each
-    changing cell by its text column.  A changing cell is an int after a
-    fixed prefix: it ends with its one mark."""
-    return _text_cells(piece.marked), {_TEXT_COLUMNS[k]: v for k, v in piece.columns.items()}
-
-
-def _text_widths(cells: list[str], slots: dict) -> list[int]:
-    """The width of each cell over the rows of a piece: an affine int is
-    widest at one end of the piece."""
+def _text_slots(piece: Piece) -> tuple[list[str], dict, list[int]]:
+    """The text cells of a piece's marked record, the values of each changing
+    cell by its text column, in column order, and each cell's width over the
+    piece.  A changing cell is an int after a fixed prefix: it ends with its
+    one mark, and is widest at one end of the piece."""
+    columns, cells = piece.columns, _text_cells(piece.marked)
+    slots = {j: columns[k] for k, j in _TEXT_COLUMNS.items() if k in columns}
     widths = list(map(len, cells))
     for j, values in slots.items():
         widths[j] += max(len(str(values[0])), len(str(values[-1]))) - 1
-    return widths
+    return cells, slots, widths
 
 
 def _text_line(cells: list[str], widths: list[int]) -> str:
     return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
 
 
-def _text_template(cells: list[str], widths: list[int], slots: dict) -> str:
-    """The `%` template of a piece's rows in the text table: `_text_line`
-    with a `%-Nd` after each int's prefix."""
-    parts = [cell.ljust(width).replace("%", "%%") for cell, width in zip(cells, widths)]
-    for j in slots:
-        prefix = cells[j][:-1].replace("%", "%%")
-        parts[j] = f"{prefix}%-{widths[j] - len(cells[j]) + 1}d"
-    # The last column is a flag, constant on a piece, so only its padding is
-    # stripped.
-    return "  ".join(parts).rstrip() + "\n"
-
-
-def write_text(pieces: Iterable[Piece]) -> Iterable[str]:
-    """The rows as an aligned table for people, in two passes over the
-    pieces: the first sizes the columns, the second writes the rows."""
-    pieces = list(pieces)
+def write_text(walk: Callable[[], Iterable[Piece]]) -> Iterable[str]:
+    """The rows of the pieces that `walk()` gives as an aligned table for
+    people, in two walks: the first sizes the columns, the second writes the
+    rows.  A changing cell is left unpadded around its mark for `_rows` to
+    pad; the last column is a flag, constant on a piece, so only its padding
+    is stripped."""
     widths = list(map(len, _TEXT_HEADER))
-    for piece in pieces:
-        widths = list(map(max, widths, _text_widths(*_text_slots(piece))))
+    for piece in walk():
+        widths = list(map(max, widths, _text_slots(piece)[2]))
     yield _text_line(_TEXT_HEADER, widths)
-    for piece in pieces:
-        cells, slots = _text_slots(piece)
-        yield from _rows(_text_template(cells, widths, slots), slots.values())
+    for piece in walk():
+        cells, slots, _ = _text_slots(piece)
+        line = _text_line(cells, [0 if j in slots else width for j, width in enumerate(widths)])
+        yield from _rows(line.split(_MARK), [*slots.values()], [widths[j] + 1 - len(cells[j]) for j in slots])

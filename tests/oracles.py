@@ -1,7 +1,8 @@
 """Closed-form oracles that the library derives another way, the per-row
 walk and the per-row writers that `classify` replaced by its pieces, the
 per-monomial record that the `monomials` listing replaced by its blocks, the join
-loop that monomial labels replaced by their tables, the full weighted order
+loop that monomial labels replaced by their tables, the `%` rows that
+the split at a piece's marks replaced, the full weighted order
 test of the four Du Val weight systems (the library runs the one system that
 decides existence), the weight bookkeeping of the dissident-point chart, the
 degree arithmetic of the toric model that no command reports (the canonical
@@ -180,6 +181,19 @@ def classify_output(fmt: str, records) -> str:
         writer.writerows(map(classify_csv_row, records))
         return out.getvalue()
     return "".join(classify_text(records))
+
+
+def percent_rows(parts: list[str], columns: list, widths: list[int] | None = None) -> str:
+    """The rows of `pieces._rows` by one `%` per row, as the writers wrote
+    them before the marks split: the parts joined by a `%d` per column, a
+    `%-Nd` where a column is N wide, with every `%` of a part doubled; a
+    piece without a column is its one part."""
+    if not columns:
+        return parts[0]
+    fields = [f"%-{width}d" for width in widths] if widths else ["%d"] * len(columns)
+    template = parts[0].replace("%", "%%") + "".join(
+        field + part.replace("%", "%%") for field, part in zip(fields, parts[1:]))
+    return "".join(template % row for row in zip(*columns))
 
 
 def monomials_record(m: int) -> dict:

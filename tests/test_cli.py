@@ -28,7 +28,7 @@ from noetherline.singularities import SingularityKind, row_pieces
 from noetherline.toric import BundleParams, CrossCheckError
 from oracles import (
     advance, bundle_params, classify_output, classify_rows, flat_csv, monomials_output,
-    monomials_record, piece_rows,
+    monomials_record, percent_rows, piece_rows,
 )
 
 
@@ -333,11 +333,11 @@ def test_the_invariants_module_is_the_package_attribute(monkeypatch):
     fails its piece."""
     assert invariants_module is sys.modules["noetherline.invariants"] is noetherline.invariants
     assert invariants_module.invariants is cli.invariants
-    assert len(list(cli._classify_records(8, 8, None))) == 7
+    assert len(list(cli._classify_records(8, 8, None)())) == 7
     monkeypatch.setattr(invariants_module, "quartic_intersection",
                         lambda c1, c2, c3, c4, params: Fraction(params.d0, 3))
     with pytest.raises(CrossCheckError):
-        list(cli._classify_records(8, 8, None))
+        list(cli._classify_records(8, 8, None)())
 
 
 def test_classify_derives_each_cell_at_its_anchors_only(monkeypatch, capsys):
@@ -399,7 +399,7 @@ def test_classify_works_per_cell_not_per_piece(monkeypatch):
     cells, tested = [], []
     monkeypatch.setattr(cli, "cell", lambda d, d0: cells.append(d) or singularities.cell(d, d0))
     monkeypatch.setattr(cli, "order_test", lambda p: tested.append(p) or singularities.order_test(p))
-    count = sum(1 for _ in cli._classify_records(0, 1000, None))
+    count = sum(1 for _ in cli._classify_records(0, 1000, None)())
     pairs = [(singularities.cell(p.d, p.d0), support_pattern(p)) for p in tested]
     assert 0 < len(pairs) == len(set(pairs))
     assert len(cells) <= 2 * count
@@ -426,7 +426,7 @@ def test_a_sweeps_plan_is_the_plan_of_all_its_lines(monkeypatch, d_min, d_max):
     """The lines a sweep over d is planned on give the anchors and the order
     tests that all its lines give."""
     walks = []
-    monkeypatch.setattr(cli, "_walk", lambda lines, planned: walks.append((list(lines), list(planned))))
+    monkeypatch.setattr(cli, "_walk", lambda lines, planned: walks.append((list(lines()), list(planned))))
     cli._classify_records(d_min, d_max, None)
     [(lines, planned)] = walks
     (known, anchors), (every_known, every_anchor) = cli._plan(planned), cli._plan(lines)
@@ -467,12 +467,12 @@ def segments(draw):
 def test_band_walk_matches_the_per_row_oracle(segment):
     (d, d0), (sd, sd0), count = segment
     expected = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    assert list(piece_rows(cli._walk([segment], [segment]))) == expected
+    assert list(piece_rows(cli._walk(lambda: [segment], [segment])())) == expected
 
 
 @pytest.mark.parametrize("band", [(0, 40, None), (2, 9, 3), (0, 12, 1), (5, 3, None), (0, 9, 14), (0, 4, -1)])
 def test_classify_records_match_the_per_row_walk(band):
-    assert list(piece_rows(cli._classify_records(*band))) == list(classify_rows(*band))
+    assert list(piece_rows(cli._classify_records(*band)())) == list(classify_rows(*band))
 
 
 def _affine(points, values):
@@ -577,7 +577,7 @@ def bands(draw):
 def test_cell_maps_match_the_per_row_walk(band):
     """A sweep whose cells meet several lines writes them from cell maps:
     its rows are the rows derived one by one."""
-    assert list(piece_rows(cli._classify_records(*band))) == list(classify_rows(*band))
+    assert list(piece_rows(cli._classify_records(*band)())) == list(classify_rows(*band))
 
 
 WRITERS = {"csv": write_csv, "json": write_json, "text": write_text}
@@ -592,9 +592,9 @@ WRITERS = {"csv": write_csv, "json": write_json, "text": write_text}
 def test_piece_writers_match_the_per_row_writers(segment):
     (d, d0), (sd, sd0), count = segment
     records = [classify_record(BundleParams(d + i * sd, d0 + i * sd0)) for i in range(count)]
-    pieces = list(cli._walk([segment], [segment]))
+    walk = cli._walk(lambda: [segment], [segment])
     for fmt, write in WRITERS.items():
-        assert "".join(write(pieces)) == classify_output(fmt, records), fmt
+        assert "".join(write(walk)) == classify_output(fmt, records), fmt
 
 
 @pytest.mark.parametrize("fmt", sorted(WRITERS))
@@ -604,6 +604,56 @@ def test_classify_output_matches_the_per_row_writers(capsys, fmt, band):
     d_min, d_max, *rest = map(int, band.replace("--d0", "").split())
     assert (code, err) == (0, "")
     assert out == classify_output(fmt, list(classify_rows(d_min, d_max, *rest or [None])))
+
+
+# Columns of `pieces._rows`, each a range as `row_map` makes them.
+TABLE_COLUMNS = {
+    "ascending": [range(3, 3 + 3 * 40, 3), range(0, 40)],
+    "descending to 0": [range(300, -1, -1), range(600, -1, -2)],
+    "descending to 1": [range(41, -1, -2)],
+    "negative": [range(-20, -5), range(-6, 14, 4), range(2, -3, -1)],
+    "past the end": [range(39_000, 39_995), range(50_000, 48_000, -2)],
+    "9 to 10": [range(0, 12), range(12, 0, -1)],
+    "99 to 100": [range(95, 105), range(9, 119, 11)],
+    "9999 to 10000": [range(9_990, 10_010), range(10_005, 9_995, -1), range(9_800, 10_400, 3)],
+    "longer than RUN": [range(0, 3 * pieces.RUN + 5), range(7, 7 + 2 * (3 * pieces.RUN + 5), 2)],
+    "one row": [range(7, 8), range(12, 13)],
+    "no column": [],
+}
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["csv-json", "text"])
+@pytest.mark.parametrize("name", TABLE_COLUMNS)
+def test_the_table_join_writes_the_percent_rows(monkeypatch, name, text):
+    """`_rows` joins the split parts with each value's text from the shared
+    table, or pads it to its column's width, as one `%` per row writes it,
+    from a cold table and then a warm one, at most `RUN` rows a string."""
+    columns = TABLE_COLUMNS[name]
+    parts = [f"<{j}%>" for j in range(len(columns))] + ["|\n"]
+    widths = [max(len(str(v)) for v in column) + j for j, column in enumerate(columns)] if text else None
+    expected = percent_rows(parts, columns, widths)
+    monkeypatch.setattr(pieces, "_DECIMALS", list(map(str, range(20))))
+    for _ in range(2):
+        runs = list(pieces._rows(parts, columns, widths))
+        assert "".join(runs) == expected
+        assert all(run.count("\n") <= pieces.RUN for run in runs)
+    assert pieces._DECIMALS == list(map(str, range(len(pieces._DECIMALS))))
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_a_sweep_writes_the_same_bytes_from_a_cold_and_a_warm_table(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(pieces, "_DECIMALS", [])
+    cold, warm = (run_cli(capsys, "--format", fmt, "classify", "0", "40") for _ in range(2))
+    assert cold == warm == (0, classify_output(fmt, list(classify_rows(0, 40, None))), "")
+    # Up to e = 120 at X(40;0), the largest int that changes along a line.
+    assert pieces._DECIMALS == list(map(str, range(3 * 40 + 1)))
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_a_one_row_classify_leaves_the_table_empty(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(pieces, "_DECIMALS", [])
+    assert run_cli(capsys, "--format", fmt, "classify", "40", "40", "--d0", "33")[0] == 0
+    assert pieces._DECIMALS == []
 
 
 # Rows 0 and 1 of a piece with K3 replaced by (num0, den0) and (num1, den1):
@@ -636,7 +686,7 @@ def test_piece_writers_reduce_a_changing_k3(k3s, start, count):
     piece = build(start, (0, 1), count)
     assert list(piece_rows([piece])) == rows
     for fmt, write in WRITERS.items():
-        assert "".join(write([piece])) == classify_output(fmt, rows), fmt
+        assert "".join(write(lambda: [piece])) == classify_output(fmt, rows), fmt
 
 
 @pytest.mark.parametrize("band, start, step, count, earlier", [
@@ -743,7 +793,7 @@ def _constant_den_doubled(piece):
 def test_the_cross_check_reads_what_the_writers_write(monkeypatch, spoil, band):
     """A piece that its cell's map builds with marks or columns wrong at its
     last row fails the last-row check: the check reads the values that the
-    templates are filled with, not a second evaluation of the map."""
+    rows are written from, not a second evaluation of the map."""
     original = pieces.Piece
 
     def spoiled(*args):
@@ -753,19 +803,25 @@ def test_the_cross_check_reads_what_the_writers_write(monkeypatch, spoil, band):
 
     monkeypatch.setattr(pieces, "Piece", spoiled)
     with pytest.raises(CrossCheckError, match="the advanced last row differs"):
-        list(cli._classify_records(*band))
+        list(cli._classify_records(*band)())
 
 
 def test_text_table_keeps_no_row_text():
-    """The text table of a sweep holds its pieces, not its 67,951 rows: the
-    traced peak was 32.7 MiB when every row was kept as strings."""
-    tracemalloc.start()
-    try:
-        assert main(["--format", "text", "--output", os.devnull, "classify", "0", "300"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20, peak
+    """The text table of a sweep walks it twice and keeps neither its 67,951
+    rows nor its pieces: its traced peak is within 0.25 MiB of csv's.  The
+    peak was 32.7 MiB when the table kept every row as strings, and 1.7 MiB
+    (csv: 0.09 MiB) when it kept every piece between its two passes."""
+    peaks = {}
+    for fmt in ("csv", "text"):
+        argv = ["--format", fmt, "--output", os.devnull, "classify", "0", "300"]
+        assert main(argv) == 0  # the decimal table and the verdicts, filled once
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["text"] <= peaks["csv"] + 2**18, peaks
 
 
 # --- every command in every format ----------------------------------------------
@@ -1358,6 +1414,49 @@ def test_usage_error_leaves_the_output_file_alone(tmp_path, capsys):
     assert main(["--output", str(target), "flip", "5"]) == 2
     assert target.read_text(encoding="utf-8") == "kept\n"
     capsys.readouterr()
+
+
+_NINES = "9" * 4300  # the most digits that `int` parses
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("inspect", _NINES, _NINES), ("nef", "3", "2", _NINES, "0"), ("kobayashi", _NINES, _NINES),
+], ids=["inspect", "nef", "kobayashi"])
+def test_an_integer_past_the_bound_is_a_usage_error(tmp_path, capsys, argv, fmt, to_file):
+    """Records whose ints would print past the digits that `str` converts:
+    one error line that names the bound, nothing written, no file."""
+    target = tmp_path / "out"
+    options = ["--output", str(target)] * to_file
+    code, out, err = run_cli(capsys, "--format", fmt, *options, *argv)
+    assert (code, out) == (2, "")
+    name = "d" if argv[0] == "inspect" else "a"
+    assert err == f"error: {name}: more than 1000 digits, the bound on an integer argument\n"
+    assert "Traceback" not in err and not target.exists()
+
+
+def test_the_integer_bound_is_1000_digits(capsys):
+    """1000 digits pass the bound (a = -10^1000 + 1 fails only as a < e);
+    1001 digits fail it, with either sign."""
+    assert cli.MAX_DIGITS == 1000
+    for a, expected in (("9" * 1000, 0), ("-" + "9" * 1000, 2), ("1" + "0" * 1000, 2), ("-1" + "0" * 1000, 2)):
+        code, _, err = run_cli(capsys, "kobayashi", a, "0")
+        assert code == expected, a
+        assert ("more than 1000 digits" in err) == (len(a.lstrip("-")) > 1000), a
+
+
+def test_a_record_is_built_before_it_is_written(tmp_path, capsys, monkeypatch):
+    """A record whose lines fail to build writes none of them."""
+    def failing(fmt, record, render):
+        yield "a first line\n"
+        raise ValueError("the renderer failed")
+
+    monkeypatch.setattr(cli, "emit", failing)
+    target = tmp_path / "out"
+    for options in ([], ["--output", str(target)]):
+        assert run_cli(capsys, *options, "kobayashi", "3", "2") == (2, "", "error: the renderer failed\n")
+    assert not target.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

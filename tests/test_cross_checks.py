@@ -33,15 +33,15 @@ BROKEN = [
      "relative_canonical_class(BundleParams(3, 2))"),
     # One piece for a whole band: its rows are advanced across breakpoints.
     ("cli", "row_pieces", "lambda start, step, count: [(0, count)]",
-     "list(_classify_records(8, 8, None))"),
+     "list(_classify_records(8, 8, None)())"),
     # K3 a fraction that changes along the line d = 8: no row of the family
     # has one, so its piece fails.
     ("invariants", "quartic_intersection", "lambda c1, c2, c3, c4, params: Fraction(params.d0, 3)",
-     "list(__import__('noetherline.cli').cli._classify_records(8, 8, None))"),
+     "list(__import__('noetherline.cli').cli._classify_records(8, 8, None)())"),
     # The order test's verdict on the pattern of X(20;10), which only the
     # inside of the piece of rows 6 to 17 of d = 20 crosses, flipped.
     ("singularities", "_VERDICTS", "{support_pattern(BundleParams(20, 10)): False}",
-     "list(__import__('noetherline.cli').cli._classify_records(20, 20, None))"),
+     "list(__import__('noetherline.cli').cli._classify_records(20, 20, None)())"),
     # The monomials of degree 12 with x0^6 x1^2 y^2 dropped, then with the
     # last monomial of the block of y^2, x1^8 y^2, and the first of the next
     # swapped.
@@ -55,51 +55,51 @@ BROKEN = [
     ("cli", "classify_record",
      "lambda p, f=classify_record: {k: v + (k == 'pg' and p.d == 40) if type(v) is int else v"
      " for k, v in f(p).items()}",
-     "list(_classify_records(30, 40, None))"),
+     "list(_classify_records(30, 40, None)())"),
     # pg one higher at X(40;40) only: the map of the ray d0 = d, fit to its
     # rows at d = 30 and d = 31, misses its anchor at d = 40.
     ("cli", "classify_record",
      "lambda p, f=classify_record: {k: v + (k == 'pg' and (p.d, p.d0) == (40, 40)) if type(v) is int"
      " else v for k, v in f(p).items()}",
-     "list(_classify_records(30, 40, None))"),
+     "list(_classify_records(30, 40, None)())"),
     # The piece of rows 31 to 34 of d = 35, inside the terminal points cell,
     # merged with the row d0 = d after it: its last row leaves the cell.
     ("cli", "row_pieces",
      "lambda start, step, count, f=row_pieces: [(lo, hi + (start == (35, 0) and hi == 35))"
      " for lo, hi in f(start, step, count) if start != (35, 0) or lo != 35]",
-     "list(_classify_records(30, 40, None))"),
+     "list(_classify_records(30, 40, None)())"),
     # The same on d = 30 of `classify 0 40`, a line that the plan, its lines
     # 0 to 28 and 33 to 40, does not cut: its last two pieces merged.
     ("cli", "row_pieces",
      "lambda start, step, count, f=row_pieces: [*f(start, step, count)[:-2], (f(start, step, count)[-2][0], count)]"
      " if start == (30, 0) else f(start, step, count)",
-     "list(_classify_records(0, 40, None))"),
+     "list(_classify_records(0, 40, None)())"),
     # A cell met only on d = 60, which the plan of `classify 0 100` does not cut.
-    ("cli", "cell", "lambda d, d0, f=cell: f(d, d0) + (d == 60,)", "list(_classify_records(0, 100, None))"),
+    ("cli", "cell", "lambda d, d0, f=cell: f(d, d0) + (d == 60,)", "list(_classify_records(0, 100, None)())"),
     # The last planned anchor of each cell one row on: that of the cell
     # without a member moves to X(40;10), which has one.
     ("cli", "_plan",
      "lambda lines, f=_plan: (lambda known, anchors: (known, {key: [*points[:-1], (points[-1][0],"
      " points[-1][1] + 1)] for key, points in anchors.items()}))(*f(lines))",
-     "list(_classify_records(30, 40, None))"),
+     "list(_classify_records(30, 40, None)())"),
     # Every piece of `classify 0 40` with its columns one higher on its last
     # row, then with a flag of its marked record changed: the last row as
     # the writers write it is not the map's.
     ("pieces", "Piece",
      "lambda marked, columns, f=Piece: f(marked,"
      " {name: [*values[:-1], values[-1] + 1] for name, values in columns.items()})",
-     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
+     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None)())"),
     ("pieces", "Piece",
      "lambda marked, columns, f=Piece: f(marked.update(K_nef=None) or marked, columns)",
-     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None))"),
+     "list(__import__('noetherline.cli').cli._classify_records(0, 40, None)())"),
     # The order test's verdict flipped on the pattern of X(2600;1800), which
     # only inner rows of the one canonical curve piece of the band cross,
     # and on that of X(100;60), which the plan of `classify 100 300` tests
     # on the line d = 100 alone, once for its cell.
     ("singularities", "_VERDICTS", "{support_pattern(BundleParams(2600, 1800)): False}",
-     "list(__import__('noetherline.cli').cli._classify_records(1550, 6549, 1800))"),
+     "list(__import__('noetherline.cli').cli._classify_records(1550, 6549, 1800)())"),
     ("singularities", "_VERDICTS", "{support_pattern(BundleParams(100, 60)): False}",
-     "list(__import__('noetherline.cli').cli._classify_records(100, 300, None))"),
+     "list(__import__('noetherline.cli').cli._classify_records(100, 300, None)())"),
 ]
 
 # The id of each row after its module and attribute, by a text of its
