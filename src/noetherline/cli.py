@@ -69,7 +69,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 from .bundles import FibrationData, chi_invariants
-from .invariants import ImageKind, canonical_ring_rank, flip_analysis, invariants
+from .invariants import ImageKind, canonical_image, canonical_ring_rank, flip_analysis, invariants
 from .invariants import kobayashi_params, kobayashi_translate, moduli_components
 from .linear_system import base_locus, coefficient_profile, enumerate_monomials, family_dimension
 from .linear_system import normal_form_support, support_pattern
@@ -246,7 +246,7 @@ def classify_record(params: BundleParams) -> dict:
     }
     if kind is not SingularityKind.NOT_EXISTENT:
         inv = invariants(params, kind)
-        image, e, _, _ = inv.canonical_image
+        image, e, _, _ = canonical_image(params)
         record.update(
             pg=inv.pg,
             K3=_frac(inv.K3),
@@ -376,14 +376,14 @@ def inspect_record(params: BundleParams) -> dict:
     if kind is SingularityKind.NOT_EXISTENT:
         return record
     inv = invariants(params, kind)
-    image, e, embedding, note = inv.canonical_image
+    image, e, embedding, note = canonical_image(params)
     record["invariants"] = {
         "pg": inv.pg,
         "q1": inv.q1,
         "q2": inv.q2,
         "chi_O": inv.chi_O,
         "K3": _frac(inv.K3),
-        "e": inv.e,
+        "e": params.e,
         "image": {
             "kind": image.value,
             "e": e,
@@ -405,7 +405,7 @@ def inspect_record(params: BundleParams) -> dict:
     profile = coefficient_profile(params)
     record["family_dimension"] = family_dimension(params, profile)
     a, e = kobayashi_params(params)
-    record["blowup_parameters"] = {"a": a, "e": e, "in_range": e <= params.d}
+    record["blowup_parameters"] = {"a": a, "e": e, "in_range": a >= e}
     record["support"] = [
         {"a0": m.a0, "a1": m.a1, "a2": m.a2, "a5": m.a5, "label": _monomial_label(m)}
         for m in normal_form_support(params)

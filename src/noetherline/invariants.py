@@ -8,13 +8,16 @@ product; their closed forms are oracles in the test suite.  Hard-coded are
 q1 = q2 = 0 and the flips' baskets and volumes (`_FLIP_DATA`), each volume
 checked against orbifold Riemann-Roch with P2 counted.
 
-The canonical image is the Hirzebruch surface of degree e = 3d - 2*d0,
-embedded by |(d0 - 2) l + delta| once min(d, d0) >= 3; for d0 = 2 the image
-degenerates to the cone over a rational normal curve, and for min(d, d0) <= 1
-no canonical threefold interpretation applies directly (the d0 = 1 cases with
-2 <= d <= 4 flip to canonical threefolds with quotient singularities, see
-`flip_analysis`; their anticipated volumes are checked against the orbifold
-Riemann-Roch formula 1/2 K^3 = P2 + 3 chi(O) - sum b(r-b)/(2r)).
+Whether K = H - 2F (`toric.CANONICAL_CLASS`) is nef or ample is asked of
+`toric.is_nef` and `toric.is_ample`: K is nef iff min(d, d0) >= 2 and ample
+iff min(d, d0) >= 3.  The canonical image is the Hirzebruch surface of degree
+e = 3d - 2*d0, embedded by |(d0 - 2) l + delta| once K is ample; for d0 = 2
+the image degenerates to the cone over a rational normal curve, and where K
+is not nef no canonical threefold interpretation applies directly (the
+d0 = 1 cases with 2 <= d <= 4 flip to canonical threefolds with quotient
+singularities, see `flip_analysis`; their anticipated volumes are checked
+against the orbifold Riemann-Roch formula 1/2 K^3 = P2 + 3 chi(O) -
+sum b(r-b)/(2r)).
 """
 
 from __future__ import annotations
@@ -25,17 +28,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .linear_system import coefficient_degree, enumerate_monomials
+from .linear_system import enumerate_monomials
 from .singularities import EmptyFamilyError, SingularityKind, classify_general_member, order_test
-from .toric import (
-    BundleParams,
-    CrossCheckError,
-    SpecialCurve,
-    curve_intersection,
-    h0_class,
-    member_class,
-    quartic_intersection,
-)
+from .toric import CANONICAL_CLASS, BundleParams, CrossCheckError, SpecialCurve, coefficient_form
+from .toric import curve_intersection, h0_class, is_ample, is_nef, member_class, quartic_intersection
 
 __all__ = [
     "ImageKind",
@@ -54,9 +50,6 @@ __all__ = [
     "canonical_ring_rank",
 ]
 
-_K = (1, -2)  # the canonical class of the member, restricted from H - 2F
-
-
 class ImageKind(str, Enum):
     HIRZEBRUCH = "hirzebruch"
     CONE = "cone"
@@ -70,8 +63,6 @@ class InvariantSet:
     q2: int
     chi_O: int
     K3: Fraction
-    e: int
-    canonical_image: tuple[ImageKind, int | None, tuple[int, int] | None, str]
     on_noether_line: bool
     K_ample: bool
     K_nef: bool
@@ -81,13 +72,13 @@ class InvariantSet:
 def canonical_image(
     params: BundleParams,
 ) -> tuple[ImageKind, int | None, tuple[int, int] | None, str]:
-    """The image of the canonical map of X(d;d0), read off min(d, d0), d0 and
-    e, as (kind, e, embedding, note): a Hirzebruch surface, a cone or
+    """The image of the canonical map of X(d;d0), read off whether K is nef,
+    d0 and e, as (kind, e, embedding, note): a Hirzebruch surface, a cone or
     degenerate; its degree e (None when degenerate); the coefficients (m, n)
     of the very ample system m*l + n*delta that embeds a Hirzebruch surface,
     else None; and a note, "" where there is none."""
     d, d0 = params.d, params.d0
-    if min(d, d0) <= 1:
+    if not is_nef(CANONICAL_CLASS, params):
         if (d, d0) == (0, 0):
             note = "product of a line with a fixed degree-10 surface in P(1,1,2,5)"
         elif (d, d0) == (1, 1):
@@ -109,11 +100,12 @@ def invariants(params: BundleParams, kind: SingularityKind | None = None) -> Inv
     """The invariant set of the general member of a nonempty family.
 
     p_g is computed as the section count of H - 2F and K^3 as the quartic
-    product X.(H - 2F)^3, not from their closed forms.  For min(d, d0) <= 1
-    the numbers are the formal family values and the canonical image is
-    flagged degenerate.  A caller that has already classified the member
-    passes ``kind``, the kind of `classify_general_member` (of the same
-    ``params``), which is then not recomputed.
+    product X.(H - 2F)^3, not from their closed forms, and the flags K_nef
+    and K_ample are `toric.is_nef` and `is_ample` of K.  Where K is not nef
+    the numbers are the formal family values.  A caller that has already
+    classified the member passes ``kind``, the kind of
+    `classify_general_member` (of the same ``params``), which is then not
+    recomputed.
     """
     if kind is None:
         kind, _ = classify_general_member(params)
@@ -122,20 +114,18 @@ def invariants(params: BundleParams, kind: SingularityKind | None = None) -> Inv
             f"{params.label()}: 4*d0 < d, the family has no member with "
             "canonical singularities"
         )
-    pg = h0_class(_K, params)
-    k3 = quartic_intersection(member_class(params), _K, _K, _K, params)
-    m = min(params.d, params.d0)
+    K = CANONICAL_CLASS
+    pg = h0_class(K, params)
+    k3 = quartic_intersection(member_class(params), K, K, K, params)
     return InvariantSet(
         pg=pg,
         q1=0,
         q2=0,
         chi_O=1 - pg,
         K3=k3,
-        e=params.e,
-        canonical_image=canonical_image(params),
         on_noether_line=3 * k3 == 4 * pg - 10,
-        K_ample=m >= 3,
-        K_nef=m >= 2,
+        K_ample=is_ample(K, params),
+        K_nef=is_nef(K, params),
         mori_dream_general=params.d >= params.d0,
     )
 
@@ -248,10 +238,10 @@ def flip_analysis(d: int) -> FlipRecord:
         raise ValueError(f"flip analysis applies to d in (2, 3, 4), got {d}")
     params = BundleParams(d, 1)
     basket, k3_plus = _FLIP_DATA[d]
-    k_dot_s0 = curve_intersection(_K, SpecialCurve.S0, params)
+    k_dot_s0 = curve_intersection(CANONICAL_CLASS, SpecialCurve.S0, params)
     if k_dot_s0 != -1:
         raise CrossCheckError(f"{params.label()}: K.S0 = {k_dot_s0}, not d0 - 2 = -1")
-    pg = h0_class(_K, params)
+    pg = h0_class(CANONICAL_CLASS, params)
     p2 = plurigenus(params, 2)
     chi_o = 1 - pg
     rr = orbifold_rr_K3(p2, chi_o, basket)
@@ -324,7 +314,7 @@ def deformation_feasible(params: BundleParams) -> bool:
     """
     e = params.e
     degree_check = all(
-        coefficient_degree(mono, params) - mono.a1 * e >= 0
+        coefficient_form(mono.a0, mono.a1, params.d, params.d0) - mono.a1 * e >= 0
         for mono in enumerate_monomials(10)
         if mono.a5 == 0
     )

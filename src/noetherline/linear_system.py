@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .toric import BundleParams, CrossCheckError, SpecialCurve
-from .toric import coefficient_form, fibre_blocks, h0_class, member_class
+from .toric import CANONICAL_CLASS, BundleParams, CrossCheckError, SpecialCurve
+from .toric import coefficient_form, fibre_blocks, h0_class, is_ample, is_nef, member_class
 
 __all__ = [
     "FibreMonomial",
@@ -37,7 +37,6 @@ __all__ = [
     "DEGREE_TEN_FORMS",
     "support_pattern",
     "enumerate_monomials",
-    "coefficient_degree",
     "coefficient_profile",
     "normal_form_support",
     "base_locus",
@@ -87,11 +86,6 @@ def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     return monos
 
 
-def coefficient_degree(monomial: FibreMonomial, params: BundleParams) -> int:
-    """Degree of the coefficient of ``monomial`` in |m(H - d*F)|, m its degree."""
-    return coefficient_form(monomial.a0, monomial.a1, params.d, params.d0)
-
-
 #: The 49 degree-ten monomials, z included, in enumeration order, each with
 #: its coefficient degree A*d + B*d0 as (A, B), the form at (1, 0) and (0, 1).
 PROFILE_FORMS: tuple[tuple[FibreMonomial, int, int], ...] = tuple([
@@ -136,11 +130,13 @@ def normal_form_support(params: BundleParams) -> tuple[FibreMonomial, ...]:
 
 def base_locus(params: BundleParams) -> tuple[SpecialCurve | None, SpecialCurve | None]:
     """The base loci (family, canonical) of the member family and the canonical
-    system.  The family's is None when |10(H - d*F)| is base point free
-    (d0 >= d) and S0 otherwise; the canonical one is GAMMA if min(d, d0) >= 3,
-    and below that the system degenerates and no base curve is reported."""
-    family = None if params.d0 >= params.d else SpecialCurve.S0
-    canonical = SpecialCurve.GAMMA if min(params.d, params.d0) >= 3 else None
+    system, read off `toric.is_nef` and `toric.is_ample`.  The family's is
+    None when the member class 10(H - d*F) is nef, so base point free
+    (d0 >= d), and S0 otherwise; the canonical one is GAMMA if the canonical
+    class H - 2F is ample (min(d, d0) >= 3), and below that the system
+    degenerates and no base curve is reported."""
+    family = None if is_nef(member_class(params), params) else SpecialCurve.S0
+    canonical = SpecialCurve.GAMMA if is_ample(CANONICAL_CLASS, params) else None
     return family, canonical
 
 

@@ -16,7 +16,8 @@ member by elementary inequalities in (d, d0), equivalently in (d, e):
 
 * the family has a member with canonical singularities iff 4*d0 >= d
   (iff 2*e <= 5*d);
-* the general member is smooth iff d0 >= d or 8*d0 = 7*d (e <= d or 4e = 5d);
+* the general member is smooth iff the member class is nef (d0 >= d) or
+  8*d0 = 7*d (e <= d or 4e = 5d);
 * it has 8*d0 - 7*d = 5*d - 4*e isolated terminal points iff
   7*d/8 < d0 < d (d < e < 5d/4);
 * otherwise it is singular along the whole section, a canonical curve with
@@ -57,7 +58,7 @@ from enum import Enum
 from math import gcd
 
 from .linear_system import DEGREE_TEN_FORMS, normal_form_support, support_pattern
-from .toric import BundleParams, CrossCheckError
+from .toric import BundleParams, CrossCheckError, is_nef, member_class
 
 __all__ = [
     "EmptyFamilyError",
@@ -124,15 +125,16 @@ def classify_general_member(params: BundleParams) -> tuple[SingularityKind, int 
     TERMINAL_POINTS, of dissident points (nonnegative) for CANONICAL_CURVE,
     and None otherwise.
 
-    Existence is `order_test`.  The member is smooth iff d0 >= d or
-    8*d0 - 7*d = 0; otherwise 8*d0 - 7*d > 0 counts its terminal points and
-    4*d0 - d its dissident points.
+    Existence is `order_test`.  By Bertini the member is smooth where its
+    class is nef (`toric.is_nef`), so base point free, as it misses S2 and S5
+    (unit y^5 and z^2); smooth too where 8*d0 - 7*d = 0; otherwise
+    8*d0 - 7*d > 0 counts its terminal points and 4*d0 - d its dissident points.
     """
     if not order_test(params):
         return SingularityKind.NOT_EXISTENT, None
     d, d0 = params.d, params.d0
     terminal = 8 * d0 - 7 * d
-    if d0 >= d or terminal == 0:
+    if is_nef(member_class(params), params) or terminal == 0:
         return SingularityKind.SMOOTH, None
     if terminal > 0:
         return SingularityKind.TERMINAL_POINTS, terminal
@@ -144,12 +146,13 @@ def classify_general_member(params: BundleParams) -> tuple[SingularityKind, int 
 CLASS_FORMS: tuple[tuple[int, int, int], ...] = ((-7, 8, 0), (-1, 4, 0))
 
 #: The other forms whose signs a classify row reads, all of them through the
-#: invariants of an existent member, so only where 4*d0 >= d.
+#: invariants of an existent member, so only where 4*d0 >= d.  A flag asked of
+#: `toric.is_nef` or `is_ample` reads the forms that test compares.
 INVARIANT_FORMS: tuple[tuple[int, int, int], ...] = (
     # The sections x0 and x1 of K = H - 2F, which p_g counts (x0's, d0 - 2,
     # is among the d0 - k below).
     (3, -1, -2),
-    # d0 >= d: the member is smooth, and the Mori dream flag.
+    # d0 >= d: the member class is nef, so smooth, and the Mori dream flag.
     (-1, 1, 0),
     # min(d, d0) against 1, 2 and 3: the degenerate, cone and X(2;3) images,
     # K nef and K ample.  d0 - 1 also fixes the Noether flag: 3K^3 - 4p_g + 10

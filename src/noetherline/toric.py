@@ -40,6 +40,7 @@ __all__ = [
     "NormalizationError",
     "CrossCheckError",
     "BundleParams",
+    "CANONICAL_CLASS",
     "SpecialCurve",
     "weight_matrix",
     "coordinate_divisor_class",
@@ -59,6 +60,9 @@ COORDINATES = ("t0", "t1", "x0", "x1", "y", "z")
 
 #: Fibre weights of the coordinates (second row of every weight matrix).
 FIBRE_ROW = (0, 0, 1, 1, 2, 5)
+
+#: The canonical class H - 2F of a member, by adjunction.
+CANONICAL_CLASS = (1, -2)
 
 
 class NormalizationError(ValueError):
@@ -161,7 +165,7 @@ def is_nef(c: tuple[int, int], params: BundleParams) -> bool:
 
     Equivalent to nonnegativity on the torus-invariant test curves: a line of
     a fibre gives a, the section S0 gives b + a*d0, and the index-5 curve
-    gives (b + a*d)/5.
+    gives (b + a*d)/5; nef is base point free (Cox-Little-Schenck 6.3.12).
     """
     a, b = c
     return a >= 0 and b >= -a * min(params.d, params.d0)

@@ -9,7 +9,8 @@ degree arithmetic of the toric model that no command reports (the canonical
 class of the bundle, its twists, the Gorenstein degree data, the Noether-type
 inequality, the split presentation and the relative dualising sheaf), the
 monomial count and genus of a weighted hypersurface, the flat csv listing
-of a record, and the parameter strategy of the property tests."""
+of a record, the positivity thresholds that `toric.is_nef` and `is_ample`
+replaced, and the parameter strategy of the property tests."""
 
 import csv
 import io
@@ -40,6 +41,17 @@ def bundle_params(draw, d_max: int = 5000) -> BundleParams:
         lambda k: st.integers(max(0, k - 1), min(top, k + 1))
     )
     return BundleParams(d, draw(st.integers(0, top) | near_edge))
+
+
+def positivity(params: BundleParams) -> tuple[bool, bool, bool, bool]:
+    """The thresholds that `toric.is_nef` and `is_ample` decide for the
+    library, in closed form, as (K nef, K ample, K not nef, member class
+    nef): K = H - 2F is nef iff min(d, d0) >= 2 and ample iff
+    min(d, d0) >= 3, so it fails to be nef, and the canonical image
+    degenerates, iff min(d, d0) <= 1; the member class 10(H - d*F) is nef, so
+    base point free, iff d0 >= d."""
+    m = min(params.d, params.d0)
+    return m >= 2, m >= 3, m <= 1, params.d0 >= params.d
 
 
 def classify_by_e(params: BundleParams) -> tuple[SingularityKind, int | None]:

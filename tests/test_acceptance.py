@@ -13,6 +13,7 @@ from math import ceil
 from noetherline.bundles import FibrationData, chi_invariants
 from noetherline.invariants import (
     ImageKind,
+    canonical_image,
     canonical_ring_rank,
     flip_analysis,
     invariants,
@@ -92,7 +93,7 @@ def test_criterion_3_paper_point_values():
     params = BundleParams(8, 2)
     assert classify_general_member(params) == (SingularityKind.CANONICAL_CURVE, 0)
     inv = invariants(params)
-    assert inv.canonical_image[:3] == (ImageKind.CONE, 20, None)
+    assert canonical_image(params)[:3] == (ImageKind.CONE, 20, None)
     assert inv.pg == 22
 
     inv = invariants(BundleParams(2, 3))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import noetherline
@@ -1508,3 +1508,106 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys
             assert code == 2 and err.startswith("usage: noetherline classify")
         if "-o" in argv:
             assert mine.read_bytes() == fresh.read_bytes() != b""
+
+
+# --- the exit-code contract over every argv ----------------------------------
+
+_COMMAND_ARITY = {name: len(ints.split()) for name, (_, ints, _, _) in cli.COMMANDS.items()}
+_SMALL = (st.integers(0, 5) | st.integers(0, 12) | st.integers(-3, 60)).map(str)
+# Ints on a documented bound and one past it: flip 1 and 5, monomials 301
+# (300 itself fills the enumeration cache for the rest of the process),
+# classify 10000 and 10001.
+_ON_A_BOUND = st.sampled_from(["1", "5", "301", "10000", "10001"])
+_DIGITS = st.integers(1, 5000) | st.sampled_from([999, 1000, 1001, 4300, 4301, 5000])
+_HUGE = st.builds(lambda n, digit, sign: sign + digit * n, _DIGITS, st.sampled_from("19"),
+                  st.sampled_from(["", "-"]))
+_MALFORMED = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "-", "--", "--5", " 7", "+4", "1_0", "٣", "7a"])
+
+
+def _int(token: str) -> int | None:
+    """The int that argparse reads from the token, or None."""
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _ints(draw, count: int) -> list[str]:
+    """count tokens, mostly small ints, up to two of them on a bound, huge or malformed."""
+    tokens = draw(st.lists(_SMALL, min_size=count, max_size=count))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if tokens else 0):
+        tokens[draw(st.integers(0, count - 1))] = draw(_ON_A_BOUND | _HUGE | _MALFORMED)
+    return tokens
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv of some command, often malformed: a format option or none,
+    "-o {out}" or none, the command and its ints (`_ints`), one too few or
+    too many at times.  A classify band that passes its range check has 40
+    lines at most, 2 from d = 100 on, where a line has hundreds of rows."""
+    fmt = draw(st.sampled_from([[], ["-f", "text"], ["--format", "json"], ["-f", "csv"]]))
+    output = draw(st.sampled_from([[], ["-o", "{out}"]]))
+    command = draw(st.sampled_from(sorted(_COMMAND_ARITY)))
+    ints = draw(_ints(_COMMAND_ARITY[command] + draw(st.sampled_from([0] * 8 + [-1, 1]))))
+    if command == "classify":
+        low, high = map(_int, ints[:2] + [""] * (2 - len(ints[:2])))
+        if low is not None and high is not None and 0 <= low <= high <= 10000:
+            ints[1] = str(low + min(high - low, 39 if low < 100 else 1))
+        ints += draw(st.sampled_from([[], ["--d0"]])) and ["--d0", *draw(_ints(1))]
+    return [*fmt, *output, command, *ints]
+
+
+def _written(fmt: str, command: str, text: str):
+    """What a record or listing as written parses to, by its format."""
+    if fmt == "json":
+        return [json.loads(line) for line in text.splitlines()] if command == "classify" else json.loads(text)
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len({len(row) for row in rows}) <= 1, rows[:3]
+        return rows
+    return text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+@example(["inspect", _NINES, _NINES])
+@example(["nef", "3", "2", _NINES, "0"])
+@example(["-o", "{out}", "kobayashi", _NINES, _NINES])
+@example(["-f", "json", "inspect", "5", "1"])
+@example(["-f", "csv", "-o", "{out}", "classify", "10000", "10000"])
+@example(["classify", "10000", "10001"])
+@example(["-f", "csv", "flip", "2"])
+@example(["inspect", "9", "2"])
+def test_every_argv_keeps_the_exit_code_contract(tmp_path, capsys, argv):
+    """Exit 0, 2 or 3 without a traceback; exit 2 writes nothing; exit 0
+    writes what parses in its format; exit 3 writes inspect's record without
+    invariants, or one error line."""
+    target = tmp_path / "out"
+    argv = [token.replace("{out}", str(target)) for token in argv]
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        fmt = next((argv[i + 1] for i, a in enumerate(argv[:-1]) if a in ("-f", "--format")), "text")
+        command = next((a for a in argv if a in _COMMAND_ARITY), None)
+        written = target.read_text(encoding="utf-8") if target.exists() else out
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+        if target.exists():
+            assert out == ""
+        if code == 2:
+            assert out == "" and not target.exists(), argv
+        elif code == 0:
+            _written(fmt, command, written)
+        elif code == 3 and written:
+            assert command == "inspect" and err == "", argv
+            record = _written(fmt, command, written)
+            if fmt == "json":
+                assert "invariants" not in record and record["classification"]["kind"] == "not_existent"
+            elif fmt == "csv":
+                assert not any(field.startswith("invariants.") for field, _ in record)
+            else:
+                assert "classification: " in record and "invariants" not in record
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    finally:
+        target.unlink(missing_ok=True)

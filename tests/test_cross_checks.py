@@ -27,7 +27,7 @@ BROKEN = [
      "flip_analysis(2)"),
     ("invariants", "_FLIP_DATA", "{2: (((2, 1),), Fraction(9, 4))}",
      "flip_analysis(2)"),
-    ("invariants", "coefficient_degree", "lambda mono, params: -1",
+    ("invariants", "coefficient_form", "lambda a0, a1, d, d0: -1",
      "deformation_feasible(BundleParams(4, 4))"),
     ("oracles", "canonical_class_F", "lambda params: (0, 0)",
      "relative_canonical_class(BundleParams(3, 2))"),

@@ -8,6 +8,7 @@ from noetherline.invariants import (
     FlipRecord,
     ImageKind,
     basket_normalize,
+    canonical_image,
     canonical_ring_rank,
     deformation_feasible,
     flip_analysis,
@@ -18,9 +19,12 @@ from noetherline.invariants import (
     orbifold_rr_K3,
     plurigenus,
 )
-from noetherline.singularities import EmptyFamilyError
-from noetherline.toric import BundleParams
-from oracles import reid_plurigenus, weighted_monomial_count, wps_hypersurface_basics
+from noetherline.linear_system import base_locus
+from noetherline.singularities import EmptyFamilyError, SingularityKind, classify_general_member
+from noetherline.toric import BundleParams, SpecialCurve
+from oracles import (
+    bundle_params, positivity, reid_plurigenus, weighted_monomial_count, wps_hypersurface_basics,
+)
 
 
 def existing_params(d_max, min_dd0=0):
@@ -40,14 +44,14 @@ def test_invariants_x_8_7():
     assert inv.on_noether_line
     assert inv.K_ample and inv.K_nef
     assert inv.mori_dream_general  # d >= d0
-    assert inv.canonical_image == (ImageKind.HIRZEBRUCH, 10, (5, 1), "")
+    assert canonical_image(BundleParams(8, 7)) == (ImageKind.HIRZEBRUCH, 10, (5, 1), "")
 
 
 def test_invariants_x_2_3():
     inv = invariants(BundleParams(2, 3))
     assert inv.pg == 4 and inv.K3 == 2
     assert inv.K_nef and not inv.K_ample
-    assert inv.canonical_image == (  # complete-intersection model, no embedding
+    assert canonical_image(BundleParams(2, 3)) == (  # complete-intersection model, no embedding
         ImageKind.HIRZEBRUCH, 0, None,
         "canonical model is a complete intersection of a quadric and a degree-10 "
         "hypersurface in P(1,1,1,1,2,5); the base curve of |K| contracts to a node",
@@ -56,8 +60,8 @@ def test_invariants_x_2_3():
 
 def test_invariants_x_8_2_cone():
     inv = invariants(BundleParams(8, 2))
-    assert inv.pg == 22 and inv.K3 == 26 and inv.e == 20
-    assert inv.canonical_image == (
+    assert inv.pg == 22 and inv.K3 == 26
+    assert canonical_image(BundleParams(8, 2)) == (
         ImageKind.CONE, 20, None,
         "cone over a rational normal curve of degree 20; S0 contracts to the vertex",
     )
@@ -65,15 +69,15 @@ def test_invariants_x_8_2_cone():
 
 
 def test_invariants_degenerate_cases():
-    assert invariants(BundleParams(1, 1)).canonical_image == (
+    assert canonical_image(BundleParams(1, 1)) == (
         ImageKind.DEGENERATE, None, None,
         "Kodaira dimension 0; the canonical system is a single fibre",
     )
-    assert invariants(BundleParams(0, 0)).canonical_image == (
+    assert canonical_image(BundleParams(0, 0)) == (
         ImageKind.DEGENERATE, None, None,
         "product of a line with a fixed degree-10 surface in P(1,1,2,5)",
     )
-    assert invariants(BundleParams(3, 1)).canonical_image == (
+    assert canonical_image(BundleParams(3, 1)) == (
         ImageKind.DEGENERATE, None, None,
         "canonical class negative on the section S0; see the flip analysis",
     )
@@ -83,6 +87,33 @@ def test_invariants_degenerate_cases():
 def test_invariants_rejects_empty_family():
     with pytest.raises(EmptyFamilyError):
         invariants(BundleParams(5, 1))
+
+
+def _check_positivity(params):
+    # Every reader of a positivity threshold against its closed form: the
+    # flags of `invariants`, the degenerate image, both base loci and the
+    # smooth case of the classification.
+    K_nef, K_ample, degenerate, member_nef = positivity(params)
+    family = None if member_nef else SpecialCurve.S0
+    assert base_locus(params) == (family, SpecialCurve.GAMMA if K_ample else None), params
+    assert (canonical_image(params)[0] is ImageKind.DEGENERATE) == degenerate, params
+    kind, _ = classify_general_member(params)
+    if kind is not SingularityKind.NOT_EXISTENT:
+        smooth = member_nef or 8 * params.d0 == 7 * params.d
+        assert (kind is SingularityKind.SMOOTH) == smooth, params
+        inv = invariants(params, kind)
+        assert (inv.K_nef, inv.K_ample) == (K_nef, K_ample), params
+
+
+def test_positivity_matches_its_closed_forms_below_d_200():
+    for d in range(200):
+        for d0 in range(0, 3 * d // 2 + 1):
+            _check_positivity(BundleParams(d, d0))
+
+
+@given(bundle_params())
+def test_positivity_matches_its_closed_forms(params):
+    _check_positivity(params)
 
 
 def test_closed_forms_on_sweep():

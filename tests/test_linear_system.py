@@ -12,7 +12,6 @@ from noetherline.linear_system import (
     Z_SQUARED,
     FibreMonomial,
     base_locus,
-    coefficient_degree,
     coefficient_profile,
     enumerate_monomials,
     family_dimension,
@@ -23,6 +22,7 @@ from noetherline.toric import (
     BundleParams,
     CrossCheckError,
     SpecialCurve,
+    coefficient_form,
     fibre_exponents,
     h0_class,
 )
@@ -136,13 +136,12 @@ def test_monomials_minus_relation_equals_ring_rank():
 
 
 def test_coefficient_degree_examples():
-    x0_9_x1 = FibreMonomial(9, 1, 0, 0)
-    assert coefficient_degree(x0_9_x1, BundleParams(8, 7)) == 0
-    assert coefficient_degree(FibreMonomial(10, 0, 0, 0), BundleParams(5, 3)) == -20
-    x0_7_x1_3 = FibreMonomial(7, 3, 0, 0)
+    # x0^9 x1 at X(8;7), x0^10 at X(5;3), and x0^7 x1^3 everywhere.
+    assert coefficient_form(9, 1, 8, 7) == 0
+    assert coefficient_form(10, 0, 5, 3) == -20
     for d in range(1, 15):
         for d0 in range(0, 3 * d // 2 + 1):
-            assert coefficient_degree(x0_7_x1_3, BundleParams(d, d0)) == 4 * d0 - d
+            assert coefficient_form(7, 3, d, d0) == 4 * d0 - d
 
 
 _SMALL_EXPONENT = st.integers(0, 30)
@@ -156,11 +155,12 @@ def test_coefficient_degree_is_base_weight_less_degree_times_d(params, a0, a1, a
     # The degree in |m(H - d*F)| is the monomial's F-degree less m*d, for
     # monomials with z too, which the closed forms below skip.
     mono = FibreMonomial(a0, a1, a2, a5)
-    assert coefficient_degree(mono, params) == base_weight(mono, params) - weighted_degree(mono) * params.d
+    degree = base_weight(mono, params) - weighted_degree(mono) * params.d
+    assert coefficient_form(a0, a1, params.d, params.d0) == degree
 
 
 def test_profile_closed_forms_agree():
-    # The degree-ten profile is `coefficient_degree` per monomial, and for
+    # The degree-ten profile is `coefficient_form` per monomial, and for
     # z-free monomials of every degree the coefficient degree has two closed
     # forms, -a0(d - d0) - a1(d0 - 2d) and ((a0 + a1)d + (a1 - a0)e)/2.
     for d in range(0, 12):
@@ -168,11 +168,11 @@ def test_profile_closed_forms_agree():
             params = BundleParams(d, d0)
             e = params.e
             assert coefficient_profile(params) == tuple(
-                (mono, coefficient_degree(mono, params)) for mono in enumerate_monomials(10)
+                (mono, coefficient_form(mono.a0, mono.a1, d, d0)) for mono in enumerate_monomials(10)
             )
             for m in (5, 10, 13):
                 for mono in enumerate_monomials(m):
-                    deg = coefficient_degree(mono, params)
+                    deg = coefficient_form(mono.a0, mono.a1, d, d0)
                     if mono.a5:
                         continue
                     assert deg == -mono.a0 * (d - d0) - mono.a1 * (d0 - 2 * d)
@@ -183,14 +183,12 @@ def test_degree_weakly_decreasing_in_a0():
     # Shifting weight from x1 to x0 lowers the coefficient degree by e >= 0.
     for d in range(0, 10):
         for d0 in range(0, 3 * d // 2 + 1):
-            params = BundleParams(d, d0)
             for mono in enumerate_monomials(10):
                 if mono.a1 == 0 or mono.a5:
                     continue
-                shifted = FibreMonomial(mono.a0 + 1, mono.a1 - 1, mono.a2, mono.a5)
                 assert (
-                    coefficient_degree(shifted, params)
-                    <= coefficient_degree(mono, params)
+                    coefficient_form(mono.a0 + 1, mono.a1 - 1, d, d0)
+                    <= coefficient_form(mono.a0, mono.a1, d, d0)
                 )
 
 
@@ -222,7 +220,7 @@ def test_support_is_the_per_monomial_definition(params):
         mono
         for mono in enumerate_monomials(10)
         if mono in (Z_SQUARED, Y_FIFTH)
-        or (mono.a5 == 0 and coefficient_degree(mono, params) >= 0)
+        or (mono.a5 == 0 and coefficient_form(mono.a0, mono.a1, params.d, params.d0) >= 0)
     )
     assert normal_form_support(params) == expected
 

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from noetherline.toric import (
+    CANONICAL_CLASS,
     COORDINATES,
     BundleParams,
     NormalizationError,
@@ -100,6 +101,13 @@ def test_canonical_class_examples_and_sum_identity():
     for params in valid_params(25):
         a, b = _class_sum(coordinate_divisor_class(coord, params) for coord in COORDINATES)
         assert canonical_class_F(params) == (-a, -b)
+
+
+def test_the_canonical_class_is_given_by_adjunction():
+    # K of a member is (K_P + X)|_X: the bundle's canonical class plus the
+    # member class, on every model of the sweep.
+    for params in valid_params(200):
+        assert CANONICAL_CLASS == _class_sum([canonical_class_F(params), member_class(params)]), params
 
 
 # --- intersection numbers -------------------------------------------------
