@@ -703,8 +703,8 @@ def _nef_text(record: dict):
 # the command table, its handlers and the parser built from it
 
 # name: (help, integer positionals, record builder from the parsed arguments,
-# and a text renderer or, for a listing, its writer per format).  A builder
-# looks its `*_record` function up in the module's globals when it is called.
+# and a text renderer or, for a listing, its writer per format).  A builder looks
+# its `*_record` function up in the module's globals when called, `main` its handler.
 COMMANDS = {
     "classify": ("classification sweep over (d, d0)", "d_min d_max", _classify_sweep,
                  {"csv": write_csv, "json": write_json, "text": write_text}),
@@ -758,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(dest, type=int)
         if name == "classify":
             p.add_argument("--d0", type=int, default=None, help="restrict to a single d0")
-        handler = cmd_listing if type(write) is dict else cmd_record
-        p.set_defaults(handler=handler, build=build, write=write)
+        p.set_defaults(build=build, write=write)
     return parser
 
 
@@ -787,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in COMMANDS[args.command][1].split():
             if abs(getattr(args, name)) >= _TOO_LARGE:
                 raise ValueError(f"{name}: more than {MAX_DIGITS} digits, the bound on an integer argument")
-        code, body = args.handler(args)
+        code, body = (cmd_listing if type(args.write) is dict else cmd_record)(args)
     except EmptyFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

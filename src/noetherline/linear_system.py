@@ -22,6 +22,7 @@ taken from `PROFILE_FORMS`, so a row's support is a filter on their signs
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -72,17 +73,28 @@ def enumerate_monomials(m: int) -> tuple[FibreMonomial, ...]:
     The monomials are allocated bare, without the frozen `__init__`, then
     each field is set through its slot a column at a time, chained from one
     `range` or `repeat` per block of `toric.fibre_blocks`, checked first.
+
+    The fill pauses the cyclic collector, process-wide for its few
+    milliseconds: the monomials hold only ints and form no cycle, yet each
+    full pass would re-walk the growing cache.  It leaves the collector on
+    or off as the caller had it, also when the fill raises.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
     blocks = list(fibre_blocks(m))
     if blocks and min(map(min, blocks)) < 0:
         raise ValueError("exponents must be nonnegative")
-    monos = tuple(map(object.__new__, repeat(FibreMonomial, sum(rest + 1 for rest, _, _ in blocks))))
-    columns = [(range(r, -1, -1), range(r + 1), repeat(a2, r + 1), repeat(a5, r + 1)) for r, a2, a5 in blocks]
-    for name, column in zip(FibreMonomial.__slots__, zip(*columns)):
-        # `__set__` returns None, so `any` runs the map to its end.
-        any(map(getattr(FibreMonomial, name).__set__, monos, chain.from_iterable(column)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monos = tuple(map(object.__new__, repeat(FibreMonomial, sum(rest + 1 for rest, _, _ in blocks))))
+        columns = [(range(r, -1, -1), range(r + 1), repeat(a2, r + 1), repeat(a5, r + 1)) for r, a2, a5 in blocks]
+        for name, column in zip(FibreMonomial.__slots__, zip(*columns)):
+            # `__set__` returns None, so `any` runs the map to its end.
+            any(map(getattr(FibreMonomial, name).__set__, monos, chain.from_iterable(column)))
+    finally:
+        if enabled:
+            gc.enable()
     return monos
 
 

@@ -1346,18 +1346,21 @@ def test_monomials_record_enumerates_once_through_the_cache(monkeypatch):
 
 def test_record_builders_are_looked_up_when_called(monkeypatch, capsys):
     # A wrapper bound to the module after the parser is built, the way a
-    # tracer binds one, is the function that runs.
+    # tracer binds one, is the function that runs: each builder's `*_record`
+    # function and the `cmd_*` handler that `main` calls.
     cli.build_parser()
     calls = []
 
     def counting(name, original):
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("classify_record", "inspect_record", "flip_record"):
+    for name in ("classify_record", "inspect_record", "flip_record", "cmd_listing", "cmd_record"):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     for argv in (["classify", "2", "2", "--d0", "1"], ["inspect", "2", "1"], ["flip", "2"]):
         assert run_cli(capsys, *argv)[0] == 0
-    assert calls == ["classify_record", "inspect_record", "flip_record", "flip_record"]
+    assert calls == [
+        "cmd_listing", "classify_record", "cmd_record", "inspect_record", "flip_record", "cmd_record", "flip_record",
+    ]
 
 
 def test_readme_command_line_examples_run(capsys):

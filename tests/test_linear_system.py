@@ -1,5 +1,10 @@
+import gc
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -124,6 +129,59 @@ def test_enumeration_checks_the_exponents(monkeypatch):
         with pytest.raises(ValueError):
             enumerate_monomials(299)
         assert enumerate_monomials.cache_info().currsize == 0
+
+
+def test_a_cold_fill_runs_no_collection():
+    # The cached monomials form no cycle, so the fill pauses the cyclic
+    # collector: the 4,464 tracked objects of degree 60 start no collection,
+    # and the tuple is still the brute-force enumeration in (a5, a2, a1) order.
+    # A collection first empties the young generation, so that the few
+    # hundred blocks read before the pause cannot start one either.
+    starts = []
+
+    def count_starts(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enumerate_monomials.cache_clear()
+    gc.collect()
+    gc.callbacks.append(count_starts)
+    try:
+        monos = enumerate_monomials(60)
+    finally:
+        gc.callbacks.remove(count_starts)
+    assert starts == []
+    assert list(map(astuple, monos)) == sorted(brute_monomials(60), key=lambda e: (e[3], e[2], e[1]))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_fill_leaves_the_collector_as_the_caller_had_it(monkeypatch, enabled):
+    # After a fill, a refused degree and a fill that raises midway alike.
+    def broken_repeat(*args):
+        raise RuntimeError("fill interrupted")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        enumerate_monomials.cache_clear()
+        enumerate_monomials(60)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            enumerate_monomials(-1)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(linear_system, "repeat", broken_repeat)
+        with pytest.raises(RuntimeError):
+            enumerate_monomials(61)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_importing_the_cli_leaves_the_collector_on():
+    # `PROFILE_FORMS` fills degree 10 when the package is imported.
+    env = dict(os.environ, PYTHONPATH=str(Path(linear_system.__file__).parents[1]))
+    code = "import gc, noetherline.cli; assert gc.isenabled()"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_monomials_minus_relation_equals_ring_rank():
